@@ -1,6 +1,7 @@
 """CLI subcommands run in process through main(argv)."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -258,6 +259,23 @@ def test_report_on_vacuum_params(capsys):
     outcomes = {c["id"]: c["outcome"] for c in obj["certificates"]}
     assert outcomes["thm4.5"] == "unknown"
     assert outcomes["z3-printed"] == "certified"
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
+GOLDEN_NAMES = sorted(p.name for p in GOLDEN_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_report_matches_frozen_golden(capsys, monkeypatch, name):
+    # run from the golden directory so input.path is the bare file name;
+    # regenerate expected/ with the loop in README "Tests" after an
+    # intended change to the report
+    monkeypatch.chdir(GOLDEN_DIR)
+    monkeypatch.delenv("COPOS_BAND", raising=False)
+    code = main(["report", name])
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2)
+    assert out.encode("utf-8") == (GOLDEN_DIR / "expected" / name).read_bytes()
 
 
 def test_report_requires_one_input_mode(capsys, pair_doc):
