@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 from .tensors import (Index, SymmetricTensor, Vector, all_indices, build,
                       canonicalize, multiplicity, zero)
-from .halfline import (CubicCoeffs, QuadCoeffs, cubic_min_bruteforce,
+from .halfline import (CubicCoeffs, QuadCoeffs, cubic_disc, cubic_min_bruteforce,
                        cubic_nonneg_exact, cubic_nonneg_sufficient,
                        quad_min_bruteforce, quad_nonneg)
 from .criteria import (Certificate, Condition, Verdict, aggregate,
@@ -28,15 +28,14 @@ from .criteria import (Certificate, Condition, Verdict, aggregate,
 from .oracle import (Classification, OracleConfig, OracleResult, classify,
                      default_config, min_on_simplex, simplex_grid)
 from .vacuum import (StabilityReport, Z3Params, check_stability, coupling_tensor,
-                     printed_certificate, scan_rho, stability_printed,
-                     stability_theorem, theorem_certificate)
+                     printed_certificate, scan_rho, theorem_certificate)
 from .documents import (entries_as_strings, load_document, parse_document,
                         serialize_document)
 
 __all__ = [
     "Index", "SymmetricTensor", "Vector", "all_indices", "build",
     "canonicalize", "multiplicity", "zero",
-    "CubicCoeffs", "QuadCoeffs", "cubic_min_bruteforce", "cubic_nonneg_exact",
+    "CubicCoeffs", "QuadCoeffs", "cubic_disc", "cubic_min_bruteforce", "cubic_nonneg_exact",
     "cubic_nonneg_sufficient", "quad_min_bruteforce", "quad_nonneg",
     "Certificate", "Condition", "Verdict", "aggregate", "applicable_criteria",
     "certify_all", "diag_necessity", "qi_strict_generic", "run_criterion",
@@ -47,8 +46,7 @@ __all__ = [
     "Classification", "OracleConfig", "OracleResult", "classify",
     "default_config", "min_on_simplex", "simplex_grid",
     "StabilityReport", "Z3Params", "check_stability", "coupling_tensor",
-    "printed_certificate", "scan_rho", "stability_printed", "stability_theorem",
-    "theorem_certificate",
+    "printed_certificate", "scan_rho", "theorem_certificate",
     "entries_as_strings", "load_document", "parse_document", "serialize_document",
     "__version__",
 ]

@@ -7,7 +7,8 @@ document, ``oracle`` minimizes the form over the simplex by brute force,
 document with a stable field order.
 
 Exit codes: 0 certified / copositive up to band, 1 refuted / not
-copositive, 2 unknown / indeterminate, 3 malformed input or usage error.
+copositive, 2 unknown / indeterminate, 3 malformed input, usage error or
+arithmetic overflow.
 
 The oracle band can be set through the COPOS_BAND environment variable;
 an explicit --band flag wins over the environment.
@@ -352,7 +353,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
+        # ArithmeticError: float overflow on huge entries, never a verdict
         print(f"copos: error: {exc}", file=sys.stderr)
         return 3
 

@@ -13,12 +13,23 @@ is emitted only by the exact tests (the order-3 dimension-2
 characterisation and diagonal necessity); for every other criterion a
 failed condition list means ``UNKNOWN`` -- the test is sufficient, not
 necessary.  Certified-with-failed-branch never happens: the fired branch's
-conditions are all satisfied by construction.
+conditions are all satisfied by construction.  A non-finite condition
+value (float overflow on huge entries) proves nothing: it neither fires a
+branch nor refutes, so such a criterion reports ``UNKNOWN``.
 
+Shared algebra.  Every discriminant row (thm3.1, thm3.4, thm4.1, thm4.3
+and thm4.5) is a positive multiple of the one half-line cubic
+discriminant :func:`copos.halfline.cubic_disc` at scaled arguments, and
+square roots go through the clamped :func:`copos.halfline.sqrt0`.
 Square roots appear only over products of quantities whose signs are
 pinned by companion conditions in the same system; radicands that come out
 negative (failed sign conditions, or -0.0 style rounding) are clamped to
 zero so that every condition row is still computable.
+
+Dispatch.  One registry maps each criterion id to the shape it applies to
+(or any shape), its function and whether it takes the ``strict`` flag;
+:func:`applicable_criteria`, :func:`run_criterion` and :func:`certify_all`
+all read it, in its order.
 """
 
 from __future__ import annotations
@@ -30,12 +41,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .tensors import SymmetricTensor
-
-_C74 = float(3**7 * 4**3)   # 139968
-_C8 = float(3**8)           # 6561
-_C64 = float(3**6 * 4)      # 2916
-_C34 = float(3**3 * 4)      # 108
+from .halfline import cubic_disc, sqrt0
+from .tensors import Index, SymmetricTensor, all_indices, multiplicity
 
 
 class Verdict(enum.Enum):
@@ -84,10 +91,14 @@ def _threshold(desc: str, lhs: float, rhs: float, strict: bool = False) -> Condi
     return Condition(desc, lhs - rhs, lhs > rhs if strict else lhs >= rhs)
 
 
-def _sqrt0(x: float) -> float:
-    """sqrt clamped at zero; negative radicands only arise from rounding or
-    from branches whose sign preconditions already failed."""
-    return math.sqrt(x) if x > 0 else 0.0
+def _nonneg(entries: dict[str, float], names: tuple[str, ...]) -> list[Condition]:
+    return [_ge(f"{name} >= 0", entries[name]) for name in names]
+
+
+@functools.lru_cache(maxsize=None)
+def _names(order: int, dim: int) -> tuple[tuple[str, Index], ...]:
+    prefix = "g" if order == 3 else "a"
+    return tuple((prefix + "".join(map(str, idx)), idx) for idx in all_indices(order, dim))
 
 
 def _require(tensor: SymmetricTensor, order: int, dim: int, name: str) -> None:
@@ -96,11 +107,20 @@ def _require(tensor: SymmetricTensor, order: int, dim: int, name: str) -> None:
                          f"got order-{tensor.order} dim-{tensor.dim}")
 
 
+def _read(tensor: SymmetricTensor, order: int, dim: int, name: str) -> dict[str, float]:
+    """Every canonical entry of the required shape, keyed by the name the
+    condition text uses (``g112``, ``a1123``), in ``all_indices`` order."""
+    _require(tensor, order, dim, name)
+    return {key: tensor.entries.get(idx, 0.0) for key, idx in _names(order, dim)}
+
+
 def _verdict(conditions: list[Condition], branches: list[tuple[Optional[str], list[Condition]]],
              criterion_id: str, on_fail: Verdict) -> Certificate:
     for name, conds in branches:
-        if all(c.satisfied for c in conds):
+        if all(c.satisfied and math.isfinite(c.value) for c in conds):
             return Certificate(criterion_id, Verdict.CERTIFIED, tuple(conditions), name)
+    if not all(math.isfinite(c.value) for c in conditions):
+        on_fail = Verdict.UNKNOWN
     return Certificate(criterion_id, on_fail, tuple(conditions), None)
 
 
@@ -131,11 +151,7 @@ def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
       - 6*g111*g112*g122*g222 - 3*g112^2*g122^2 >= 0.
     Failure of both systems refutes.
     """
-    _require(tensor, 3, 2, "thm3.1")
-    g111, g112 = tensor.get((1, 1, 1)), tensor.get((1, 1, 2))
-    g122, g222 = tensor.get((1, 2, 2)), tensor.get((2, 2, 2))
-    disc = (4.0 * g111 * g122**3 + 4.0 * g112**3 * g222 + g111**2 * g222**2
-            - 6.0 * g111 * g112 * g122 * g222 - 3.0 * g112**2 * g122**2)
+    g111, g112, g122, g222 = _read(tensor, 3, 2, "thm3.1").values()
     sys1 = [
         _ge("(1) g111 >= 0", g111),
         _ge("(1) g112 >= 0", g112),
@@ -147,17 +163,16 @@ def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
         _ge("(2) g111 >= 0", g111),
         _ge("(2) g222 >= 0", g222),
         _ge("(2) 4*g111*g122^3 + 4*g112^3*g222 + g111^2*g222^2"
-            " - 6*g111*g112*g122*g222 - 3*g112^2*g122^2 >= 0", disc),
+            " - 6*g111*g112*g122*g222 - 3*g112^2*g122^2 >= 0",
+            cubic_disc(g111, 3.0 * g112, 3.0 * g122, g222) / 27.0),
     ]
     return _verdict(sys1 + sys2, [("(1)", sys1), ("(2)", sys2)], "thm3.1", Verdict.REFUTED)
 
 
 def thm32_sqrt_c3d2(tensor: SymmetricTensor) -> Certificate:
     """Sufficient square-root bound for order-3 dim-2 copositivity."""
-    _require(tensor, 3, 2, "thm3.2")
-    g111, g112 = tensor.get((1, 1, 1)), tensor.get((1, 1, 2))
-    g122, g222 = tensor.get((1, 2, 2)), tensor.get((2, 2, 2))
-    root = _sqrt0(g111 * g222)
+    g111, g112, g122, g222 = _read(tensor, 3, 2, "thm3.2").values()
+    root = sqrt0(g111 * g222)
     conds = [
         _ge("g111 >= 0", g111),
         _ge("g222 >= 0", g222),
@@ -170,22 +185,20 @@ def thm32_sqrt_c3d2(tensor: SymmetricTensor) -> Certificate:
 def thm33_mixed_c3d2(tensor: SymmetricTensor) -> Certificate:
     """Sufficient mixed-sign test for order-3 dim-2: one cross entry may be
     negative if the opposite one compensates through a square-root bound."""
-    _require(tensor, 3, 2, "thm3.3")
-    g111, g112 = tensor.get((1, 1, 1)), tensor.get((1, 1, 2))
-    g122, g222 = tensor.get((1, 2, 2)), tensor.get((2, 2, 2))
+    g111, g112, g122, g222 = _read(tensor, 3, 2, "thm3.3").values()
     sys1 = [
         _ge("(1) g111 >= 0", g111),
         _ge("(1) g222 >= 0", g222),
         _ge("(1) g122 >= 0", g122),
         _threshold("(1) g112 >= -(2/3)*sqrt(3*g122*g111)", g112,
-                   -2.0 * _sqrt0(3.0 * g122 * g111) / 3.0),
+                   -2.0 * sqrt0(3.0 * g122 * g111) / 3.0),
     ]
     sys2 = [
         _ge("(2) g111 >= 0", g111),
         _ge("(2) g222 >= 0", g222),
         _ge("(2) g112 >= 0", g112),
         _threshold("(2) g122 >= -(2/3)*sqrt(3*g112*g222)", g122,
-                   -2.0 * _sqrt0(3.0 * g112 * g222) / 3.0),
+                   -2.0 * sqrt0(3.0 * g112 * g222) / 3.0),
     ]
     return _verdict(sys1 + sys2, [("(1)", sys1), ("(2)", sys2)], "thm3.3", Verdict.UNKNOWN)
 
@@ -193,24 +206,17 @@ def thm33_mixed_c3d2(tensor: SymmetricTensor) -> Certificate:
 # ---------------------------------------------------------------------------
 # order 3, dimension 3
 
-def _pair_disc3(gaaa: float, gaab: float, gabb: float, gbbb: float) -> float:
-    return (32.0 * gaaa * gabb**3 + 32.0 * gaab**3 * gbbb + gaaa**2 * gbbb**2
-            - 24.0 * gaaa * gaab * gabb * gbbb - 48.0 * gaab**2 * gabb**2)
+_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 def thm34_disc_c3d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient test for order-3 dim-3: nonnegative diagonals and g123,
     plus one discriminant inequality per coordinate pair."""
-    _require(tensor, 3, 3, "thm3.4")
-    g = tensor.get
-    conds = [
-        _ge("g111 >= 0", g((1, 1, 1))),
-        _ge("g222 >= 0", g((2, 2, 2))),
-        _ge("g333 >= 0", g((3, 3, 3))),
-        _ge("g123 >= 0", g((1, 2, 3))),
-    ]
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        disc = _pair_disc3(g((i,) * 3), g((i, i, j)), g((i, j, j)), g((j,) * 3))
+    g = _read(tensor, 3, 3, "thm3.4")
+    conds = _nonneg(g, ("g111", "g222", "g333", "g123"))
+    for i, j in _PAIRS:
+        disc = cubic_disc(g[f"g{i}{i}{i}"], 6.0 * g[f"g{i}{i}{j}"],
+                          6.0 * g[f"g{i}{j}{j}"], g[f"g{j}{j}{j}"]) / 27.0
         conds.append(_ge(
             f"32*g{i}{i}{i}*g{i}{j}{j}^3 + 32*g{i}{i}{j}^3*g{j}{j}{j} + g{i}{i}{i}^2*g{j}{j}{j}^2"
             f" - 24*g{i}{i}{i}*g{i}{i}{j}*g{i}{j}{j}*g{j}{j}{j}"
@@ -220,23 +226,17 @@ def thm34_disc_c3d3(tensor: SymmetricTensor) -> Certificate:
 
 def thm35_sqrt_c3d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient square-root bounds for order-3 dim-3, pair by pair."""
-    _require(tensor, 3, 3, "thm3.5")
-    g = tensor.get
-    conds = [
-        _ge("g111 >= 0", g((1, 1, 1))),
-        _ge("g222 >= 0", g((2, 2, 2))),
-        _ge("g333 >= 0", g((3, 3, 3))),
-        _ge("g123 >= 0", g((1, 2, 3))),
-    ]
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        gi, gj = g((i,) * 3), g((j,) * 3)
-        root = _sqrt0(gi * gj)
+    g = _read(tensor, 3, 3, "thm3.5")
+    conds = _nonneg(g, ("g111", "g222", "g333", "g123"))
+    for i, j in _PAIRS:
+        gi, gj = g[f"g{i}{i}{i}"], g[f"g{j}{j}{j}"]
+        root = sqrt0(gi * gj)
         conds.append(_threshold(
             f"g{i}{i}{j} >= (g{i}{i}{i} - 2*sqrt(g{i}{i}{i}*g{j}{j}{j}))/6",
-            g((i, i, j)), (gi - 2.0 * root) / 6.0))
+            g[f"g{i}{i}{j}"], (gi - 2.0 * root) / 6.0))
         conds.append(_threshold(
             f"g{i}{j}{j} >= (g{j}{j}{j} - 2*sqrt(g{i}{i}{i}*g{j}{j}{j}))/6",
-            g((i, j, j)), (gj - 2.0 * root) / 6.0))
+            g[f"g{i}{j}{j}"], (gj - 2.0 * root) / 6.0))
     return _verdict(conds, [(None, conds)], "thm3.5", Verdict.UNKNOWN)
 
 
@@ -245,27 +245,22 @@ def thm35_sqrt_c3d3(tensor: SymmetricTensor) -> Certificate:
 
 def thm41_disc_c4d2(tensor: SymmetricTensor) -> Certificate:
     """Sufficient discriminant test for order-4 dim-2 with positive diagonals."""
-    _require(tensor, 4, 2, "thm4.1")
-    a1111, a1112 = tensor.get((1, 1, 1, 1)), tensor.get((1, 1, 1, 2))
-    a1122, a1222 = tensor.get((1, 1, 2, 2)), tensor.get((1, 2, 2, 2))
-    a2222 = tensor.get((2, 2, 2, 2))
+    a1111, a1112, a1122, a1222, a2222 = _read(tensor, 4, 2, "thm4.1").values()
     pre = [
         _ge("a1111 > 0", a1111, strict=True),
         _ge("a2222 > 0", a2222, strict=True),
     ]
-    disc1 = (54.0 * a1111 * a1122**3 + 64.0 * a1112**3 * a1222 + 27.0 * a1111**2 * a1222**2
-             - 108.0 * a1111 * a1112 * a1122 * a1222 - 36.0 * a1112**2 * a1122**2)
-    disc2 = (64.0 * a1112 * a1222**3 + 54.0 * a1122**3 * a2222 + 27.0 * a1112**2 * a2222**2
-             - 108.0 * a1112 * a1122 * a1222 * a2222 - 36.0 * a1122**2 * a1222**2)
     sys1 = [
         _ge("(1) a1222 >= 0", a1222),
         _ge("(1) 54*a1111*a1122^3 + 64*a1112^3*a1222 + 27*a1111^2*a1222^2"
-            " - 108*a1111*a1112*a1122*a1222 - 36*a1112^2*a1122^2 >= 0", disc1),
+            " - 108*a1111*a1112*a1122*a1222 - 36*a1112^2*a1122^2 >= 0",
+            cubic_disc(a1111, 4.0 * a1112, 6.0 * a1122, 4.0 * a1222) / 16.0),
     ]
     sys2 = [
         _ge("(2) a1112 >= 0", a1112),
         _ge("(2) 64*a1112*a1222^3 + 54*a1122^3*a2222 + 27*a1112^2*a2222^2"
-            " - 108*a1112*a1122*a1222*a2222 - 36*a1122^2*a1222^2 >= 0", disc2),
+            " - 108*a1112*a1122*a1222*a2222 - 36*a1122^2*a1222^2 >= 0",
+            cubic_disc(4.0 * a1112, 6.0 * a1122, 4.0 * a1222, a2222) / 16.0),
     ]
     return _verdict(pre + sys1 + sys2,
                     [("(1)", pre + sys1), ("(2)", pre + sys2)],
@@ -274,10 +269,7 @@ def thm41_disc_c4d2(tensor: SymmetricTensor) -> Certificate:
 
 def thm42_sqrt_c4d2(tensor: SymmetricTensor) -> Certificate:
     """Sufficient square-root test for order-4 dim-2."""
-    _require(tensor, 4, 2, "thm4.2")
-    a1111, a1112 = tensor.get((1, 1, 1, 1)), tensor.get((1, 1, 1, 2))
-    a1122, a1222 = tensor.get((1, 1, 2, 2)), tensor.get((1, 2, 2, 2))
-    a2222 = tensor.get((2, 2, 2, 2))
+    a1111, a1112, a1122, a1222, a2222 = _read(tensor, 4, 2, "thm4.2").values()
     pre = [
         _ge("a1111 >= 0", a1111),
         _ge("a2222 >= 0", a2222),
@@ -286,14 +278,14 @@ def thm42_sqrt_c4d2(tensor: SymmetricTensor) -> Certificate:
     # cofactor of Ax^4 = x1*f(x) + a2222*x2^4 = a1111*x1^4 + x2*g(x).
     # The a1122 thresholds carry a single radical; with the cofactor
     # scaling gamma122 = 2*a1122 a doubled radical over-certifies.
-    r1 = _sqrt0(a1111 * a1222)
+    r1 = sqrt0(a1111 * a1222)
     sys1 = [
         _ge("(1) a1222 >= 0", a1222),
         _threshold("(1) a1112 >= a1111/4 - sqrt(a1111*a1222)", a1112, a1111 / 4.0 - r1),
         _threshold("(1) a1122 >= (2/3)*(a1222 - sqrt(a1111*a1222))",
                    a1122, 2.0 * (a1222 - r1) / 3.0),
     ]
-    r2 = _sqrt0(a1112 * a2222)
+    r2 = sqrt0(a1112 * a2222)
     sys2 = [
         _ge("(2) a1112 >= 0", a1112),
         _threshold("(2) a1222 >= a2222/4 - sqrt(a1112*a2222)", a1222, a2222 / 4.0 - r2),
@@ -308,90 +300,61 @@ def thm42_sqrt_c4d2(tensor: SymmetricTensor) -> Certificate:
 # ---------------------------------------------------------------------------
 # order 4, dimension 3
 
-def _pair_disc4(alpha: float, beta: float, gamma: float, delta: float) -> float:
-    # discriminant combination of the boundary cubics 4a t^3 + 6b t^2 + 6c t + 4d
-    return (8.0 * alpha * gamma**3 + 8.0 * beta**3 * delta + 16.0 * alpha**2 * delta**2
-            - 24.0 * alpha * beta * gamma * delta - 3.0 * beta**2 * gamma**2)
+# diagonals and the x_i^3 x_j entries, nonnegative in thm4.3 and thm4.4
+_EDGES = ("a1111", "a2222", "a3333", "a1112", "a1113", "a1222", "a2223", "a1333", "a2333")
 
 
 def thm43_disc_c4d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient test for order-4 dim-3 built from boundary-cubic
     discriminants and pairwise quadratic conditions."""
-    _require(tensor, 4, 3, "thm4.3")
-    a = tensor.get
-    a1111, a2222, a3333 = a((1,) * 4), a((2,) * 4), a((3,) * 4)
-    a1112, a1113 = a((1, 1, 1, 2)), a((1, 1, 1, 3))
-    a1222, a2223 = a((1, 2, 2, 2)), a((2, 2, 2, 3))
-    a1333, a2333 = a((1, 3, 3, 3)), a((2, 3, 3, 3))
-    a1122, a1133, a2233 = a((1, 1, 2, 2)), a((1, 1, 3, 3)), a((2, 2, 3, 3))
-    a1123, a1223, a1233 = a((1, 1, 2, 3)), a((1, 2, 2, 3)), a((1, 2, 3, 3))
-    conds = [
-        _ge("a1111 >= 0", a1111),
-        _ge("a2222 >= 0", a2222),
-        _ge("a3333 >= 0", a3333),
-        _ge("a1112 >= 0", a1112),
-        _ge("a1113 >= 0", a1113),
-        _ge("a1222 >= 0", a1222),
-        _ge("a2223 >= 0", a2223),
-        _ge("a1333 >= 0", a1333),
-        _ge("a2333 >= 0", a2333),
-        _ge("max(a1222, a1333) > 0", max(a1222, a1333), strict=True),
-        _ge("max(a1112, a2333) > 0", max(a1112, a2333), strict=True),
-        _ge("max(a1113, a2223) > 0", max(a1113, a2223), strict=True),
-        _ge("6*a1122 + sqrt(a1111*a2222) >= 0", 6.0 * a1122 + _sqrt0(a1111 * a2222)),
-        _ge("6*a1133 + sqrt(a1111*a3333) >= 0", 6.0 * a1133 + _sqrt0(a1111 * a3333)),
-        _ge("6*a2233 + sqrt(a3333*a2222) >= 0", 6.0 * a2233 + _sqrt0(a3333 * a2222)),
-        _ge("8*a1222*a1233^3 + 8*a1223^3*a1333 + 16*a1222^2*a1333^2"
-            " - 24*a1222*a1223*a1233*a1333 - 3*a1223^2*a1233^2 >= 0",
-            _pair_disc4(a1222, a1223, a1233, a1333)),
-        _ge("8*a1112*a1233^3 + 8*a1123^3*a2333 + 16*a1112^2*a2333^2"
-            " - 24*a1112*a1123*a1233*a2333 - 3*a1123^2*a1233^2 >= 0",
-            _pair_disc4(a1112, a1123, a1233, a2333)),
-        _ge("8*a1113*a1223^3 + 8*a1123^3*a2223 + 16*a1113^2*a2223^2"
-            " - 24*a1113*a1123*a1223*a2223 - 3*a1123^2*a1223^2 >= 0",
-            _pair_disc4(a1113, a1123, a1223, a2223)),
+    a = _read(tensor, 4, 3, "thm4.3")
+    conds = _nonneg(a, _EDGES) + [
+        _ge("max(a1222, a1333) > 0", max(a["a1222"], a["a1333"]), strict=True),
+        _ge("max(a1112, a2333) > 0", max(a["a1112"], a["a2333"]), strict=True),
+        _ge("max(a1113, a2223) > 0", max(a["a1113"], a["a2223"]), strict=True),
+        _ge("6*a1122 + sqrt(a1111*a2222) >= 0",
+            6.0 * a["a1122"] + sqrt0(a["a1111"] * a["a2222"])),
+        _ge("6*a1133 + sqrt(a1111*a3333) >= 0",
+            6.0 * a["a1133"] + sqrt0(a["a1111"] * a["a3333"])),
+        _ge("6*a2233 + sqrt(a3333*a2222) >= 0",
+            6.0 * a["a2233"] + sqrt0(a["a3333"] * a["a2222"])),
     ]
+    # discriminant combinations of the boundary cubics 4a t^3 + 6b t^2 + 6c t + 4d
+    for p, q, r, s in (("a1222", "a1223", "a1233", "a1333"),
+                       ("a1112", "a1123", "a1233", "a2333"),
+                       ("a1113", "a1123", "a1223", "a2223")):
+        conds.append(_ge(
+            f"8*{p}*{r}^3 + 8*{q}^3*{s} + 16*{p}^2*{s}^2"
+            f" - 24*{p}*{q}*{r}*{s} - 3*{q}^2*{r}^2 >= 0",
+            cubic_disc(4.0 * a[p], 6.0 * a[q], 6.0 * a[r], 4.0 * a[s]) / 432.0))
     return _verdict(conds, [(None, conds)], "thm4.3", Verdict.UNKNOWN)
 
 
 def thm44_sqrt_c4d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient square-root test for order-4 dim-3."""
-    _require(tensor, 4, 3, "thm4.4")
-    a = tensor.get
-    a1111, a2222, a3333 = a((1,) * 4), a((2,) * 4), a((3,) * 4)
-    a1112, a1113 = a((1, 1, 1, 2)), a((1, 1, 1, 3))
-    a1222, a2223 = a((1, 2, 2, 2)), a((2, 2, 2, 3))
-    a1333, a2333 = a((1, 3, 3, 3)), a((2, 3, 3, 3))
-    a1122, a1133, a2233 = a((1, 1, 2, 2)), a((1, 1, 3, 3)), a((2, 2, 3, 3))
-    a1123, a1223, a1233 = a((1, 1, 2, 3)), a((1, 2, 2, 3)), a((1, 2, 3, 3))
-    conds = [
-        _ge("a1111 >= 0", a1111),
-        _ge("a2222 >= 0", a2222),
-        _ge("a3333 >= 0", a3333),
-        _ge("a1112 >= 0", a1112),
-        _ge("a1113 >= 0", a1113),
-        _ge("a1222 >= 0", a1222),
-        _ge("a2223 >= 0", a2223),
-        _ge("a1333 >= 0", a1333),
-        _ge("a2333 >= 0", a2333),
-        _threshold("a1122 >= -sqrt(a1111*a2222)/6", a1122, -_sqrt0(a1111 * a2222) / 6.0),
-        _threshold("a1133 >= -sqrt(a1111*a3333)/6", a1133, -_sqrt0(a1111 * a3333) / 6.0),
-        _threshold("a2233 >= -sqrt(a3333*a2222)/6", a2233, -_sqrt0(a3333 * a2222) / 6.0),
+    a = _read(tensor, 4, 3, "thm4.4")
+    a1111, a2222, a3333 = a["a1111"], a["a2222"], a["a3333"]
+    a1112, a1113, a1222, a2223 = a["a1112"], a["a1113"], a["a1222"], a["a2223"]
+    a1333, a2333 = a["a1333"], a["a2333"]
+    conds = _nonneg(a, _EDGES) + [
+        _threshold("a1122 >= -sqrt(a1111*a2222)/6", a["a1122"], -sqrt0(a1111 * a2222) / 6.0),
+        _threshold("a1133 >= -sqrt(a1111*a3333)/6", a["a1133"], -sqrt0(a1111 * a3333) / 6.0),
+        _threshold("a2233 >= -sqrt(a3333*a2222)/6", a["a2233"], -sqrt0(a3333 * a2222) / 6.0),
         # each threshold pairs the two cubic cofactors that share the entry;
         # a1223 sits in the (x2,x3) cofactor of x1 and the (x1,x2) cofactor
         # of x3, so its second arm carries a1113, not a1112
         _threshold("a1223 >= (2/3)*max(a1222 - 2*sqrt(a1222*a1333),"
                    " a2223 - 2*sqrt(a1113*a2223))",
-                   a1223, 2.0 * max(a1222 - 2.0 * _sqrt0(a1222 * a1333),
-                                    a2223 - 2.0 * _sqrt0(a1113 * a2223)) / 3.0),
+                   a["a1223"], 2.0 * max(a1222 - 2.0 * sqrt0(a1222 * a1333),
+                                         a2223 - 2.0 * sqrt0(a1113 * a2223)) / 3.0),
         _threshold("a1233 >= (2/3)*max(a2333 - 2*sqrt(a1112*a2333),"
                    " a1333 - 2*sqrt(a1222*a1333))",
-                   a1233, 2.0 * max(a2333 - 2.0 * _sqrt0(a1112 * a2333),
-                                    a1333 - 2.0 * _sqrt0(a1222 * a1333)) / 3.0),
+                   a["a1233"], 2.0 * max(a2333 - 2.0 * sqrt0(a1112 * a2333),
+                                         a1333 - 2.0 * sqrt0(a1222 * a1333)) / 3.0),
         _threshold("a1123 >= (2/3)*max(a1113 - 2*sqrt(a1113*a2223),"
                    " a1112 - 2*sqrt(a1112*a2333))",
-                   a1123, 2.0 * max(a1113 - 2.0 * _sqrt0(a1113 * a2223),
-                                    a1112 - 2.0 * _sqrt0(a1112 * a2333)) / 3.0),
+                   a["a1123"], 2.0 * max(a1113 - 2.0 * sqrt0(a1113 * a2223),
+                                         a1112 - 2.0 * sqrt0(a1112 * a2333)) / 3.0),
     ]
     return _verdict(conds, [(None, conds)], "thm4.4", Verdict.UNKNOWN)
 
@@ -407,52 +370,64 @@ def thm45_sos_c4d3(tensor: SymmetricTensor, strict: bool = False) -> Certificate
     With ``strict=True`` every non-strict inequality becomes strict and a
     certificate asserts strict copositivity.
     """
-    _require(tensor, 4, 3, "thm4.5")
-    a = tensor.get
-    a1111, a2222, a3333 = a((1,) * 4), a((2,) * 4), a((3,) * 4)
-    a1112, a1113 = a((1, 1, 1, 2)), a((1, 1, 1, 3))
-    a1222, a2223 = a((1, 2, 2, 2)), a((2, 2, 2, 3))
-    a1333, a2333 = a((1, 3, 3, 3)), a((2, 3, 3, 3))
-    a1122, a1133, a2233 = a((1, 1, 2, 2)), a((1, 1, 3, 3)), a((2, 2, 3, 3))
-    a1123, a1223, a1233 = a((1, 1, 2, 3)), a((1, 2, 2, 3)), a((1, 2, 3, 3))
-
-    q12 = 9.0 * a1122 + _sqrt0(a1111 * a2222)
-    q13 = 9.0 * a1133 + _sqrt0(a1111 * a3333)
-    q23 = 9.0 * a2233 + _sqrt0(a3333 * a2222)
-
-    d1 = (2.0 * a1111 * q12**3 + _C74 * a1222 * a1112**3 + _C8 * a1111**2 * a1222**2
-          - _C64 * a1111 * a1112 * a1222 * q12 - _C34 * a1112**2 * q12**2)
-    # d2/d3 are the exact cubic discriminants of the second and third
-    # cofactors; in each, the entry next to the strict diagonal is cubed
-    # (a2223 for d2, a1333 for d3) and the far corner enters linearly
-    d2 = (2.0 * a2222 * q23**3 + _C74 * a2333 * a2223**3 + _C8 * a2222**2 * a2333**2
-          - _C64 * a2222 * a2223 * a2333 * q23 - _C34 * a2223**2 * q23**2)
-    d3 = (2.0 * a3333 * q13**3 + _C74 * a1113 * a1333**3 + _C8 * a3333**2 * a1113**2
-          - _C64 * a3333 * a1113 * a1333 * q13 - _C34 * a1333**2 * q13**2)
-
+    a = _read(tensor, 4, 3, "thm4.5")
+    q = {"q12": 9.0 * a["a1122"] + sqrt0(a["a1111"] * a["a2222"]),
+         "q13": 9.0 * a["a1133"] + sqrt0(a["a1111"] * a["a3333"]),
+         "q23": 9.0 * a["a2233"] + sqrt0(a["a3333"] * a["a2222"])}
     s = strict
     op = ">" if strict else ">="
     conds = [
-        _ge("a1111 > 0", a1111, strict=True),
-        _ge("a2222 > 0", a2222, strict=True),
-        _ge("a3333 > 0", a3333, strict=True),
-        _ge(f"a1113 {op} 0", a1113, strict=s),
-        _ge(f"a1222 {op} 0", a1222, strict=s),
-        _ge(f"a2333 {op} 0", a2333, strict=s),
-        _ge(f"9*a1122 + sqrt(a1111*a2222) {op} 0", q12, strict=s),
-        _ge(f"9*a1133 + sqrt(a1111*a3333) {op} 0", q13, strict=s),
-        _ge(f"9*a2233 + sqrt(a3333*a2222) {op} 0", q23, strict=s),
-        _ge(f"27*a1123 + sqrt(q12*q13) {op} 0", 27.0 * a1123 + _sqrt0(q12 * q13), strict=s),
-        _ge(f"27*a1223 + sqrt(q12*q23) {op} 0", 27.0 * a1223 + _sqrt0(q12 * q23), strict=s),
-        _ge(f"27*a1233 + sqrt(q13*q23) {op} 0", 27.0 * a1233 + _sqrt0(q13 * q23), strict=s),
-        _ge("2*a1111*q12^3 + 3^7*4^3*a1222*a1112^3 + 3^8*a1111^2*a1222^2"
-            f" - 3^6*4*a1111*a1112*a1222*q12 - 3^3*4*a1112^2*q12^2 {op} 0", d1, strict=s),
-        _ge("2*a2222*q23^3 + 3^7*4^3*a2333*a2223^3 + 3^8*a2222^2*a2333^2"
-            f" - 3^6*4*a2222*a2223*a2333*q23 - 3^3*4*a2223^2*q23^2 {op} 0", d2, strict=s),
-        _ge("2*a3333*q13^3 + 3^7*4^3*a1113*a1333^3 + 3^8*a3333^2*a1113^2"
-            f" - 3^6*4*a3333*a1113*a1333*q13 - 3^3*4*a1333^2*q13^2 {op} 0", d3, strict=s),
+        _ge("a1111 > 0", a["a1111"], strict=True),
+        _ge("a2222 > 0", a["a2222"], strict=True),
+        _ge("a3333 > 0", a["a3333"], strict=True),
+        _ge(f"a1113 {op} 0", a["a1113"], strict=s),
+        _ge(f"a1222 {op} 0", a["a1222"], strict=s),
+        _ge(f"a2333 {op} 0", a["a2333"], strict=s),
+        _ge(f"9*a1122 + sqrt(a1111*a2222) {op} 0", q["q12"], strict=s),
+        _ge(f"9*a1133 + sqrt(a1111*a3333) {op} 0", q["q13"], strict=s),
+        _ge(f"9*a2233 + sqrt(a3333*a2222) {op} 0", q["q23"], strict=s),
+        _ge(f"27*a1123 + sqrt(q12*q13) {op} 0",
+            27.0 * a["a1123"] + sqrt0(q["q12"] * q["q13"]), strict=s),
+        _ge(f"27*a1223 + sqrt(q12*q23) {op} 0",
+            27.0 * a["a1223"] + sqrt0(q["q12"] * q["q23"]), strict=s),
+        _ge(f"27*a1233 + sqrt(q13*q23) {op} 0",
+            27.0 * a["a1233"] + sqrt0(q["q13"] * q["q23"]), strict=s),
     ]
+    # d1..d3 are the exact cubic discriminants of the three cofactors: the
+    # entry next to the strict diagonal is cubed (a1112, a2223, a1333) and
+    # the far corner enters linearly; the fourth term names the two
+    # off-diagonal entries in index order
+    for diag, near, far, qn in (("a1111", "a1112", "a1222", "q12"),
+                                ("a2222", "a2223", "a2333", "q23"),
+                                ("a3333", "a1333", "a1113", "q13")):
+        lo, hi = sorted((near, far))
+        conds.append(_ge(
+            f"2*{diag}*{qn}^3 + 3^7*4^3*{far}*{near}^3 + 3^8*{diag}^2*{far}^2"
+            f" - 3^6*4*{diag}*{lo}*{hi}*{qn} - 3^3*4*{near}^2*{qn}^2 {op} 0",
+            cubic_disc(a[diag], 36.0 * a[near], 6.0 * q[qn], 324.0 * a[far]) / 432.0,
+            strict=s))
     return _verdict(conds, [(None, conds)], "thm4.5", Verdict.UNKNOWN)
+
+
+def _split_rows() -> tuple[tuple[Index, int, Index, float, float], ...]:
+    # (alpha, i, beta, num, den): the share of monomial alpha that goes to
+    # component i at index beta = alpha minus one i.  Each monomial is
+    # shared equally over its k distinct coordinates, and the entry is
+    # rescaled by mult(alpha)/(k*mult(beta)) so the monomial weights match.
+    rows = []
+    for alpha in all_indices(4, 3):
+        coords = sorted(set(alpha))
+        for i in coords:
+            rest = list(alpha)
+            rest.remove(i)
+            beta = tuple(rest)
+            num, den = multiplicity(alpha), len(coords) * multiplicity(beta)
+            g = math.gcd(num, den)
+            rows.append((alpha, i, beta, float(num // g), float(den // g)))
+    return tuple(rows)
+
+
+_SPLIT = _split_rows()
 
 
 def thm4remark_decompose(tensor: SymmetricTensor) -> tuple[SymmetricTensor, ...]:
@@ -463,50 +438,10 @@ def thm4remark_decompose(tensor: SymmetricTensor) -> tuple[SymmetricTensor, ...]
     contains, so the identity holds for all x (not just x >= 0).
     """
     _require(tensor, 4, 3, "thm4remark_decompose")
-    a = tensor.get
-    a1111, a2222, a3333 = a((1,) * 4), a((2,) * 4), a((3,) * 4)
-    a1112, a1113 = a((1, 1, 1, 2)), a((1, 1, 1, 3))
-    a1222, a2223 = a((1, 2, 2, 2)), a((2, 2, 2, 3))
-    a1333, a2333 = a((1, 3, 3, 3)), a((2, 3, 3, 3))
-    a1122, a1133, a2233 = a((1, 1, 2, 2)), a((1, 1, 3, 3)), a((2, 2, 3, 3))
-    a1123, a1223, a1233 = a((1, 1, 2, 3)), a((1, 2, 2, 3)), a((1, 2, 3, 3))
-    g1 = SymmetricTensor(3, 3, {
-        (1, 1, 1): a1111,
-        (1, 1, 2): 2.0 * a1112 / 3.0,
-        (1, 2, 2): a1122,
-        (2, 2, 2): 2.0 * a1222,
-        (3, 3, 3): 2.0 * a1333,
-        (1, 3, 3): a1133,
-        (1, 1, 3): 2.0 * a1113 / 3.0,
-        (1, 2, 3): 2.0 * a1123 / 3.0,
-        (2, 2, 3): 4.0 * a1223 / 3.0,
-        (2, 3, 3): 4.0 * a1233 / 3.0,
-    })
-    g2 = SymmetricTensor(3, 3, {
-        (1, 1, 1): 2.0 * a1112,
-        (1, 1, 2): a1122,
-        (1, 2, 2): 2.0 * a1222 / 3.0,
-        (2, 2, 2): a2222,
-        (3, 3, 3): 2.0 * a2333,
-        (1, 3, 3): 4.0 * a1233 / 3.0,
-        (1, 1, 3): 4.0 * a1123 / 3.0,
-        (1, 2, 3): 2.0 * a1223 / 3.0,
-        (2, 2, 3): 2.0 * a2223 / 3.0,
-        (2, 3, 3): a2233,
-    })
-    g3 = SymmetricTensor(3, 3, {
-        (1, 1, 1): 2.0 * a1113,
-        (1, 1, 2): 4.0 * a1123 / 3.0,
-        (1, 2, 2): 4.0 * a1223 / 3.0,
-        (2, 2, 2): 2.0 * a2223,
-        (3, 3, 3): a3333,
-        (1, 3, 3): 2.0 * a1333 / 3.0,
-        (1, 1, 3): a1133,
-        (1, 2, 3): 2.0 * a1233 / 3.0,
-        (2, 2, 3): a2233,
-        (2, 3, 3): 2.0 * a2333 / 3.0,
-    })
-    return g1, g2, g3
+    parts: tuple[dict[Index, float], ...] = ({}, {}, {})
+    for alpha, i, beta, num, den in _SPLIT:
+        parts[i - 1][beta] = num * tensor.entries.get(alpha, 0.0) / den
+    return tuple(SymmetricTensor(3, 3, part) for part in parts)
 
 
 def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
@@ -583,76 +518,49 @@ def songqi_strict_generic(tensor: SymmetricTensor) -> Certificate:
             total += v
             worst = max(worst, v)
         conds.append(_ge(f"slice {i}: ordered sum > 0", total, strict=True))
-        conds.append(_ge(f"slice {i}: mean of ordered sum exceeds every"
-                         " off-diagonal entry", total / count - worst, strict=True))
+        if keys:  # dim 1 has no off-diagonal entries to exceed
+            conds.append(_ge(f"slice {i}: mean of ordered sum exceeds every"
+                             " off-diagonal entry", total / count - worst, strict=True))
     return _verdict(conds, [(None, conds)], "songqi", Verdict.UNKNOWN)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
-_SHAPE_SPECIFIC: dict[tuple[int, int], tuple[Callable[[SymmetricTensor], Certificate], ...]] = {
-    (3, 2): (thm31_exact_c3d2, thm32_sqrt_c3d2, thm33_mixed_c3d2),
-    (3, 3): (thm34_disc_c3d3, thm35_sqrt_c3d3),
-    (4, 2): (thm41_disc_c4d2, thm42_sqrt_c4d2),
-    (4, 3): (thm43_disc_c4d3, thm44_sqrt_c4d3, thm45_sos_c4d3, thm4remark_check),
+# id -> (shape it applies to, or None for any shape; function; takes strict)
+_REGISTRY: dict[str, tuple[Optional[tuple[int, int]], Callable[..., Certificate], bool]] = {
+    "diag": (None, diag_necessity, False),
+    "thm3.1": ((3, 2), thm31_exact_c3d2, False),
+    "thm3.2": ((3, 2), thm32_sqrt_c3d2, False),
+    "thm3.3": ((3, 2), thm33_mixed_c3d2, False),
+    "thm3.4": ((3, 3), thm34_disc_c3d3, False),
+    "thm3.5": ((3, 3), thm35_sqrt_c3d3, False),
+    "thm4.1": ((4, 2), thm41_disc_c4d2, False),
+    "thm4.2": ((4, 2), thm42_sqrt_c4d2, False),
+    "thm4.3": ((4, 3), thm43_disc_c4d3, False),
+    "thm4.4": ((4, 3), thm44_sqrt_c4d3, False),
+    "thm4.5": ((4, 3), thm45_sos_c4d3, True),
+    "remark": ((4, 3), thm4remark_check, False),
+    "qi": (None, qi_strict_generic, False),
+    "songqi": (None, songqi_strict_generic, False),
 }
 
 
 def applicable_criteria(order: int, dim: int) -> tuple[str, ...]:
     """Criterion identifiers certify_all runs for this shape, in order."""
-    ids = ["diag"]
-    for fn in _SHAPE_SPECIFIC.get((order, dim), ()):
-        ids.append(_CRITERION_IDS[fn])
-    ids += ["qi", "songqi"]
-    return tuple(ids)
-
-
-_CRITERION_IDS: dict[Callable, str] = {
-    diag_necessity: "diag",
-    thm31_exact_c3d2: "thm3.1",
-    thm32_sqrt_c3d2: "thm3.2",
-    thm33_mixed_c3d2: "thm3.3",
-    thm34_disc_c3d3: "thm3.4",
-    thm35_sqrt_c3d3: "thm3.5",
-    thm41_disc_c4d2: "thm4.1",
-    thm42_sqrt_c4d2: "thm4.2",
-    thm43_disc_c4d3: "thm4.3",
-    thm44_sqrt_c4d3: "thm4.4",
-    thm45_sos_c4d3: "thm4.5",
-    thm4remark_check: "remark",
-    qi_strict_generic: "qi",
-    songqi_strict_generic: "songqi",
-}
-
-_RUNNERS: dict[str, Callable[..., Certificate]] = {
-    "diag": diag_necessity,
-    "thm3.1": thm31_exact_c3d2,
-    "thm3.2": thm32_sqrt_c3d2,
-    "thm3.3": thm33_mixed_c3d2,
-    "thm3.4": thm34_disc_c3d3,
-    "thm3.5": thm35_sqrt_c3d3,
-    "thm4.1": thm41_disc_c4d2,
-    "thm4.2": thm42_sqrt_c4d2,
-    "thm4.3": thm43_disc_c4d3,
-    "thm4.4": thm44_sqrt_c4d3,
-    "thm4.5": thm45_sos_c4d3,
-    "remark": thm4remark_check,
-    "qi": qi_strict_generic,
-    "songqi": songqi_strict_generic,
-}
+    return tuple(cid for cid, (shape, _, _) in _REGISTRY.items()
+                 if shape is None or shape == (order, dim))
 
 
 def run_criterion(criterion_id: str, tensor: SymmetricTensor, strict: bool = False) -> Certificate:
-    """Run one criterion by identifier.  The strict flag only affects thm4.5."""
+    """Run one criterion by identifier.  The strict flag only reaches the
+    criteria registered as taking it (thm4.5)."""
     try:
-        fn = _RUNNERS[criterion_id]
+        _, fn, takes_strict = _REGISTRY[criterion_id]
     except KeyError:
-        known = ", ".join(sorted(_RUNNERS))
+        known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown criterion {criterion_id!r}; known: {known}") from None
-    if criterion_id == "thm4.5":
-        return fn(tensor, strict=strict)
-    return fn(tensor)
+    return fn(tensor, strict=strict) if takes_strict else fn(tensor)
 
 
 def certify_all(tensor: SymmetricTensor, strict: bool = False) -> list[Certificate]:

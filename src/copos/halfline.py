@@ -1,9 +1,11 @@
 """Nonnegativity of low-degree polynomials on the half-line t >= 0.
 
 These are the scalar building blocks behind every closed-form tensor
-criterion in :mod:`copos.criteria`: an exact sign characterisation for
-cubics, a cheaper sufficient square-root test, the exact quadratic test,
-and a brute-force grid minimiser used as an independent oracle.
+criterion in :mod:`copos.criteria`: the cubic discriminant combination
+that every discriminant criterion evaluates, a square root clamped at
+zero, an exact sign characterisation for cubics, a cheaper sufficient
+square-root test, the exact quadratic test, and a brute-force grid
+minimiser used as an independent oracle.
 """
 
 from __future__ import annotations
@@ -50,6 +52,25 @@ def _coeffs(cc, n: int) -> tuple[float, ...]:
     return out
 
 
+def sqrt0(x: float) -> float:
+    """sqrt clamped at zero; negative radicands only arise from rounding or
+    from branches whose sign preconditions already failed."""
+    return math.sqrt(x) if x > 0 else 0.0
+
+
+def cubic_disc(a: float, b: float, c: float, d: float) -> float:
+    """4ac^3 + 4b^3d + 27a^2d^2 - 18abcd - b^2c^2, the negated discriminant
+    of a t^3 + b t^2 + c t + d.
+
+    With a, d >= 0 and max(a, d) > 0 the cubic is nonnegative on t >= 0
+    iff this is >= 0 or all four coefficients are (see
+    :func:`cubic_nonneg_exact`).  Every discriminant criterion in
+    :mod:`copos.criteria` is a positive multiple of this at scaled
+    arguments.
+    """
+    return 4*a*c**3 + 4*b**3*d + 27*a*a*d*d - 18*a*b*c*d - b*b*c*c
+
+
 def cubic_nonneg_exact(cc) -> bool:
     """Exact test: P(t) >= 0 for all t >= 0.
 
@@ -62,8 +83,7 @@ def cubic_nonneg_exact(cc) -> bool:
     if a >= 0 and b >= 0 and c >= 0 and d >= 0:
         return True
     if max(a, d) > 0 and a >= 0 and d >= 0:
-        disc = 4*a*c**3 + 4*b**3*d + 27*a*a*d*d - 18*a*b*c*d - b*b*c*c
-        return disc >= 0
+        return cubic_disc(a, b, c, d) >= 0
     return False
 
 
@@ -72,7 +92,7 @@ def cubic_nonneg_sufficient(cc) -> bool:
     a, b, c, d = _coeffs(cc, 4)
     if a < 0 or d < 0:
         return False
-    s = math.sqrt(a * d) if a * d > 0 else 0.0
+    s = sqrt0(a * d)
     return b >= a - 2.0 * s and c >= d - 2.0 * s
 
 
@@ -84,8 +104,7 @@ def quad_nonneg(qc) -> bool:
     alpha, beta, gamma = _coeffs(qc, 3)
     if alpha < 0 or gamma < 0:
         return False
-    s = math.sqrt(alpha * gamma) if alpha * gamma > 0 else 0.0
-    return beta + 2.0 * s >= 0
+    return beta + 2.0 * sqrt0(alpha * gamma) >= 0
 
 
 def _grid_min(coeffs: tuple[float, ...], grid_points: int) -> GridMin:

@@ -34,7 +34,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .criteria import Certificate, Condition, Verdict, _sqrt0, thm45_sos_c4d3
+from .criteria import Certificate, Verdict, _ge, _verdict, thm45_sos_c4d3
+from .halfline import sqrt0
 from .oracle import OracleResult
 from .tensors import SymmetricTensor, build
 
@@ -95,42 +96,28 @@ def printed_certificate(p: Z3Params, strict: bool = False) -> Certificate:
     strict switches the four non-diagonal conditions from >= to >; the
     three coupling positivity conditions are strict either way.
     """
-    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * p.rho**2 + 2.0 * _sqrt0(p.lam1 * p.lam2)
-    c13 = 3.0 * p.lam_s1 + 2.0 * _sqrt0(p.lam1 * p.lam_s)
-    c23 = 3.0 * p.lam_s2 + 2.0 * _sqrt0(p.lam_s * p.lam2)
-    mixed = -9.0 * p.abs_lam_s12 * p.rho / 4.0 + _sqrt0(c13 * c23)
+    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * p.rho**2 + 2.0 * sqrt0(p.lam1 * p.lam2)
+    c13 = 3.0 * p.lam_s1 + 2.0 * sqrt0(p.lam1 * p.lam_s)
+    c23 = 3.0 * p.lam_s2 + 2.0 * sqrt0(p.lam_s * p.lam2)
+    mixed = -9.0 * p.abs_lam_s12 * p.rho / 4.0 + sqrt0(c13 * c23)
     op = ">" if strict else ">="
     rows = [
-        Condition("lam1 > 0", p.lam1, p.lam1 > 0),
-        Condition("lam2 > 0", p.lam2, p.lam2 > 0),
-        Condition("lam_s > 0", p.lam_s, p.lam_s > 0),
-        Condition(f"3*lam3 + 3*lam4*rho^2 + 2*sqrt(lam1*lam2) {op} 0", c12,
-                  c12 > 0 if strict else c12 >= 0),
-        Condition(f"3*lam_s1 + 2*sqrt(lam1*lam_s) {op} 0", c13,
-                  c13 > 0 if strict else c13 >= 0),
-        Condition(f"3*lam_s2 + 2*sqrt(lam_s*lam2) {op} 0", c23,
-                  c23 > 0 if strict else c23 >= 0),
-        Condition("-(9/4)*|lam_s12|*rho + sqrt((3*lam_s1 + 2*sqrt(lam1*lam_s))"
-                  f"*(3*lam_s2 + 2*sqrt(lam_s*lam2))) {op} 0", mixed,
-                  mixed > 0 if strict else mixed >= 0),
+        _ge("lam1 > 0", p.lam1, strict=True),
+        _ge("lam2 > 0", p.lam2, strict=True),
+        _ge("lam_s > 0", p.lam_s, strict=True),
+        _ge(f"3*lam3 + 3*lam4*rho^2 + 2*sqrt(lam1*lam2) {op} 0", c12, strict),
+        _ge(f"3*lam_s1 + 2*sqrt(lam1*lam_s) {op} 0", c13, strict),
+        _ge(f"3*lam_s2 + 2*sqrt(lam_s*lam2) {op} 0", c23, strict),
+        _ge("-(9/4)*|lam_s12|*rho + sqrt((3*lam_s1 + 2*sqrt(lam1*lam_s))"
+            f"*(3*lam_s2 + 2*sqrt(lam_s*lam2))) {op} 0", mixed, strict),
     ]
-    ok = all(r.satisfied for r in rows)
     # sufficient only: a failed list proves nothing
-    return Certificate("z3-printed", Verdict.CERTIFIED if ok else Verdict.UNKNOWN,
-                       tuple(rows), None)
+    return _verdict(rows, [(None, rows)], "z3-printed", Verdict.UNKNOWN)
 
 
 def theorem_certificate(p: Z3Params, strict: bool = False) -> Certificate:
     """The order-4 dim-3 sum-of-squares test on the coupling tensor."""
     return thm45_sos_c4d3(coupling_tensor(p), strict=strict)
-
-
-def stability_printed(p: Z3Params, strict: bool = False) -> Verdict:
-    return printed_certificate(p, strict).outcome
-
-
-def stability_theorem(p: Z3Params, strict: bool = False) -> Verdict:
-    return theorem_certificate(p, strict).outcome
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,17 @@ def test_report_matches_frozen_golden(capsys, monkeypatch, name):
     assert out.encode("utf-8") == (GOLDEN_DIR / "expected" / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_overflow_is_an_error_not_a_verdict(capsys, tmp_path, command):
+    # at this scale g122**3 overflows; that must exit 3, never 1 (refuted)
+    s = 1e160
+    doc = write_doc(tmp_path, "huge.json", 3, 2,
+                    {"111": s, "112": -0.1 * s, "122": 0.5 * s, "222": s})
+    code, _, err = run(capsys, [command, doc])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+
+
 def test_report_requires_one_input_mode(capsys, pair_doc):
     code, _, err = run(capsys, ["report", pair_doc, "--l1", "1"])
     assert code == 3

@@ -5,11 +5,13 @@ being pinned here; boundary instances assert exact float equality because
 the comparisons in the criteria are literal.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from copos import (Certificate, Verdict, aggregate, applicable_criteria,
-                   build, certify_all, diag_necessity, min_on_simplex,
+from copos import (Certificate, SymmetricTensor, Verdict, aggregate, all_indices,
+                   applicable_criteria, build, certify_all, diag_necessity, min_on_simplex,
                    qi_strict_generic, run_criterion, songqi_strict_generic,
                    thm31_exact_c3d2, thm32_sqrt_c3d2, thm33_mixed_c3d2,
                    thm34_disc_c3d3, thm35_sqrt_c3d3, thm41_disc_c4d2,
@@ -344,6 +346,68 @@ def test_decompose_identity(rng):
         assert rel_err(split, t.evaluate(x)) <= 1e-12
 
 
+def decompose_reference(tensor):
+    # the split written out by hand: the reference the table-driven
+    # thm4remark_decompose must match bit for bit
+    a = tensor.get
+    a1111, a2222, a3333 = a((1,) * 4), a((2,) * 4), a((3,) * 4)
+    a1112, a1113 = a((1, 1, 1, 2)), a((1, 1, 1, 3))
+    a1222, a2223 = a((1, 2, 2, 2)), a((2, 2, 2, 3))
+    a1333, a2333 = a((1, 3, 3, 3)), a((2, 3, 3, 3))
+    a1122, a1133, a2233 = a((1, 1, 2, 2)), a((1, 1, 3, 3)), a((2, 2, 3, 3))
+    a1123, a1223, a1233 = a((1, 1, 2, 3)), a((1, 2, 2, 3)), a((1, 2, 3, 3))
+    g1 = SymmetricTensor(3, 3, {
+        (1, 1, 1): a1111,
+        (1, 1, 2): 2.0 * a1112 / 3.0,
+        (1, 2, 2): a1122,
+        (2, 2, 2): 2.0 * a1222,
+        (3, 3, 3): 2.0 * a1333,
+        (1, 3, 3): a1133,
+        (1, 1, 3): 2.0 * a1113 / 3.0,
+        (1, 2, 3): 2.0 * a1123 / 3.0,
+        (2, 2, 3): 4.0 * a1223 / 3.0,
+        (2, 3, 3): 4.0 * a1233 / 3.0,
+    })
+    g2 = SymmetricTensor(3, 3, {
+        (1, 1, 1): 2.0 * a1112,
+        (1, 1, 2): a1122,
+        (1, 2, 2): 2.0 * a1222 / 3.0,
+        (2, 2, 2): a2222,
+        (3, 3, 3): 2.0 * a2333,
+        (1, 3, 3): 4.0 * a1233 / 3.0,
+        (1, 1, 3): 4.0 * a1123 / 3.0,
+        (1, 2, 3): 2.0 * a1223 / 3.0,
+        (2, 2, 3): 2.0 * a2223 / 3.0,
+        (2, 3, 3): a2233,
+    })
+    g3 = SymmetricTensor(3, 3, {
+        (1, 1, 1): 2.0 * a1113,
+        (1, 1, 2): 4.0 * a1123 / 3.0,
+        (1, 2, 2): 4.0 * a1223 / 3.0,
+        (2, 2, 2): 2.0 * a2223,
+        (3, 3, 3): a3333,
+        (1, 3, 3): 2.0 * a1333 / 3.0,
+        (1, 1, 3): a1133,
+        (1, 2, 3): 2.0 * a1233 / 3.0,
+        (2, 2, 3): a2233,
+        (2, 3, 3): 2.0 * a2333 / 3.0,
+    })
+    return g1, g2, g3
+
+
+def test_decompose_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(4303)
+
+    def bits(component):
+        return {idx: v.hex() for idx, v in component.entries.items()}
+
+    for _ in range(1_000):
+        t = random_tensor(rng, 4, 3)
+        got = thm4remark_decompose(t)
+        want = decompose_reference(t)
+        assert [bits(g) for g in got] == [bits(g) for g in want]
+
+
 def test_decompose_zero_tensor():
     assert all(g == zero(3, 3) for g in thm4remark_decompose(zero(4, 3)))
 
@@ -518,6 +582,50 @@ def test_verdicts_invariant_under_positive_scaling(rng):
                 scaled = {cert.criterion_id: cert.outcome
                           for cert in certify_all(t.scale(c))}
                 assert scaled == base
+
+
+def test_discriminant_rows_match_their_text(rng):
+    # every discriminant row (the rows whose text has a power) is the scaled
+    # cubic discriminant; its value must be the polynomial the text prints
+    for order, dim in SHAPES:
+        for _ in range(200):
+            t = build(order, dim, {idx: rng.uniform(0.5, 1.5) if len(set(idx)) == 1
+                                   else rng.uniform(-1.0, 1.0)
+                                   for idx in all_indices(order, dim)})
+            prefix = "g" if order == 3 else "a"
+            env = {prefix + "".join(map(str, idx)): t.get(idx)
+                   for idx in all_indices(order, dim)}
+            env["sqrt"] = math.sqrt
+            if (order, dim) == (4, 3):
+                for i, j in ((1, 2), (1, 3), (2, 3)):
+                    env[f"q{i}{j}"] = eval(f"9*a{i}{i}{j}{j} + sqrt(a{i}{i}{i}{i}*a{j}{j}{j}{j})",
+                                           env)
+            rows = [row for cert in certify_all(t, strict=True)
+                    for row in cert.conditions if "^" in row.description]
+            assert rows
+            for row in rows:
+                lhs = row.description.rsplit(" >", 1)[0].removeprefix("(1) ").removeprefix("(2) ")
+                want = eval(lhs.replace("^", "**"), env)
+                assert abs(row.value - want) <= 1e-8 * max(1.0, abs(want)), row.description
+
+
+def test_overflow_never_refutes():
+    # a copositive tensor scaled until thm3.1's discriminant overflows to
+    # inf - inf: the NaN row proves nothing, so thm3.1 is unknown, not refuted
+    s = 1e80
+    t = t32(s, -0.1 * s, 0.5 * s, s)
+    cert = thm31_exact_c3d2(t)
+    assert cert.outcome is U
+    assert not all(math.isfinite(c.value) for c in cert.conditions)
+    assert aggregate(certify_all(t)) is C
+
+
+def test_non_finite_value_never_fires_a_branch():
+    # 1e200 * 1e200 overflows to inf inside thm3.3's radicand: the threshold
+    # is "satisfied" but infinite, so the branch must not certify
+    cert = thm33_mixed_c3d2(t32(1e200, -1.0, 1e200, 1.0))
+    assert any(c.satisfied and not math.isfinite(c.value) for c in cert.conditions)
+    assert cert.outcome is U
 
 
 def test_soundness_spot_check(rng):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from copos import (CubicCoeffs, QuadCoeffs, cubic_min_bruteforce,
+from copos import (CubicCoeffs, QuadCoeffs, cubic_disc, cubic_min_bruteforce,
                    cubic_nonneg_exact, cubic_nonneg_sufficient,
                    quad_min_bruteforce, quad_nonneg)
 
@@ -38,6 +38,15 @@ def test_cubic_exact_discriminant_branch():
     disc = 4*a*c**3 + 4*b**3*d + 27*a*a*d*d - 18*a*b*c*d - b*b*c*c
     assert disc == 0.0
     assert cubic_min_bruteforce(cc).min_value >= 0.0
+
+
+def test_cubic_disc_is_the_negated_discriminant():
+    # t^3 - 3t + 2 = (t-1)^2 (t+2) has a double root: zero
+    assert cubic_disc(1.0, 0.0, -3.0, 2.0) == 0.0
+    # t^3 - t = t (t-1)(t+1): discriminant prod (ri - rj)^2 = 4, negated
+    assert cubic_disc(1.0, 0.0, -1.0, 0.0) == -4.0
+    # t^3 + t: one real root, discriminant -4, negated
+    assert cubic_disc(1.0, 0.0, 1.0, 0.0) == 4.0
 
 
 def test_cubic_exact_degenerate_leading_and_constant():

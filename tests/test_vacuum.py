@@ -8,8 +8,7 @@ import pytest
 from copos import (Classification, OracleConfig, StabilityReport, Verdict,
                    Z3Params, check_stability, coupling_tensor, diag_necessity,
                    min_on_simplex, printed_certificate, scan_rho,
-                   stability_printed, stability_theorem, theorem_certificate,
-                   thm45_sos_c4d3, zero)
+                   theorem_certificate, thm45_sos_c4d3, zero)
 
 C = Verdict.CERTIFIED
 U = Verdict.UNKNOWN
@@ -149,12 +148,12 @@ def test_theorem_boundary_at_four_ninths():
 
 def test_theorem_conservative_where_printed_certifies():
     p = unit(abs_lam_s12=0.8, rho=1.0)
-    assert stability_theorem(p) is U
-    assert stability_printed(p) is C  # the documented discrepancy
+    assert theorem_certificate(p).outcome is U
+    assert printed_certificate(p).outcome is C  # the documented discrepancy
 
 
 def test_theorem_no_mixed_coupling():
-    assert stability_theorem(unit(abs_lam_s12=0.0, rho=1.0)) is C
+    assert theorem_certificate(unit(abs_lam_s12=0.0, rho=1.0)).outcome is C
 
 
 def test_theorem_soundness_random_sweep(rng):
@@ -162,7 +161,7 @@ def test_theorem_soundness_random_sweep(rng):
     certified = 0
     for _ in range(1000):
         p = random_params(rng)
-        if stability_theorem(p) is not C:
+        if theorem_certificate(p).outcome is not C:
             continue
         certified += 1
         r = min_on_simplex(coupling_tensor(p), cfg)
@@ -176,21 +175,21 @@ def test_theorem_soundness_random_sweep(rng):
 def test_strict_theorem_unreachable_on_this_family():
     # the coupling tensor always has zero cubic-monomial entries, which can
     # never satisfy the strict version of those conditions
-    assert stability_theorem(unit(abs_lam_s12=0.0), strict=True) is U
+    assert theorem_certificate(unit(abs_lam_s12=0.0), strict=True).outcome is U
 
 
 def test_strict_printed():
-    assert stability_printed(unit(abs_lam_s12=0.0), strict=True) is C
-    assert stability_printed(unit(abs_lam_s12=8.0 / 9.0, rho=1.0), strict=True) is U
+    assert printed_certificate(unit(abs_lam_s12=0.0), strict=True).outcome is C
+    assert printed_certificate(unit(abs_lam_s12=8.0 / 9.0, rho=1.0), strict=True).outcome is U
 
 
 def test_strict_implies_nonstrict(rng):
     for _ in range(300):
         p = random_params(rng)
-        if stability_printed(p, strict=True) is C:
-            assert stability_printed(p) is C
-        if stability_theorem(p, strict=True) is C:
-            assert stability_theorem(p) is C
+        if printed_certificate(p, strict=True).outcome is C:
+            assert printed_certificate(p).outcome is C
+        if theorem_certificate(p, strict=True).outcome is C:
+            assert theorem_certificate(p).outcome is C
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +217,7 @@ def test_verdict_only_degrades_as_coupling_grows():
     p = unit(rho=1.0)
     seen_unknown = False
     for s12 in np.linspace(0.0, 2.0, 41):
-        v = stability_printed(dataclasses.replace(p, abs_lam_s12=float(s12)))
+        v = printed_certificate(dataclasses.replace(p, abs_lam_s12=float(s12))).outcome
         if v is U:
             seen_unknown = True
         else:
