@@ -18,6 +18,7 @@ closed-form criteria in :mod:`copos.criteria` restrict shape themselves).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -45,6 +46,12 @@ def multiplicity(idx: Sequence[int]) -> int:
     For an index with component counts ``c_1, ..., c_k`` this is the
     multinomial ``m! / (c_1! * ... * c_k!)``.
     """
+    return _canonical_multiplicity(tuple(sorted(idx)))
+
+
+@functools.lru_cache(maxsize=4096)
+def _canonical_multiplicity(idx: Index) -> int:
+    # cached per canonical index: evaluation loops call this once per entry
     m = len(idx)
     out = math.factorial(m)
     for c in Counter(idx).values():
@@ -83,7 +90,7 @@ class SymmetricTensor:
             monom = x[idx[0] - 1]
             for j in idx[1:]:
                 monom *= x[j - 1]
-            acc += multiplicity(idx) * value * monom
+            acc += _canonical_multiplicity(idx) * value * monom
         return acc
 
     def slice(self, i: int) -> "SymmetricTensor":
@@ -114,7 +121,8 @@ class SymmetricTensor:
 
     def weighted_terms(self) -> list[tuple[Index, float]]:
         """Sorted ``(index, multiplicity * value)`` pairs, for evaluation loops."""
-        return [(idx, multiplicity(idx) * value) for idx, value in sorted(self.entries.items())]
+        return [(idx, _canonical_multiplicity(idx) * value)
+                for idx, value in sorted(self.entries.items())]
 
     def __eq__(self, other: object) -> bool:
         # semantic equality: absent keys count as zero
