@@ -2,18 +2,24 @@
 
 bench/tracing.py wraps module attributes such as criteria.run_criterion,
 cli.aggregate, vacuum.thm45_sos_c4d3 and vacuum.build.  A refactor that
-drops or moves one of them breaks the traced run, so install and
-uninstall the instrumentation here.
+drops or moves one of them breaks the traced run, and one that stores a
+patched name where the wrapper cannot replace it (a table filled at import)
+silently loses its spans.  So install and uninstall the instrumentation,
+and check the spans that CLI runs record.
 """
 
 import importlib.util
 import pathlib
 
+import pytest
+
 import copos.cli as cli
 import copos.criteria as criteria
 import copos.vacuum as vacuum
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
+GOLDEN = ROOT / "tests" / "data" / "golden"
 
 
 def load_tracing():
@@ -35,3 +41,36 @@ def test_instrumentation_installs_and_uninstalls():
         inst.uninstall()
     assert (criteria.run_criterion, cli.run_criterion, cli.aggregate,
             vacuum.thm45_sos_c4d3, vacuum.build) == originals
+
+
+UNIT = ["--l1", "1", "--l2", "1", "--ls", "1"]
+VACUUM_SPANS = {"vacuum.coupling_tensor", "vacuum.theorem_certificate",
+                "vacuum.printed_certificate"}
+CRITERIA_32 = {"criteria." + cid for cid in
+               ("diag", "thm3.1", "thm3.2", "thm3.3", "qi", "songqi", "aggregate")}
+CRITERIA_43 = {"criteria." + cid for cid in
+               ("diag", "thm4.3", "thm4.4", "thm4.5", "remark", "qi", "songqi",
+                "aggregate")}
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (["report", str(GOLDEN / "disc-zero.json")],
+     {"cli.main", "documents.parse", "oracle.d2"} | CRITERIA_32),
+    (["report", *UNIT, "--rho", "1"],
+     {"cli.main", "vacuum.check_stability", "oracle.d3"} | VACUUM_SPANS | CRITERIA_43),
+    (["vacuum", *UNIT, "--ls12", "4", "--rho-scan", "4", "--oracle"],
+     {"cli.main", "vacuum.scan_rho", "criteria.thm4.5", "oracle.d3"} | VACUUM_SPANS),
+], ids=["report-file", "report-couplings", "vacuum-scan-oracle"])
+def test_cli_runs_record_every_layer_span(capsys, monkeypatch, argv, spans):
+    monkeypatch.delenv("COPOS_BAND", raising=False)
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.Instrumentation(tracer):
+        tracer.active = True
+        try:
+            cli.main(argv)
+        finally:
+            tracer.active = False
+    capsys.readouterr()
+    layers = ("cli", "criteria", "oracle", "documents", "vacuum")
+    assert {name for name in tracer.calls if name.split(".")[0] in layers} == spans

@@ -1,11 +1,15 @@
 """CLI subcommands run in process through main(argv)."""
 
+import argparse
+import contextlib
+import io
 import json
 import pathlib
+import re
 
 import pytest
 
-from copos.cli import main
+from copos.cli import build_parser, main
 
 
 def write_doc(tmp_path, name, order, dim, entries):
@@ -287,6 +291,86 @@ def test_overflow_is_an_error_not_a_verdict(capsys, tmp_path, command):
     code, _, err = run(capsys, [command, doc])
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+
+
+# argv of every transcript run, from the golden directory with COPOS_BAND
+# unset; regenerate tests/data/cli_transcript.txt with the command in
+# README "Tests" after an intended change to the output
+TRANSCRIPT_CASES = [
+    "check disc-zero.json",
+    "check quartic-pair.json --strict",
+    "check refuted-mixed.json --json",
+    "check sos-boundary.json --json --strict",
+    "check pairs-sixth.json --criterion thm3.4 --criterion thm3.4",
+    "check qi-negative.json --criterion songqi --criterion diag --json",
+    "check zero.json",
+    "oracle refuted-mixed.json",
+    "oracle mixed-sign-boundary.json --grid 40 --refine 1 --band 1e-6 --samples 8 --seed 3",
+    "oracle qi-slack.json --json --grid 30 --refine 2 --band 1e-4 --samples 5 --seed 7",
+    "oracle zero.json --band 0",
+    "oracle quartic-zero.json --band 0 --json",
+    "vacuum --l1 1 --l2 1 --ls 1 --rho 1",
+    "vacuum --l1 1 --l2 1 --ls 1 --ls12 0.8 --rho 1",
+    "vacuum --l1 1 --l2 1 --ls 1 --ls12 0.8 --rho 1 --as-printed",
+    "vacuum --l1 1 --l2 1 --ls 1 --ls12 0.4 --rho-scan 10",
+    "vacuum --l1 1 --l2 1 --ls 1 --ls12 4 --rho 1 --as-printed --oracle",
+    "vacuum --l1 1 --l2 1 --ls 1 --ls12 0.4 --rho-scan 10 --json",
+    "vacuum --l1 1 --l2 1 --ls 1 --ls12 4 --rho-scan 4 --oracle --json",
+    "vacuum --l1 2 --l2 3 --l3 -1 --l4 0.5 --ls 1 --ls1 -0.5 --ls2 0.25 --ls12 0.3"
+    " --rho 0.5 --strict --json",
+    "vacuum --l1 -0.0 --l2 1 --ls 1 --json",
+    "report --l1 1 --l2 1 --ls 1 --ls12 0.8 --rho 1",
+    "report --l1 -0.0 --l2 1 --ls 1 --strict",
+    "report quartic-single.json --strict --grid 40 --refine 1 --band 1e-6 --samples 8"
+    " --seed 3",
+    "check disc-zero.json --criterion thm4.5",
+    "check nope.json",
+    "vacuum --rho 1.5",
+    "vacuum --l1 1 --rho-scan 0",
+    "report disc-zero.json --l1 1",
+    "report",
+    "oracle disc-zero.json --grid 0",
+    "report zero.json --grid 0",
+]
+
+
+def transcript() -> str:
+    """Exit code, stdout and stderr of every TRANSCRIPT_CASES run, as text."""
+    parts = []
+    for case in TRANSCRIPT_CASES:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(case.split())
+        parts.append(f"$ copos {case}\n[exit {code}]\n--- stdout\n{out.getvalue()}"
+                     f"--- stderr\n{err.getvalue()}")
+    return "".join(parts)
+
+
+def test_cli_transcript_matches_frozen(monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR)
+    monkeypatch.delenv("COPOS_BAND", raising=False)
+    frozen = (GOLDEN_DIR.parent / "cli_transcript.txt").read_text(encoding="utf-8")
+    assert transcript().split("$ copos ") == frozen.split("$ copos ")
+
+
+COUPLING_FLAGS = {"--l1", "--l2", "--l3", "--l4", "--ls", "--ls1", "--ls2", "--ls12"}
+ORACLE_FLAGS = {"--grid", "--refine", "--band", "--samples", "--seed"}
+SUBCOMMAND_FLAGS = {
+    "check": {"--criterion", "--strict", "--json"},
+    "oracle": ORACLE_FLAGS | {"--json"},
+    "vacuum": COUPLING_FLAGS | {"--rho", "--rho-scan", "--strict", "--as-printed",
+                                "--oracle", "--json"},
+    "report": COUPLING_FLAGS | ORACLE_FLAGS | {"--rho", "--strict"},
+}
+
+
+def test_subcommand_flags_are_pinned():
+    # flags may be reordered, never dropped or added
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: set(re.findall(r"--[a-z][a-z0-9-]*", p.format_usage()))
+             for name, p in sub.choices.items()}
+    assert flags == SUBCOMMAND_FLAGS
 
 
 def test_report_requires_one_input_mode(capsys, pair_doc):
