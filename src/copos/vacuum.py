@@ -32,15 +32,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .criteria import Certificate, Verdict, _ge, _verdict, thm45_sos_c4d3
 from .halfline import sqrt0
-from .oracle import OracleResult
 from .tensors import SymmetricTensor, build
-
-_FIELDS = ("lam1", "lam2", "lam3", "lam4", "lam_s", "lam_s1", "lam_s2",
-           "abs_lam_s12", "rho")
 
 
 @dataclass(frozen=True)
@@ -62,10 +57,10 @@ class Z3Params:
     rho: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in _FIELDS:
-            v = getattr(self, name)
+        for field in dataclasses.fields(self):
+            v = getattr(self, field.name)
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite real, got {v!r}")
+                raise ValueError(f"{field.name} must be a finite real, got {v!r}")
         if self.abs_lam_s12 < 0:
             raise ValueError(f"abs_lam_s12 must be >= 0, got {self.abs_lam_s12}")
         if not 0.0 <= self.rho <= 1.0:
@@ -127,8 +122,7 @@ class StabilityReport:
     rho_values records exactly the rho grid the verdicts were computed at;
     worst_rho is the grid point with the smallest condition margin across
     both routes (ties resolve to the largest rho), and the two certificates
-    are the condition lists at that point.  oracle is attached by callers
-    that also minimize the constructed tensor.
+    are the condition lists at that point.
     """
 
     params: Z3Params
@@ -138,10 +132,6 @@ class StabilityReport:
     worst_rho: float
     theorem_at_worst: Certificate
     printed_at_worst: Certificate
-    oracle: Optional[OracleResult] = None
-
-    def with_oracle(self, result: OracleResult) -> "StabilityReport":
-        return dataclasses.replace(self, oracle=result)
 
 
 def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityReport:
