@@ -66,9 +66,9 @@ def cubic_disc(a: float, b: float, c: float, d: float) -> float:
     iff this is >= 0 or all four coefficients are (see
     :func:`cubic_nonneg_exact`).  Every discriminant criterion in
     :mod:`copos.criteria` is a positive multiple of this at scaled
-    arguments.
+    arguments.  Cubes are products: float ``**`` raises where ``*`` gives inf.
     """
-    return 4*a*c**3 + 4*b**3*d + 27*a*a*d*d - 18*a*b*c*d - b*b*c*c
+    return 4*a*(c*c*c) + 4*(b*b*b)*d + 27*a*a*d*d - 18*a*b*c*d - b*b*c*c
 
 
 def cubic_nonneg_exact(cc) -> bool:

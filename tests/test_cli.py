@@ -284,13 +284,14 @@ def test_report_matches_frozen_golden(capsys, monkeypatch, name):
 
 @pytest.mark.parametrize("command", ["check", "report"])
 def test_overflow_is_an_error_not_a_verdict(capsys, tmp_path, command):
-    # at this scale g122**3 overflows; that must exit 3, never 1 (refuted)
+    # at this scale the discriminant's cubes overflow to inf; the criteria
+    # that stay finite (qi) still certify this copositive tensor
     s = 1e160
     doc = write_doc(tmp_path, "huge.json", 3, 2,
                     {"111": s, "112": -0.1 * s, "122": 0.5 * s, "222": s})
     code, _, err = run(capsys, [command, doc])
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err
+    assert code == 0
+    assert err == ""
 
 
 # argv of every transcript run, from the golden directory with COPOS_BAND

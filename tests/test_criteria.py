@@ -609,10 +609,11 @@ def test_discriminant_rows_match_their_text(rng):
                 assert abs(row.value - want) <= 1e-8 * max(1.0, abs(want)), row.description
 
 
-def test_overflow_never_refutes():
+@pytest.mark.parametrize("s", [1e80, 1e160])
+def test_overflow_never_refutes(s):
     # a copositive tensor scaled until thm3.1's discriminant overflows to
-    # inf - inf: the NaN row proves nothing, so thm3.1 is unknown, not refuted
-    s = 1e80
+    # inf - inf: the NaN row proves nothing, so thm3.1 is unknown, not refuted;
+    # at 1e160 the cubes themselves overflow, which must not raise
     t = t32(s, -0.1 * s, 0.5 * s, s)
     cert = thm31_exact_c3d2(t)
     assert cert.outcome is U
