@@ -15,6 +15,7 @@ import pytest
 
 import copos.cli as cli
 import copos.criteria as criteria
+import copos.documents as documents
 import copos.vacuum as vacuum
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -74,3 +75,29 @@ def test_cli_runs_record_every_layer_span(capsys, monkeypatch, argv, spans):
     capsys.readouterr()
     layers = ("cli", "criteria", "oracle", "documents", "vacuum")
     assert {name for name in tracer.calls if name.split(".")[0] in layers} == spans
+
+
+@pytest.mark.parametrize("name", ["disc-zero", "qi-slack", "quartic-pair", "cubics-quarter"])
+def test_certify_path_records_every_span(name):
+    # the path of the certify workload, in process: parse, certify_all and
+    # aggregate through the module globals the benchmark calls.  Every
+    # applicable criterion must open its own span once, through the
+    # module-global run_criterion, and parse_document must still build
+    # through documents.build.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    text = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    with tracing.Instrumentation(tracer):
+        tracer.active = True
+        try:
+            tensor = documents.parse_document(text)
+            criteria.aggregate(criteria.certify_all(tensor))
+        finally:
+            tracer.active = False
+    ids = criteria.applicable_criteria(tensor.order, tensor.dim)
+    want = {"documents.parse", "tensors.build", "criteria.certify_all",
+            "criteria.aggregate"} | {"criteria." + cid for cid in ids}
+    # tensors.get is left out: whether a criterion reads through it is an
+    # implementation detail, not a layer boundary
+    assert set(tracer.calls) - {"tensors.get"} == want
+    assert all(tracer.calls[span] == 1 for span in want)

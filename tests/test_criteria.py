@@ -5,19 +5,21 @@ being pinned here; boundary instances assert exact float equality because
 the comparisons in the criteria are literal.
 """
 
+import hashlib
+import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from copos import (Certificate, SymmetricTensor, Verdict, aggregate, all_indices,
-                   applicable_criteria, build, certify_all, diag_necessity, min_on_simplex,
-                   qi_strict_generic, run_criterion, songqi_strict_generic,
-                   thm31_exact_c3d2, thm32_sqrt_c3d2, thm33_mixed_c3d2,
-                   thm34_disc_c3d3, thm35_sqrt_c3d3, thm41_disc_c4d2,
+from copos import (Certificate, Condition, SymmetricTensor, Verdict, aggregate,
+                   all_indices, applicable_criteria, build, certify_all, diag_necessity,
+                   min_on_simplex, parse_document, qi_strict_generic, run_criterion,
+                   songqi_strict_generic, thm31_exact_c3d2, thm32_sqrt_c3d2,
+                   thm33_mixed_c3d2, thm34_disc_c3d3, thm35_sqrt_c3d3, thm41_disc_c4d2,
                    thm42_sqrt_c4d2, thm43_disc_c4d3, thm44_sqrt_c4d3,
-                   thm45_sos_c4d3, thm4remark_check, thm4remark_decompose,
-                   zero)
+                   thm45_sos_c4d3, thm4remark_check, thm4remark_decompose, zero)
 from copos.oracle import OracleConfig
 from conftest import SHAPES, random_point, random_tensor, rel_err
 
@@ -640,3 +642,163 @@ def test_soundness_spot_check(rng):
                 continue
             got = min_on_simplex(t, cfg)
             assert got.classification.value != "not-copositive"
+
+
+# ---------------------------------------------------------------------------
+# frozen certificates and the original remark, qi and songqi
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
+
+# sha256 of certificate_records over digest_tensors(), generated with the
+# criteria as they stood before their texts, slice plans and the remark
+# split were cached; any change to an id, outcome, branch, text, value
+# (repr, so -0.0 and 0.0 differ) or satisfied flag changes it
+CERTIFICATES_DIGEST = "408fe28d856274d3edce9c76cde7cf9765629c29cc00e86ac0692bc39ba86f4c"
+
+TIES = (-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0)
+
+
+def digest_entries(rng, kind, order, dim):
+    out = {}
+    for idx in all_indices(order, dim):
+        diagonal = len(set(idx)) == 1
+        if kind == 0:  # uniform
+            out[idx] = rng.uniform(-1.0, 1.0)
+        elif kind in (1, 2):  # diagonally biased: gate 2's mixture, then one
+            # with positive cross terms, where every (4,3) remark branch fires
+            off = (-0.15, 0.05) if kind == 1 else (-0.1, 0.5)
+            out[idx] = rng.uniform(0.5, 1.5) if diagonal else rng.uniform(*off)
+        elif kind == 3:  # sparse: absent, explicit 0.0 and -0.0 entries
+            pick = rng.uniform()
+            if pick < 0.3:
+                continue
+            out[idx] = (0.0 if pick < 0.45 else -0.0 if pick < 0.6
+                        else rng.uniform(0.0, 1.0) if diagonal else rng.uniform(-0.5, 0.5))
+        else:  # a few exact values: ties in max/min and rows on their boundary
+            out[idx] = TIES[int(rng.integers(len(TIES)))]
+    return out
+
+
+def digest_tensors():
+    tensors = [parse_document(path.read_text(encoding="utf-8"))
+               for path in sorted(GOLDEN.glob("*.json"))]
+    rng = np.random.default_rng(5005)
+    for order, dim in SHAPES:
+        tensors += [build(order, dim, digest_entries(rng, k % 5, order, dim))
+                    for k in range(1_000)]
+    return tensors
+
+
+def certificate_records(tensor):
+    for strict in (False, True):
+        for cert in certify_all(tensor, strict=strict):
+            yield certificate_key(cert)
+
+
+def certificate_key(cert):
+    return (cert.criterion_id, cert.outcome.value, cert.branch,
+            tuple((c.description, repr(c.value), c.satisfied) for c in cert.conditions))
+
+
+def test_certificates_match_frozen_digest():
+    h = hashlib.sha256()
+    for t in digest_tensors():
+        for record in certificate_records(t):
+            h.update(repr(record).encode())
+    assert h.hexdigest() == CERTIFICATES_DIGEST
+
+
+# remark, qi and songqi as first written, kept verbatim with the helpers
+# they used: the references the cached versions must match bit for bit
+
+def _ge_reference(desc, value, strict=False):
+    return Condition(desc, value, value > 0 if strict else value >= 0)
+
+
+def _verdict_reference(conditions, branches, criterion_id, on_fail):
+    for name, conds in branches:
+        if all(c.satisfied and math.isfinite(c.value) for c in conds):
+            return Certificate(criterion_id, Verdict.CERTIFIED, tuple(conditions), name)
+    if not all(math.isfinite(c.value) for c in conditions):
+        on_fail = Verdict.UNKNOWN
+    return Certificate(criterion_id, on_fail, tuple(conditions), None)
+
+
+def _offdiag_slice_keys(order, dim):
+    # for slice i: canonical keys of (i, tail) over ordered tails != (i,..,i)
+    out = []
+    for i in range(1, dim + 1):
+        diag_tail = (i,) * (order - 1)
+        keys = [tuple(sorted((i, *tail)))
+                for tail in itertools.product(range(1, dim + 1), repeat=order - 1)
+                if tail != diag_tail]
+        out.append(tuple(keys))
+    return tuple(out)
+
+
+def remark_reference(tensor):
+    components = thm4remark_decompose(tensor)
+    conds = []
+    fired = []
+    ok = True
+    for i, comp in enumerate(components, start=1):
+        c34 = thm34_disc_c3d3(comp)
+        c35 = thm35_sqrt_c3d3(comp)
+        conds.append(Condition(f"component {i} passes thm3.4", c34.margin, c34.certified))
+        conds.append(Condition(f"component {i} passes thm3.5", c35.margin, c35.certified))
+        if c34.certified:
+            fired.append("thm3.4")
+        elif c35.certified:
+            fired.append("thm3.5")
+        else:
+            ok = False
+    outcome = Verdict.CERTIFIED if ok else Verdict.UNKNOWN
+    branch = "(" + ",".join(fired) + ")" if ok else None
+    return Certificate("remark", outcome, tuple(conds), branch)
+
+
+def qi_reference(tensor):
+    if tensor.order < 2:
+        raise ValueError("qi requires order >= 2")
+    conds = []
+    for i in range(1, tensor.dim + 1):
+        value = tensor.get((i,) * tensor.order)
+        for key in _offdiag_slice_keys(tensor.order, tensor.dim)[i - 1]:
+            value += min(tensor.entries.get(key, 0.0), 0.0)
+        conds.append(_ge_reference(f"slice {i}: diagonal + sum of negative off-diagonal"
+                                   " entries (ordered count) > 0", value, strict=True))
+    return _verdict_reference(conds, [(None, conds)], "qi", Verdict.UNKNOWN)
+
+
+def songqi_reference(tensor):
+    if tensor.order < 2:
+        raise ValueError("songqi requires order >= 2")
+    conds = []
+    count = float(tensor.dim ** (tensor.order - 1))
+    for i in range(1, tensor.dim + 1):
+        keys = _offdiag_slice_keys(tensor.order, tensor.dim)[i - 1]
+        total = tensor.get((i,) * tensor.order)
+        worst = -math.inf
+        for key in keys:
+            v = tensor.entries.get(key, 0.0)
+            total += v
+            worst = max(worst, v)
+        conds.append(_ge_reference(f"slice {i}: ordered sum > 0", total, strict=True))
+        if keys:  # dim 1 has no off-diagonal entries to exceed
+            conds.append(_ge_reference(f"slice {i}: mean of ordered sum exceeds every"
+                                       " off-diagonal entry", total / count - worst,
+                                       strict=True))
+    return _verdict_reference(conds, [(None, conds)], "songqi", Verdict.UNKNOWN)
+
+
+def test_remark_qi_songqi_match_reference_bit_for_bit():
+    rng = np.random.default_rng(5006)
+    # the generic tests also run on shapes without closed-form criteria
+    extra = [build(order, dim, digest_entries(rng, k % 5, order, dim))
+             for order, dim in ((2, 1), (2, 4), (3, 1), (3, 4), (5, 2)) for k in range(40)]
+    for t in digest_tensors() + extra:
+        if (t.order, t.dim) == (4, 3):
+            assert certificate_key(thm4remark_check(t)) == certificate_key(remark_reference(t))
+        assert certificate_key(qi_strict_generic(t)) == certificate_key(qi_reference(t))
+        assert (certificate_key(songqi_strict_generic(t))
+                == certificate_key(songqi_reference(t)))

@@ -141,3 +141,88 @@ def test_rejects_duplicate_keys():
     with pytest.raises(ValueError, match="duplicate key"):
         parse_document('{"order": 3, "dim": 2, '
                        '"entries": {"111": 1, "111": 2}}')
+
+
+# Every rejection message, in full.  Documents and build look indices up in
+# per-shape tables and validate only on a miss, so these pin that a miss
+# still reaches the original check, in the original order.
+BIG = "1" + "0" * 400
+
+PARSE_REJECTIONS = [
+    ("non-digit key", doc(3, 2, {"1a2": 1.0}), ValueError,
+     "entry key '1a2' must be 3 digits"),
+    ("non-ascii digits", doc(3, 2, {"\u0661\u0661\u0661": 1.0}), ValueError,
+     "entry key '\u0661\u0661\u0661' must be 3 digits"),
+    ("short key", doc(3, 2, {"11": 1.0}), ValueError, "entry key '11' must be 3 digits"),
+    ("long key", doc(3, 2, {"1111": 1.0}), ValueError, "entry key '1111' must be 3 digits"),
+    ("digit above dim", doc(3, 2, {"113": 1.0}), ValueError,
+     "entry key '113' has a digit outside 1..2"),
+    ("digit zero", doc(3, 2, {"011": 1.0}), ValueError,
+     "entry key '011' has a digit outside 1..2"),
+    ("non-canonical key", doc(3, 2, {"121": 1.0}), ValueError,
+     "non-canonical entry key '121': digits must be sorted non-decreasing"),
+    ("non-canonical dim 3", doc(4, 3, {"1132": 1.0}), ValueError,
+     "non-canonical entry key '1132': digits must be sorted non-decreasing"),
+    ("bad key after good", doc(3, 2, {"111": 1.0, "112": 2.0, "221": 3.0}), ValueError,
+     "non-canonical entry key '221': digits must be sorted non-decreasing"),
+    ("string value", doc(3, 2, {"111": "1"}), ValueError,
+     "entry '111' must be a number, got '1'"),
+    ("bool value", doc(3, 2, {"111": True}), ValueError,
+     "entry '111' must be a number, got True"),
+    ("null value", doc(3, 2, {"111": None}), ValueError,
+     "entry '111' must be a number, got None"),
+    ("bad value after good", doc(3, 2, {"111": 1.0, "112": "x"}), ValueError,
+     "entry '112' must be a number, got 'x'"),
+    ("nan value", '{"order": 3, "dim": 2, "entries": {"111": NaN}}', ValueError,
+     "entry '111' is not finite: nan"),
+    ("infinite value", '{"order": 3, "dim": 2, "entries": {"112": -Infinity}}', ValueError,
+     "entry '112' is not finite: -inf"),
+    ("huge int value", '{"order": 3, "dim": 2, "entries": {"111": %s}}' % BIG,
+     OverflowError, "int too large to convert to float"),
+    ("duplicate entry", '{"order": 3, "dim": 2, "entries": {"111": 1, "111": 2}}',
+     ValueError, "duplicate key '111' in document"),
+    ("duplicate top key", '{"order": 3, "order": 3, "dim": 2, "entries": {}}',
+     ValueError, "duplicate key 'order' in document"),
+]
+
+
+@pytest.mark.parametrize("text, exc, message", [case[1:] for case in PARSE_REJECTIONS],
+                         ids=[case[0] for case in PARSE_REJECTIONS])
+def test_parse_rejection_messages_are_pinned(text, exc, message):
+    with pytest.raises(exc) as info:
+        parse_document(text)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+BUILD_REJECTIONS = [
+    ("out-of-range index", (3, 2, {(1, 1, 3): 1.0}), ValueError,
+     "index (1, 1, 3) has components outside 1..2"),
+    ("zero component in a list", (3, 2, [([0, 1, 1], 1.0)]), ValueError,
+     "index (0, 1, 1) has components outside 1..2"),
+    ("short index", (3, 2, {(1, 1): 1.0}), ValueError,
+     "index (1, 1) has 2 components, expected 3"),
+    ("long index", (3, 2, {(1, 1, 1, 1): 1.0}), ValueError,
+     "index (1, 1, 1, 1) has 4 components, expected 3"),
+    ("conflicting values", (3, 2, [((1, 1, 2), 1.0), ((2, 1, 1), 2.0)]), ValueError,
+     "conflicting values for entry (1, 1, 2): 1.0 vs 2.0"),
+    ("nan", (3, 2, {(1, 1, 1): float("nan")}), ValueError,
+     "entry (1, 1, 1) is not finite: nan"),
+    ("inf on a permutation", (3, 2, {(2, 1, 2): float("-inf")}), ValueError,
+     "entry (1, 2, 2) is not finite: -inf"),
+    ("string value", (3, 2, {(1, 1, 1): "x"}), ValueError,
+     "could not convert string to float: 'x'"),
+    ("list component", (3, 2, [((1, [1], 1), 1.0)]), TypeError,
+     "int() argument must be a string, a bytes-like object or a real number, not 'list'"),
+    ("order 0", (0, 2, {}), ValueError, "order must be >= 1, got 0"),
+    ("dim 0", (3, 0, {}), ValueError, "dim must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("args, exc, message", [case[1:] for case in BUILD_REJECTIONS],
+                         ids=[case[0] for case in BUILD_REJECTIONS])
+def test_build_rejection_messages_are_pinned(args, exc, message):
+    with pytest.raises(exc) as info:
+        build(*args)
+    assert type(info.value) is exc
+    assert str(info.value) == message
