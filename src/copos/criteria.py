@@ -26,6 +26,12 @@ pinned by companion conditions in the same system; radicands that come out
 negative (failed sign conditions, or -0.0 style rounding) are clamped to
 zero so that every condition row is still computable.
 
+Work done once.  Condition texts that do not depend on entry values are
+constants, per ``strict`` flag for thm4.5 and per shape in the cached slice
+plan that also holds each slice's diagonal and off-diagonal keys.  The
+remark feeds its components' entries to the row builders of thm3.4 and
+thm3.5 instead of certifying each component as a tensor.
+
 Dispatch.  One registry maps each criterion id to the shape it applies to
 (or any shape), its function and whether it takes the ``strict`` flag;
 :func:`applicable_criteria`, :func:`run_criterion` and :func:`certify_all`
@@ -114,10 +120,15 @@ def _read(tensor: SymmetricTensor, order: int, dim: int, name: str) -> dict[str,
     return {key: tensor.entries.get(idx, 0.0) for key, idx in _names(order, dim)}
 
 
+def _holds(conds: list[Condition]) -> bool:
+    """Every condition satisfied with a finite value: a branch that fires."""
+    return all(c.satisfied and math.isfinite(c.value) for c in conds)
+
+
 def _verdict(conditions: list[Condition], branches: list[tuple[Optional[str], list[Condition]]],
              criterion_id: str, on_fail: Verdict) -> Certificate:
     for name, conds in branches:
-        if all(c.satisfied and math.isfinite(c.value) for c in conds):
+        if _holds(conds):
             return Certificate(criterion_id, Verdict.CERTIFIED, tuple(conditions), name)
     if not all(math.isfinite(c.value) for c in conditions):
         on_fail = Verdict.UNKNOWN
@@ -133,8 +144,8 @@ def diag_necessity(tensor: SymmetricTensor) -> Certificate:
     A negative diagonal refutes copositivity outright (take x = e_i);
     otherwise the test says nothing.
     """
-    conds = [_ge(f"g[{str(i) * tensor.order}] >= 0", tensor.get((i,) * tensor.order))
-             for i in range(1, tensor.dim + 1)]
+    conds = [_ge(diag_text, tensor.entries.get(diag, 0.0))
+             for diag, _, (diag_text, _, _, _) in _slices(tensor.order, tensor.dim)]
     outcome = Verdict.REFUTED if not all(c.satisfied for c in conds) else Verdict.UNKNOWN
     return Certificate("diag", outcome, tuple(conds))
 
@@ -206,37 +217,45 @@ def thm33_mixed_c3d2(tensor: SymmetricTensor) -> Certificate:
 # ---------------------------------------------------------------------------
 # order 3, dimension 3
 
-_PAIRS = ((1, 2), (1, 3), (2, 3))
+# per coordinate pair (i, j): the entries giii, giij, gijj, gjjj, the
+# discriminant row's text, and the texts of the two square-root rows
+_PAIR_ROWS = tuple(
+    (f"g{i}{i}{i}", f"g{i}{i}{j}", f"g{i}{j}{j}", f"g{j}{j}{j}",
+     f"32*g{i}{i}{i}*g{i}{j}{j}^3 + 32*g{i}{i}{j}^3*g{j}{j}{j} + g{i}{i}{i}^2*g{j}{j}{j}^2"
+     f" - 24*g{i}{i}{i}*g{i}{i}{j}*g{i}{j}{j}*g{j}{j}{j}"
+     f" - 48*g{i}{i}{j}^2*g{i}{j}{j}^2 >= 0",
+     f"g{i}{i}{j} >= (g{i}{i}{i} - 2*sqrt(g{i}{i}{i}*g{j}{j}{j}))/6",
+     f"g{i}{j}{j} >= (g{j}{j}{j} - 2*sqrt(g{i}{i}{i}*g{j}{j}{j}))/6")
+    for i, j in ((1, 2), (1, 3), (2, 3)))
+
+
+def _thm34_rows(g: dict[str, float]) -> list[Condition]:
+    conds = _nonneg(g, ("g111", "g222", "g333", "g123"))
+    for ai, aij, ajj, aj, disc_text, _, _ in _PAIR_ROWS:
+        conds.append(_ge(disc_text, cubic_disc(g[ai], 6.0 * g[aij], 6.0 * g[ajj], g[aj]) / 27.0))
+    return conds
+
+
+def _thm35_rows(g: dict[str, float]) -> list[Condition]:
+    conds = _nonneg(g, ("g111", "g222", "g333", "g123"))
+    for ai, aij, ajj, aj, _, iij_text, ijj_text in _PAIR_ROWS:
+        gi, gj = g[ai], g[aj]
+        root = sqrt0(gi * gj)
+        conds.append(_threshold(iij_text, g[aij], (gi - 2.0 * root) / 6.0))
+        conds.append(_threshold(ijj_text, g[ajj], (gj - 2.0 * root) / 6.0))
+    return conds
 
 
 def thm34_disc_c3d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient test for order-3 dim-3: nonnegative diagonals and g123,
     plus one discriminant inequality per coordinate pair."""
-    g = _read(tensor, 3, 3, "thm3.4")
-    conds = _nonneg(g, ("g111", "g222", "g333", "g123"))
-    for i, j in _PAIRS:
-        disc = cubic_disc(g[f"g{i}{i}{i}"], 6.0 * g[f"g{i}{i}{j}"],
-                          6.0 * g[f"g{i}{j}{j}"], g[f"g{j}{j}{j}"]) / 27.0
-        conds.append(_ge(
-            f"32*g{i}{i}{i}*g{i}{j}{j}^3 + 32*g{i}{i}{j}^3*g{j}{j}{j} + g{i}{i}{i}^2*g{j}{j}{j}^2"
-            f" - 24*g{i}{i}{i}*g{i}{i}{j}*g{i}{j}{j}*g{j}{j}{j}"
-            f" - 48*g{i}{i}{j}^2*g{i}{j}{j}^2 >= 0", disc))
+    conds = _thm34_rows(_read(tensor, 3, 3, "thm3.4"))
     return _verdict(conds, [(None, conds)], "thm3.4", Verdict.UNKNOWN)
 
 
 def thm35_sqrt_c3d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient square-root bounds for order-3 dim-3, pair by pair."""
-    g = _read(tensor, 3, 3, "thm3.5")
-    conds = _nonneg(g, ("g111", "g222", "g333", "g123"))
-    for i, j in _PAIRS:
-        gi, gj = g[f"g{i}{i}{i}"], g[f"g{j}{j}{j}"]
-        root = sqrt0(gi * gj)
-        conds.append(_threshold(
-            f"g{i}{i}{j} >= (g{i}{i}{i} - 2*sqrt(g{i}{i}{i}*g{j}{j}{j}))/6",
-            g[f"g{i}{i}{j}"], (gi - 2.0 * root) / 6.0))
-        conds.append(_threshold(
-            f"g{i}{j}{j} >= (g{j}{j}{j} - 2*sqrt(g{i}{i}{i}*g{j}{j}{j}))/6",
-            g[f"g{i}{j}{j}"], (gj - 2.0 * root) / 6.0))
+    conds = _thm35_rows(_read(tensor, 3, 3, "thm3.5"))
     return _verdict(conds, [(None, conds)], "thm3.5", Verdict.UNKNOWN)
 
 
@@ -303,6 +322,15 @@ def thm42_sqrt_c4d2(tensor: SymmetricTensor) -> Certificate:
 # diagonals and the x_i^3 x_j entries, nonnegative in thm4.3 and thm4.4
 _EDGES = ("a1111", "a2222", "a3333", "a1112", "a1113", "a1222", "a2223", "a1333", "a2333")
 
+# the boundary cubics 4p t^3 + 6q t^2 + 6r t + 4s of thm4.3 and the text of
+# each one's discriminant row
+_THM43_CUBICS = tuple(
+    (p, q, r, s, f"8*{p}*{r}^3 + 8*{q}^3*{s} + 16*{p}^2*{s}^2"
+                 f" - 24*{p}*{q}*{r}*{s} - 3*{q}^2*{r}^2 >= 0")
+    for p, q, r, s in (("a1222", "a1223", "a1233", "a1333"),
+                       ("a1112", "a1123", "a1233", "a2333"),
+                       ("a1113", "a1123", "a1223", "a2223")))
+
 
 def thm43_disc_c4d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient test for order-4 dim-3 built from boundary-cubic
@@ -319,14 +347,8 @@ def thm43_disc_c4d3(tensor: SymmetricTensor) -> Certificate:
         _ge("6*a2233 + sqrt(a3333*a2222) >= 0",
             6.0 * a["a2233"] + sqrt0(a["a3333"] * a["a2222"])),
     ]
-    # discriminant combinations of the boundary cubics 4a t^3 + 6b t^2 + 6c t + 4d
-    for p, q, r, s in (("a1222", "a1223", "a1233", "a1333"),
-                       ("a1112", "a1123", "a1233", "a2333"),
-                       ("a1113", "a1123", "a1223", "a2223")):
-        conds.append(_ge(
-            f"8*{p}*{r}^3 + 8*{q}^3*{s} + 16*{p}^2*{s}^2"
-            f" - 24*{p}*{q}*{r}*{s} - 3*{q}^2*{r}^2 >= 0",
-            cubic_disc(4.0 * a[p], 6.0 * a[q], 6.0 * a[r], 4.0 * a[s]) / 432.0))
+    for p, q, r, s, text in _THM43_CUBICS:
+        conds.append(_ge(text, cubic_disc(4.0 * a[p], 6.0 * a[q], 6.0 * a[r], 4.0 * a[s]) / 432.0))
     return _verdict(conds, [(None, conds)], "thm4.3", Verdict.UNKNOWN)
 
 
@@ -359,6 +381,34 @@ def thm44_sqrt_c4d3(tensor: SymmetricTensor) -> Certificate:
     return _verdict(conds, [(None, conds)], "thm4.4", Verdict.UNKNOWN)
 
 
+# d1..d3 are the exact cubic discriminants of the three cofactors: the
+# entry next to the strict diagonal is cubed (a1112, a2223, a1333) and the
+# far corner enters linearly; the fourth term of each row's text names the
+# two off-diagonal entries in index order
+_COFACTORS = (("a1111", "a1112", "a1222", "q12"),
+              ("a2222", "a2223", "a2333", "q23"),
+              ("a3333", "a1333", "a1113", "q13"))
+
+
+def _thm45_rows(strict: bool) -> tuple[tuple[str, bool], ...]:
+    # (text, strict) of every thm4.5 row, in row order; the diagonal rows
+    # are strict either way
+    op = ">" if strict else ">="
+    rows = [("a1111 > 0", True), ("a2222 > 0", True), ("a3333 > 0", True)]
+    rows += [(f"{lhs} {op} 0", strict) for lhs in (
+        "a1113", "a1222", "a2333", "9*a1122 + sqrt(a1111*a2222)",
+        "9*a1133 + sqrt(a1111*a3333)", "9*a2233 + sqrt(a3333*a2222)",
+        "27*a1123 + sqrt(q12*q13)", "27*a1223 + sqrt(q12*q23)", "27*a1233 + sqrt(q13*q23)")]
+    for diag, near, far, qn in _COFACTORS:
+        lo, hi = sorted((near, far))
+        rows.append((f"2*{diag}*{qn}^3 + 3^7*4^3*{far}*{near}^3 + 3^8*{diag}^2*{far}^2"
+                     f" - 3^6*4*{diag}*{lo}*{hi}*{qn} - 3^3*4*{near}^2*{qn}^2 {op} 0", strict))
+    return tuple(rows)
+
+
+_THM45_ROWS = {strict: _thm45_rows(strict) for strict in (False, True)}
+
+
 def thm45_sos_c4d3(tensor: SymmetricTensor, strict: bool = False) -> Certificate:
     """Sufficient test for order-4 dim-3 via a sum-of-squares split.
 
@@ -374,38 +424,15 @@ def thm45_sos_c4d3(tensor: SymmetricTensor, strict: bool = False) -> Certificate
     q = {"q12": 9.0 * a["a1122"] + sqrt0(a["a1111"] * a["a2222"]),
          "q13": 9.0 * a["a1133"] + sqrt0(a["a1111"] * a["a3333"]),
          "q23": 9.0 * a["a2233"] + sqrt0(a["a3333"] * a["a2222"])}
-    s = strict
-    op = ">" if strict else ">="
-    conds = [
-        _ge("a1111 > 0", a["a1111"], strict=True),
-        _ge("a2222 > 0", a["a2222"], strict=True),
-        _ge("a3333 > 0", a["a3333"], strict=True),
-        _ge(f"a1113 {op} 0", a["a1113"], strict=s),
-        _ge(f"a1222 {op} 0", a["a1222"], strict=s),
-        _ge(f"a2333 {op} 0", a["a2333"], strict=s),
-        _ge(f"9*a1122 + sqrt(a1111*a2222) {op} 0", q["q12"], strict=s),
-        _ge(f"9*a1133 + sqrt(a1111*a3333) {op} 0", q["q13"], strict=s),
-        _ge(f"9*a2233 + sqrt(a3333*a2222) {op} 0", q["q23"], strict=s),
-        _ge(f"27*a1123 + sqrt(q12*q13) {op} 0",
-            27.0 * a["a1123"] + sqrt0(q["q12"] * q["q13"]), strict=s),
-        _ge(f"27*a1223 + sqrt(q12*q23) {op} 0",
-            27.0 * a["a1223"] + sqrt0(q["q12"] * q["q23"]), strict=s),
-        _ge(f"27*a1233 + sqrt(q13*q23) {op} 0",
-            27.0 * a["a1233"] + sqrt0(q["q13"] * q["q23"]), strict=s),
-    ]
-    # d1..d3 are the exact cubic discriminants of the three cofactors: the
-    # entry next to the strict diagonal is cubed (a1112, a2223, a1333) and
-    # the far corner enters linearly; the fourth term names the two
-    # off-diagonal entries in index order
-    for diag, near, far, qn in (("a1111", "a1112", "a1222", "q12"),
-                                ("a2222", "a2223", "a2333", "q23"),
-                                ("a3333", "a1333", "a1113", "q13")):
-        lo, hi = sorted((near, far))
-        conds.append(_ge(
-            f"2*{diag}*{qn}^3 + 3^7*4^3*{far}*{near}^3 + 3^8*{diag}^2*{far}^2"
-            f" - 3^6*4*{diag}*{lo}*{hi}*{qn} - 3^3*4*{near}^2*{qn}^2 {op} 0",
-            cubic_disc(a[diag], 36.0 * a[near], 6.0 * q[qn], 324.0 * a[far]) / 432.0,
-            strict=s))
+    values = [a["a1111"], a["a2222"], a["a3333"], a["a1113"], a["a1222"], a["a2333"],
+              q["q12"], q["q13"], q["q23"],
+              27.0 * a["a1123"] + sqrt0(q["q12"] * q["q13"]),
+              27.0 * a["a1223"] + sqrt0(q["q12"] * q["q23"]),
+              27.0 * a["a1233"] + sqrt0(q["q13"] * q["q23"])]
+    values += [cubic_disc(a[diag], 36.0 * a[near], 6.0 * q[qn], 324.0 * a[far]) / 432.0
+               for diag, near, far, qn in _COFACTORS]
+    conds = [_ge(text, value, strict=row_strict)
+             for (text, row_strict), value in zip(_THM45_ROWS[bool(strict)], values)]
     return _verdict(conds, [(None, conds)], "thm4.5", Verdict.UNKNOWN)
 
 
@@ -451,18 +478,19 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
     Copositivity of every G_i makes each x_i * (G_i x^3) nonnegative on the
     orthant, hence the sum.
     """
-    components = thm4remark_decompose(tensor)
     conds = []
     fired: list[str] = []
     ok = True
-    for i, comp in enumerate(components, start=1):
-        c34 = thm34_disc_c3d3(comp)
-        c35 = thm35_sqrt_c3d3(comp)
-        conds.append(Condition(f"component {i} passes thm3.4", c34.margin, c34.certified))
-        conds.append(Condition(f"component {i} passes thm3.5", c35.margin, c35.certified))
-        if c34.certified:
+    for i, comp in enumerate(thm4remark_decompose(tensor), start=1):
+        g = _read(comp, 3, 3, "remark")
+        c34, c35 = _thm34_rows(g), _thm35_rows(g)
+        conds.append(Condition(f"component {i} passes thm3.4", min(c.value for c in c34),
+                               _holds(c34)))
+        conds.append(Condition(f"component {i} passes thm3.5", min(c.value for c in c35),
+                               _holds(c35)))
+        if conds[-2].satisfied:
             fired.append("thm3.4")
-        elif c35.certified:
+        elif conds[-1].satisfied:
             fired.append("thm3.5")
         else:
             ok = False
@@ -475,15 +503,21 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
 # generic strict tests (any order >= 2, any dimension)
 
 @functools.lru_cache(maxsize=32)
-def _offdiag_slice_keys(order: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    # for slice i: canonical keys of (i, tail) over ordered tails != (i,..,i)
+def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple[str, ...]], ...]:
+    # for slice i: the diagonal key, the canonical keys of (i, tail) over
+    # ordered tails != (i,..,i), and the texts of the slice's diag, qi,
+    # songqi sum and songqi mean rows
     out = []
     for i in range(1, dim + 1):
-        diag_tail = (i,) * (order - 1)
-        keys = [tuple(sorted((i, *tail)))
-                for tail in itertools.product(range(1, dim + 1), repeat=order - 1)
-                if tail != diag_tail]
-        out.append(tuple(keys))
+        diag = (i,) * order
+        keys = tuple(tuple(sorted((i, *tail)))
+                     for tail in itertools.product(range(1, dim + 1), repeat=order - 1)
+                     if tail != diag[1:])
+        texts = (f"g[{str(i) * order}] >= 0",
+                 f"slice {i}: diagonal + sum of negative off-diagonal entries (ordered count) > 0",
+                 f"slice {i}: ordered sum > 0",
+                 f"slice {i}: mean of ordered sum exceeds every off-diagonal entry")
+        out.append((diag, keys, texts))
     return tuple(out)
 
 
@@ -493,12 +527,11 @@ def qi_strict_generic(tensor: SymmetricTensor) -> Certificate:
     if tensor.order < 2:
         raise ValueError("qi requires order >= 2")
     conds = []
-    for i in range(1, tensor.dim + 1):
-        value = tensor.get((i,) * tensor.order)
-        for key in _offdiag_slice_keys(tensor.order, tensor.dim)[i - 1]:
+    for diag, keys, (_, qi_text, _, _) in _slices(tensor.order, tensor.dim):
+        value = tensor.entries.get(diag, 0.0)
+        for key in keys:
             value += min(tensor.entries.get(key, 0.0), 0.0)
-        conds.append(_ge(f"slice {i}: diagonal + sum of negative off-diagonal"
-                         " entries (ordered count) > 0", value, strict=True))
+        conds.append(_ge(qi_text, value, strict=True))
     return _verdict(conds, [(None, conds)], "qi", Verdict.UNKNOWN)
 
 
@@ -509,18 +542,16 @@ def songqi_strict_generic(tensor: SymmetricTensor) -> Certificate:
         raise ValueError("songqi requires order >= 2")
     conds = []
     count = float(tensor.dim ** (tensor.order - 1))
-    for i in range(1, tensor.dim + 1):
-        keys = _offdiag_slice_keys(tensor.order, tensor.dim)[i - 1]
-        total = tensor.get((i,) * tensor.order)
+    for diag, keys, (_, _, sum_text, mean_text) in _slices(tensor.order, tensor.dim):
+        total = tensor.entries.get(diag, 0.0)
         worst = -math.inf
         for key in keys:
             v = tensor.entries.get(key, 0.0)
             total += v
             worst = max(worst, v)
-        conds.append(_ge(f"slice {i}: ordered sum > 0", total, strict=True))
+        conds.append(_ge(sum_text, total, strict=True))
         if keys:  # dim 1 has no off-diagonal entries to exceed
-            conds.append(_ge(f"slice {i}: mean of ordered sum exceeds every"
-                             " off-diagonal entry", total / count - worst, strict=True))
+            conds.append(_ge(mean_text, total / count - worst, strict=True))
     return _verdict(conds, [(None, conds)], "songqi", Verdict.UNKNOWN)
 
 

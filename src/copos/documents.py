@@ -17,10 +17,11 @@ byte-identical documents.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
-from .tensors import Index, SymmetricTensor, build
+from .tensors import Index, SymmetricTensor, _index_table, build
 
 _TOP_KEYS = ("order", "dim", "entries")
 
@@ -41,6 +42,12 @@ def _int_field(obj: dict, name: str) -> int:
     if v < 1:
         raise ValueError(f"{name} must be >= 1, got {v}")
     return v
+
+
+@functools.lru_cache(maxsize=32)
+def _key_table(order: int, dim: int) -> dict[str, Index]:
+    # canonical digit strings; only a key missing here goes through the checks
+    return {"".join(map(str, idx)): idx for idx in _index_table(order, dim)}
 
 
 def parse_document(text: str) -> SymmetricTensor:
@@ -65,16 +72,19 @@ def parse_document(text: str) -> SymmetricTensor:
     raw = obj["entries"]
     if not isinstance(raw, dict):
         raise ValueError(f"entries must be an object, got {type(raw).__name__}")
+    keys = _key_table(order, dim)
     entries: dict[Index, float] = {}
     for key, value in raw.items():
-        if not (key.isascii() and key.isdigit()) or len(key) != order:
-            raise ValueError(f"entry key {key!r} must be {order} digits")
-        idx = tuple(int(c) for c in key)
-        if any(not 1 <= i <= dim for i in idx):
-            raise ValueError(f"entry key {key!r} has a digit outside 1..{dim}")
-        if any(a > b for a, b in zip(idx, idx[1:])):
-            raise ValueError(f"non-canonical entry key {key!r}: digits must be"
-                             " sorted non-decreasing")
+        idx = keys.get(key)
+        if idx is None:
+            if not (key.isascii() and key.isdigit()) or len(key) != order:
+                raise ValueError(f"entry key {key!r} must be {order} digits")
+            idx = tuple(int(c) for c in key)
+            if any(not 1 <= i <= dim for i in idx):
+                raise ValueError(f"entry key {key!r} has a digit outside 1..{dim}")
+            if any(a > b for a, b in zip(idx, idx[1:])):
+                raise ValueError(f"non-canonical entry key {key!r}: digits must be"
+                                 " sorted non-decreasing")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"entry {key!r} must be a number, got {value!r}")
         if not math.isfinite(value):

@@ -11,6 +11,11 @@ the number of distinct permutations of its index, which makes
 
 without ever materialising the full ``n**m`` array.
 
+:func:`build` and :meth:`SymmetricTensor.get` look indices up in a table of
+the shape's canonical indices, built on first use, and fall back to
+:func:`canonicalize` on a miss (a permutation, a list, a float such as 1.5,
+a component out of range), which accepts and rejects exactly the same.
+
 Tensors are immutable after construction; ``scale``, ``add`` and ``slice``
 return new objects.  Dimensions above 3 are supported generically (the
 closed-form criteria in :mod:`copos.criteria` restrict shape themselves).
@@ -64,6 +69,27 @@ def all_indices(order: int, dim: int) -> Iterator[Index]:
     return itertools.combinations_with_replacement(range(1, dim + 1), order)
 
 
+@functools.lru_cache(maxsize=32)
+def _index_table(order: int, dim: int) -> dict[Index, Index]:
+    # a shape with more canonical indices than this gets an empty table, so
+    # every lookup misses: the table would cost more to hold than it saves
+    if math.comb(dim + order - 1, order) > 4096:
+        return {}
+    return {idx: idx for idx in all_indices(order, dim)}
+
+
+def _canonical(idx: Sequence[int], order: int, dim: int) -> Index:
+    """Canonical form of an index with ``order`` components, or ValueError."""
+    try:
+        return _index_table(order, dim)[idx]
+    except (KeyError, TypeError):  # not canonical, or unhashable such as a list
+        pass
+    key = canonicalize(idx, dim)
+    if len(key) != order:
+        raise ValueError(f"index {tuple(idx)} has {len(key)} components, expected {order}")
+    return key
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetricTensor:
     """Immutable symmetric tensor in canonical-entry storage.
@@ -78,8 +104,9 @@ class SymmetricTensor:
     entries: Mapping[Index, float] = field(default_factory=dict)
 
     def get(self, idx: Sequence[int]) -> float:
-        """Entry at ``idx`` (any permutation); absent entries are 0."""
-        return self.entries.get(canonicalize(idx, self.dim), 0.0)
+        """Entry at ``idx`` (any permutation); absent entries are 0.  An
+        index :func:`build` would reject raises the same ValueError."""
+        return self.entries.get(_canonical(idx, self.order, self.dim), 0.0)
 
     def evaluate(self, x: Sequence[float]) -> float:
         """The homogeneous form ``T x^m`` at a point with ``dim`` components."""
@@ -151,9 +178,7 @@ def build(order: int, dim: int,
     items = entries.items() if isinstance(entries, Mapping) else entries
     out: dict[Index, float] = {}
     for idx, value in items:
-        key = canonicalize(idx, dim)
-        if len(key) != order:
-            raise ValueError(f"index {tuple(idx)} has {len(key)} components, expected {order}")
+        key = _canonical(idx, order, dim)
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"entry {key} is not finite: {value}")

@@ -93,6 +93,25 @@ def test_build_rejects_bad_index():
         build(3, 2, {(1, 1): 1.0})
 
 
+@pytest.mark.parametrize("idx", [(1, 1), (1, 1, 1, 1)])
+def test_get_rejects_wrong_length(idx):
+    # get used to read 0.0 for an index of the wrong length
+    t = build(3, 2, {(1, 1, 1): 1.0})
+    with pytest.raises(ValueError) as info:
+        t.get(idx)
+    assert str(info.value) == f"index {idx} has {len(idx)} components, expected 3"
+
+
+def test_index_table_agrees_with_canonicalize():
+    # build and get look indices up in a per-shape table and fall back to
+    # canonicalize on a miss; every accepted form must read the same entry
+    t = build(3, 2, {(1, 1, 1): 1.0, (1, 1, 2): 2.0, (1, 2, 2): 3.0})
+    for idx in [(1, 1, 2), (2, 1, 1), [1, 2, 1], (1.0, 1, 2), (1.5, 1, 2), (True, 2, 2),
+                tuple(np.array([2, 2, 1])), "112", (2, 2, 2)]:
+        assert t.get(idx) == t.entries.get(canonicalize(idx, 2), 0.0)
+        assert build(3, 2, [(idx, 5.0)]).entries == {canonicalize(idx, 2): 5.0}
+
+
 def test_build_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
         build(3, 2, {(1, 1, 1): float("nan")})
