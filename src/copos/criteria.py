@@ -483,11 +483,11 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
     ok = True
     for i, comp in enumerate(thm4remark_decompose(tensor), start=1):
         g = _read(comp, 3, 3, "remark")
-        c34, c35 = _thm34_rows(g), _thm35_rows(g)
-        conds.append(Condition(f"component {i} passes thm3.4", min(c.value for c in c34),
-                               _holds(c34)))
-        conds.append(Condition(f"component {i} passes thm3.5", min(c.value for c in c35),
-                               _holds(c35)))
+        rows34, rows35 = _thm34_rows(g), _thm35_rows(g)
+        conds.append(Condition(f"component {i} passes thm3.4", min(c.value for c in rows34),
+                               _holds(rows34)))
+        conds.append(Condition(f"component {i} passes thm3.5", min(c.value for c in rows35),
+                               _holds(rows35)))
         if conds[-2].satisfied:
             fired.append("thm3.4")
         elif conds[-1].satisfied:

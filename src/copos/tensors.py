@@ -12,9 +12,9 @@ the number of distinct permutations of its index, which makes
 without ever materialising the full ``n**m`` array.
 
 :func:`build` and :meth:`SymmetricTensor.get` look indices up in a table of
-the shape's canonical indices, built on first use, and fall back to
-:func:`canonicalize` on a miss (a permutation, a list, a float such as 1.5,
-a component out of range), which accepts and rejects exactly the same.
+the shape's canonical indices, built on first use, and call
+:func:`canonicalize`, with its checks and messages, only on a miss (a
+permutation, a list, a float such as 1.5, a component out of range).
 
 Tensors are immutable after construction; ``scale``, ``add`` and ``slice``
 return new objects.  Dimensions above 3 are supported generically (the

@@ -700,12 +700,16 @@ def certificate_key(cert):
             tuple((c.description, repr(c.value), c.satisfied) for c in cert.conditions))
 
 
-def test_certificates_match_frozen_digest():
+def certificates_digest():
     h = hashlib.sha256()
     for t in digest_tensors():
         for record in certificate_records(t):
             h.update(repr(record).encode())
-    assert h.hexdigest() == CERTIFICATES_DIGEST
+    return h.hexdigest()
+
+
+def test_certificates_match_frozen_digest():
+    assert certificates_digest() == CERTIFICATES_DIGEST
 
 
 # remark, qi and songqi as first written, kept verbatim with the helpers
