@@ -45,7 +45,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .halfline import cubic_disc, sqrt0
 from .tensors import Index, SymmetricTensor, all_indices, multiplicity
@@ -57,8 +57,7 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """One checked inequality: its text, the computed margin, and the outcome.
 
     ``value`` is the left-hand side brought to ``>= 0`` (or ``> 0``) form,
@@ -409,6 +408,22 @@ def _thm45_rows(strict: bool) -> tuple[tuple[str, bool], ...]:
 _THM45_ROWS = {strict: _thm45_rows(strict) for strict in (False, True)}
 
 
+def _thm45_values(a: dict[str, float]) -> list[float]:
+    """The value of every thm4.5 row, in row order, from the named entries
+    ``_read`` returns; the rho scan of :mod:`copos.vacuum` calls it too."""
+    q = {"q12": 9.0 * a["a1122"] + sqrt0(a["a1111"] * a["a2222"]),
+         "q13": 9.0 * a["a1133"] + sqrt0(a["a1111"] * a["a3333"]),
+         "q23": 9.0 * a["a2233"] + sqrt0(a["a3333"] * a["a2222"])}
+    values = [a["a1111"], a["a2222"], a["a3333"], a["a1113"], a["a1222"], a["a2333"],
+              q["q12"], q["q13"], q["q23"],
+              27.0 * a["a1123"] + sqrt0(q["q12"] * q["q13"]),
+              27.0 * a["a1223"] + sqrt0(q["q12"] * q["q23"]),
+              27.0 * a["a1233"] + sqrt0(q["q13"] * q["q23"])]
+    values += [cubic_disc(a[diag], 36.0 * a[near], 6.0 * q[qn], 324.0 * a[far]) / 432.0
+               for diag, near, far, qn in _COFACTORS]
+    return values
+
+
 def thm45_sos_c4d3(tensor: SymmetricTensor, strict: bool = False) -> Certificate:
     """Sufficient test for order-4 dim-3 via a sum-of-squares split.
 
@@ -420,17 +435,7 @@ def thm45_sos_c4d3(tensor: SymmetricTensor, strict: bool = False) -> Certificate
     With ``strict=True`` every non-strict inequality becomes strict and a
     certificate asserts strict copositivity.
     """
-    a = _read(tensor, 4, 3, "thm4.5")
-    q = {"q12": 9.0 * a["a1122"] + sqrt0(a["a1111"] * a["a2222"]),
-         "q13": 9.0 * a["a1133"] + sqrt0(a["a1111"] * a["a3333"]),
-         "q23": 9.0 * a["a2233"] + sqrt0(a["a3333"] * a["a2222"])}
-    values = [a["a1111"], a["a2222"], a["a3333"], a["a1113"], a["a1222"], a["a2333"],
-              q["q12"], q["q13"], q["q23"],
-              27.0 * a["a1123"] + sqrt0(q["q12"] * q["q13"]),
-              27.0 * a["a1223"] + sqrt0(q["q12"] * q["q23"]),
-              27.0 * a["a1233"] + sqrt0(q["q13"] * q["q23"])]
-    values += [cubic_disc(a[diag], 36.0 * a[near], 6.0 * q[qn], 324.0 * a[far]) / 432.0
-               for diag, near, far, qn in _COFACTORS]
+    values = _thm45_values(_read(tensor, 4, 3, "thm4.5"))
     conds = [_ge(text, value, strict=row_strict)
              for (text, row_strict), value in zip(_THM45_ROWS[bool(strict)], values)]
     return _verdict(conds, [(None, conds)], "thm4.5", Verdict.UNKNOWN)

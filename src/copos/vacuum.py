@@ -25,6 +25,22 @@ the theorem route up to 4/9).  Neither is silently corrected; the theorem
 route is the sound-by-construction default and the printed route is
 opt-in.  Neither list is necessary, so failure means Unknown, never
 Refuted.
+
+Scans.  rho enters the coupling tensor only through a1122 and a1233, so a
+scan reads the other entries once and, at each grid point, recomputes those
+two and evaluates both routes' rows as plain floats (the same value
+functions the certificates are built from).  The verdicts and the margin
+come from those floats; the two certificates are built only at worst_rho.
+
+Endpoint lemma.  On [0, 1] every row of both routes is monotone in rho:
+q12 = 9*a1122 + sqrt(a1111*a2222) is affine in rho^2; sqrt(q12*q13),
+sqrt(q12*q23) and the cofactor row 2*a1111*q12^3 (a1112 = a1222 = 0 here)
+are monotone maps of q12; 27*a1233 + sqrt(q13*q23) and the printed mixed
+row are affine in rho; the printed c12 is affine in rho^2; every other row
+is constant.  IEEE-rounded +, *, / and sqrt are monotone, so the float rows
+are monotone too, and each row's minimum over [0, 1] lies at rho = 0 or
+rho = 1.  No verdict relies on this yet: scans still visit every grid
+point.
 """
 
 from __future__ import annotations
@@ -33,7 +49,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .criteria import Certificate, Verdict, _ge, _verdict, thm45_sos_c4d3
+from .criteria import (_THM45_ROWS, Certificate, Verdict, _ge, _read, _thm45_values, _verdict,
+                       thm45_sos_c4d3)
 from .halfline import sqrt0
 from .tensors import SymmetricTensor, build
 
@@ -74,15 +91,46 @@ def coupling_tensor(p: Z3Params) -> SymmetricTensor:
     """Order-4 dim-3 tensor G with G (h1,h2,s)^4 equal to the quartic
     potential; entries carry 1/multiplicity so that evaluation reproduces
     the polynomial coefficients exactly."""
+    a1122, a1233 = _rho_entries(p, p.rho)
     return build(4, 3, {
         (1, 1, 1, 1): p.lam1,
         (2, 2, 2, 2): p.lam2,
         (3, 3, 3, 3): p.lam_s,
-        (1, 1, 2, 2): (p.lam3 + p.lam4 * p.rho**2) / 6.0,
+        (1, 1, 2, 2): a1122,
         (1, 1, 3, 3): p.lam_s1 / 6.0,
         (2, 2, 3, 3): p.lam_s2 / 6.0,
-        (1, 2, 3, 3): -p.abs_lam_s12 * p.rho / 12.0,
+        (1, 2, 3, 3): a1233,
     })
+
+
+def _rho_entries(p: Z3Params, rho: float) -> tuple[float, float]:
+    """(a1122, a1233) of the coupling tensor at rho: its only rho-dependent
+    entries."""
+    return (p.lam3 + p.lam4 * rho**2) / 6.0, -p.abs_lam_s12 * rho / 12.0
+
+
+def _printed_rows(strict: bool) -> tuple[tuple[str, bool], ...]:
+    # (text, strict) of every printed row, in row order; the three coupling
+    # positivity rows are strict either way
+    op = ">" if strict else ">="
+    return (("lam1 > 0", True), ("lam2 > 0", True), ("lam_s > 0", True),
+            (f"3*lam3 + 3*lam4*rho^2 + 2*sqrt(lam1*lam2) {op} 0", strict),
+            (f"3*lam_s1 + 2*sqrt(lam1*lam_s) {op} 0", strict),
+            (f"3*lam_s2 + 2*sqrt(lam_s*lam2) {op} 0", strict),
+            ("-(9/4)*|lam_s12|*rho + sqrt((3*lam_s1 + 2*sqrt(lam1*lam_s))"
+             f"*(3*lam_s2 + 2*sqrt(lam_s*lam2))) {op} 0", strict))
+
+
+_PRINTED_ROWS = {strict: _printed_rows(strict) for strict in (False, True)}
+
+
+def _printed_values(p: Z3Params, rho: float) -> list:
+    """The value of every printed row at rho, in row order."""
+    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * rho**2 + 2.0 * sqrt0(p.lam1 * p.lam2)
+    c13 = 3.0 * p.lam_s1 + 2.0 * sqrt0(p.lam1 * p.lam_s)
+    c23 = 3.0 * p.lam_s2 + 2.0 * sqrt0(p.lam_s * p.lam2)
+    mixed = -9.0 * p.abs_lam_s12 * rho / 4.0 + sqrt0(c13 * c23)
+    return [p.lam1, p.lam2, p.lam_s, c12, c13, c23, mixed]
 
 
 def printed_certificate(p: Z3Params, strict: bool = False) -> Certificate:
@@ -91,21 +139,9 @@ def printed_certificate(p: Z3Params, strict: bool = False) -> Certificate:
     strict switches the four non-diagonal conditions from >= to >; the
     three coupling positivity conditions are strict either way.
     """
-    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * p.rho**2 + 2.0 * sqrt0(p.lam1 * p.lam2)
-    c13 = 3.0 * p.lam_s1 + 2.0 * sqrt0(p.lam1 * p.lam_s)
-    c23 = 3.0 * p.lam_s2 + 2.0 * sqrt0(p.lam_s * p.lam2)
-    mixed = -9.0 * p.abs_lam_s12 * p.rho / 4.0 + sqrt0(c13 * c23)
-    op = ">" if strict else ">="
-    rows = [
-        _ge("lam1 > 0", p.lam1, strict=True),
-        _ge("lam2 > 0", p.lam2, strict=True),
-        _ge("lam_s > 0", p.lam_s, strict=True),
-        _ge(f"3*lam3 + 3*lam4*rho^2 + 2*sqrt(lam1*lam2) {op} 0", c12, strict),
-        _ge(f"3*lam_s1 + 2*sqrt(lam1*lam_s) {op} 0", c13, strict),
-        _ge(f"3*lam_s2 + 2*sqrt(lam_s*lam2) {op} 0", c23, strict),
-        _ge("-(9/4)*|lam_s12|*rho + sqrt((3*lam_s1 + 2*sqrt(lam1*lam_s))"
-            f"*(3*lam_s2 + 2*sqrt(lam_s*lam2))) {op} 0", mixed, strict),
-    ]
+    rows = [_ge(text, value, strict=row_strict)
+            for (text, row_strict), value in zip(_PRINTED_ROWS[bool(strict)],
+                                                 _printed_values(p, p.rho))]
     # sufficient only: a failed list proves nothing
     return _verdict(rows, [(None, rows)], "z3-printed", Verdict.UNKNOWN)
 
@@ -134,30 +170,42 @@ class StabilityReport:
     printed_at_worst: Certificate
 
 
+def _holds(values: list, rows: tuple[tuple[str, bool], ...]) -> bool:
+    # what _verdict certifies on the same rows: every one satisfied and finite
+    return all((v > 0 if strict else v >= 0) and math.isfinite(v)
+               for v, (_, strict) in zip(values, rows))
+
+
 def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityReport:
+    # read at the first grid point, not at p.rho: an error here is then the
+    # one the scan would meet first anyway
+    a = _read(coupling_tensor(p.with_rho(rhos[0])), 4, 3, "thm4.5")
+    theorem_rows, printed_rows = _THM45_ROWS[bool(strict)], _PRINTED_ROWS[bool(strict)]
     worst = None
     worst_margin = math.inf
     theorem_ok = True
     printed_ok = True
     for rho in rhos:
-        pk = p.with_rho(rho)
-        tc = theorem_certificate(pk, strict)
-        pc = printed_certificate(pk, strict)
-        theorem_ok &= tc.certified
-        printed_ok &= pc.certified
-        margin = min(tc.margin, pc.margin)
+        a["a1122"], a["a1233"] = _rho_entries(p, rho)
+        if not (math.isfinite(a["a1122"]) and math.isfinite(a["a1233"])):
+            coupling_tensor(p.with_rho(rho))  # raises build's error for this rho
+        theorem = _thm45_values(a)
+        printed = _printed_values(p, rho)
+        theorem_ok = theorem_ok and _holds(theorem, theorem_rows)
+        printed_ok = printed_ok and _holds(printed, printed_rows)
+        margin = min(min(theorem), min(printed))
         if worst is None or margin <= worst_margin:
-            worst = (rho, tc, pc)
+            worst = rho
             worst_margin = margin
-    rho_w, tc_w, pc_w = worst
+    p_worst = p.with_rho(worst)
     return StabilityReport(
         params=p,
         rho_values=rhos,
         theorem_verdict=Verdict.CERTIFIED if theorem_ok else Verdict.UNKNOWN,
         printed_verdict=Verdict.CERTIFIED if printed_ok else Verdict.UNKNOWN,
-        worst_rho=rho_w,
-        theorem_at_worst=tc_w,
-        printed_at_worst=pc_w,
+        worst_rho=worst,
+        theorem_at_worst=theorem_certificate(p_worst, strict),
+        printed_at_worst=printed_certificate(p_worst, strict),
     )
 
 

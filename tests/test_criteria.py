@@ -546,6 +546,16 @@ def test_aggregate_precedence():
     assert aggregate([]) is U
 
 
+def test_condition_repr_and_equality():
+    # certificates print their rows through this repr (StabilityReport too)
+    c = Condition("a1111 > 0", -0.0, False)
+    assert repr(c) == "Condition(description='a1111 > 0', value=-0.0, satisfied=False)"
+    assert (c.description, c.value, c.satisfied) == ("a1111 > 0", -0.0, False)
+    assert c == Condition("a1111 > 0", 0.0, False)
+    assert c != Condition("a1111 > 0", -0.0, True)
+    assert c != Condition("a1111 >= 0", -0.0, False)
+
+
 # ---------------------------------------------------------------------------
 # structural laws
 

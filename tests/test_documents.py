@@ -141,6 +141,10 @@ def test_rejects_duplicate_keys():
     with pytest.raises(ValueError, match="duplicate key"):
         parse_document('{"order": 3, "dim": 2, '
                        '"entries": {"111": 1, "111": 2}}')
+    # with two keys repeated, the message names the first repeat in the text
+    with pytest.raises(ValueError, match="^duplicate key '111' in document$"):
+        parse_document('{"order": 3, "dim": 2, '
+                       '"entries": {"222": 1, "111": 1, "111": 1, "222": 1}}')
 
 
 # Every rejection message, in full.  Documents and build look indices up in

@@ -1,6 +1,7 @@
 """Vacuum stability of the Z3 dark-matter potential, both decision routes."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from copos import (Classification, OracleConfig, StabilityReport, Verdict,
                    Z3Params, check_stability, coupling_tensor, diag_necessity,
                    min_on_simplex, printed_certificate, scan_rho,
                    theorem_certificate, thm45_sos_c4d3, zero)
+from copos.criteria import _ge, _read, _thm45_values, _verdict
+from copos.halfline import sqrt0
+from copos.vacuum import _printed_values, _rho_entries
 
 C = Verdict.CERTIFIED
 U = Verdict.UNKNOWN
@@ -268,3 +272,162 @@ def test_report_with_oracle():
     r = min_on_simplex(coupling_tensor(rep.params.with_rho(rep.worst_rho)))
     assert isinstance(rep, StabilityReport)
     assert r.classification is Classification.NOT_COPOSITIVE
+
+
+# ---------------------------------------------------------------------------
+# the scan against its per-point reference
+
+# _report and printed_certificate as they stood when every grid point built
+# both certificates, kept verbatim: scan_rho and check_stability, which build
+# them only at worst_rho, must match these in repr, exceptions included
+
+def reference_printed_certificate(p, strict=False):
+    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * p.rho**2 + 2.0 * sqrt0(p.lam1 * p.lam2)
+    c13 = 3.0 * p.lam_s1 + 2.0 * sqrt0(p.lam1 * p.lam_s)
+    c23 = 3.0 * p.lam_s2 + 2.0 * sqrt0(p.lam_s * p.lam2)
+    mixed = -9.0 * p.abs_lam_s12 * p.rho / 4.0 + sqrt0(c13 * c23)
+    op = ">" if strict else ">="
+    rows = [
+        _ge("lam1 > 0", p.lam1, strict=True),
+        _ge("lam2 > 0", p.lam2, strict=True),
+        _ge("lam_s > 0", p.lam_s, strict=True),
+        _ge(f"3*lam3 + 3*lam4*rho^2 + 2*sqrt(lam1*lam2) {op} 0", c12, strict),
+        _ge(f"3*lam_s1 + 2*sqrt(lam1*lam_s) {op} 0", c13, strict),
+        _ge(f"3*lam_s2 + 2*sqrt(lam_s*lam2) {op} 0", c23, strict),
+        _ge("-(9/4)*|lam_s12|*rho + sqrt((3*lam_s1 + 2*sqrt(lam1*lam_s))"
+            f"*(3*lam_s2 + 2*sqrt(lam_s*lam2))) {op} 0", mixed, strict),
+    ]
+    # sufficient only: a failed list proves nothing
+    return _verdict(rows, [(None, rows)], "z3-printed", Verdict.UNKNOWN)
+
+
+def reference_report(p, rhos, strict):
+    worst = None
+    worst_margin = math.inf
+    theorem_ok = True
+    printed_ok = True
+    for rho in rhos:
+        pk = p.with_rho(rho)
+        tc = theorem_certificate(pk, strict)
+        pc = reference_printed_certificate(pk, strict)
+        theorem_ok &= tc.certified
+        printed_ok &= pc.certified
+        margin = min(tc.margin, pc.margin)
+        if worst is None or margin <= worst_margin:
+            worst = (rho, tc, pc)
+            worst_margin = margin
+    rho_w, tc_w, pc_w = worst
+    return StabilityReport(
+        params=p,
+        rho_values=rhos,
+        theorem_verdict=Verdict.CERTIFIED if theorem_ok else Verdict.UNKNOWN,
+        printed_verdict=Verdict.CERTIFIED if printed_ok else Verdict.UNKNOWN,
+        worst_rho=rho_w,
+        theorem_at_worst=tc_w,
+        printed_at_worst=pc_w,
+    )
+
+
+def outcome(run):
+    """repr of the report, or the type and message of what it raised."""
+    try:
+        return repr(run())
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+COUPLINGS = ("lam1", "lam2", "lam3", "lam4", "lam_s", "lam_s1", "lam_s2")
+
+
+def coupling_mix(rng, count):
+    """Threshold and general couplings, alternating, at a random rho: the mix
+    of the vacuum-scan benchmark.  Threshold couplings have a unit-shaped
+    diagonal d and put lam_s12 within 25% of 4d/9 or 8d/9, where one route
+    stops certifying."""
+    out = []
+    for i in range(count):
+        rho = rng.uniform(0.0, 1.0)
+        if i % 2 == 0:
+            d = rng.uniform(0.5, 2.0)
+            s12 = d * rng.choice((4.0 / 9.0, 8.0 / 9.0)) * (
+                1.0 + rng.choice((-1.0, 1.0)) * rng.uniform(1e-3, 0.25))
+            out.append(Z3Params(lam1=d, lam2=d, lam_s=d, abs_lam_s12=s12, rho=rho))
+        else:
+            out.append(Z3Params(
+                lam1=rng.uniform(0.5, 2.0), lam2=rng.uniform(0.5, 2.0),
+                lam_s=rng.uniform(0.5, 2.0), lam3=rng.uniform(-0.3, 1.0),
+                lam4=rng.uniform(-0.3, 0.3), lam_s1=rng.uniform(-0.2, 1.0),
+                lam_s2=rng.uniform(-0.2, 1.0), abs_lam_s12=rng.uniform(0.0, 1.2), rho=rho))
+    return out
+
+
+def edge_couplings(rng):
+    """Integer and all-zero couplings, and couplings scaled up to the top of
+    the float range, where rows overflow to inf or nan and build rejects a
+    non-finite a1122."""
+    out = [Z3Params(), Z3Params(rho=1), Z3Params(lam1=1, lam2=1, lam_s=1, abs_lam_s12=1, rho=1),
+           # a1122 overflows only at rho = 1, and below it the a1111 cofactor
+           # row is -inf: the worst rho is not where build fails, so the
+           # scan itself must raise there
+           Z3Params(lam1=-1.0, lam2=1.0, lam_s=1.0, lam3=1e307, lam4=1.7e308),
+           # integer a1122 overflows: on the float grid build rejects inf, at
+           # the integer rho the division itself raises OverflowError
+           Z3Params(lam1=1, lam2=1, lam_s=1, lam3=10**308, lam4=10**308, rho=1)]
+    for _ in range(24):
+        out.append(Z3Params(**{name: rng.randint(-3, 3) for name in COUPLINGS},
+                            abs_lam_s12=rng.randint(0, 3), rho=rng.choice((0, 1))))
+    for scale in (1e100, 1e154, 1e300, 1.7e308):
+        for _ in range(16):
+            out.append(Z3Params(**{name: rng.uniform(-1.0, 1.0) * scale for name in COUPLINGS},
+                                abs_lam_s12=rng.uniform(0.0, 1.0) * scale,
+                                rho=rng.uniform(0.0, 1.0)))
+    return out
+
+
+def assert_matches_reference(p, steps, strict):
+    rhos = tuple(k / steps for k in range(steps + 1))
+    want = outcome(lambda: reference_report(p, rhos, strict))
+    assert outcome(lambda: scan_rho(p, steps, strict)) == want, (p, steps, strict)
+    return want
+
+
+def test_scan_matches_per_point_reference():
+    pool = coupling_mix(random.Random(6), 500)
+    for i, p in enumerate(pool):
+        strict = (i // 2) % 2 == 1  # both strict modes on both kinds
+        for steps in (1, 4, 100):
+            assert_matches_reference(p, steps, strict)
+        for mode in (False, True):
+            assert outcome(lambda: check_stability(p, mode)) == outcome(
+                lambda: reference_report(p, (p.rho,), mode))
+
+
+def test_edge_scans_match_per_point_reference():
+    seen = []
+    for p in edge_couplings(random.Random(7)):
+        for strict in (False, True):
+            for steps in (1, 4, 100):
+                seen.append(assert_matches_reference(p, steps, strict))
+            assert outcome(lambda: check_stability(p, strict)) == outcome(
+                lambda: reference_report(p, (p.rho,), strict))
+    # the edges are really reached: build's error, and nan or inf margins
+    assert any(isinstance(o, tuple) and o[0] is ValueError for o in seen)
+    assert any(isinstance(o, str) and "nan" in o for o in seen)
+    assert any(isinstance(o, str) and "inf" in o for o in seen)
+
+
+def test_rows_are_monotone_in_rho():
+    # the endpoint lemma of the vacuum module, on the float grid k/1000
+    rng = random.Random(8)
+    for _ in range(200):
+        p = Z3Params(**{name: rng.uniform(-1.0, 1.0) for name in COUPLINGS},
+                     abs_lam_s12=rng.uniform(0.0, 1.2))
+        a = _read(coupling_tensor(p), 4, 3, "thm4.5")
+        columns = []
+        for k in range(1001):
+            rho = k / 1000
+            a["a1122"], a["a1233"] = _rho_entries(p, rho)
+            columns.append(_thm45_values(a) + _printed_values(p, rho))
+        for row in zip(*columns):
+            steps = [hi - lo for lo, hi in zip(row, row[1:])]
+            assert all(s >= 0 for s in steps) or all(s <= 0 for s in steps), (p, row)
