@@ -134,6 +134,21 @@ def _verdict(conditions: list[Condition], branches: list[tuple[Optional[str], li
     return Certificate(criterion_id, on_fail, tuple(conditions), None)
 
 
+def _row_certificate(values: list[float], rows: tuple[tuple[str, bool], ...],
+                     criterion_id: str) -> Certificate:
+    """A one-branch sufficient test: each (text, strict) row against its
+    value, in row order; a failed list proves nothing."""
+    conds = [_ge(text, value, strict=strict) for (text, strict), value in zip(rows, values)]
+    return _verdict(conds, [(None, conds)], criterion_id, Verdict.UNKNOWN)
+
+
+def _rows_hold(values: list[float], rows: tuple[tuple[str, bool], ...]) -> bool:
+    """Whether _row_certificate would certify, from the values alone (the
+    rule of _ge and _holds without building the conditions)."""
+    return all((v > 0 if strict else v >= 0) and math.isfinite(v)
+               for v, (_, strict) in zip(values, rows))
+
+
 # ---------------------------------------------------------------------------
 # diagonal necessity (any shape)
 
@@ -435,10 +450,8 @@ def thm45_sos_c4d3(tensor: SymmetricTensor, strict: bool = False) -> Certificate
     With ``strict=True`` every non-strict inequality becomes strict and a
     certificate asserts strict copositivity.
     """
-    values = _thm45_values(_read(tensor, 4, 3, "thm4.5"))
-    conds = [_ge(text, value, strict=row_strict)
-             for (text, row_strict), value in zip(_THM45_ROWS[bool(strict)], values)]
-    return _verdict(conds, [(None, conds)], "thm4.5", Verdict.UNKNOWN)
+    return _row_certificate(_thm45_values(_read(tensor, 4, 3, "thm4.5")),
+                            _THM45_ROWS[bool(strict)], "thm4.5")
 
 
 def _split_rows() -> tuple[tuple[Index, int, Index, float, float], ...]:

@@ -27,11 +27,7 @@ _TOP_KEYS = ("order", "dim", "entries")
 
 
 def _pairs_rejecting_duplicates(pairs: list[tuple[str, object]]) -> dict:
-    out = dict(pairs)
-    if len(out) == len(pairs):
-        return out
-    # some key repeats: find the first one for the message
-    out = {}
+    out: dict = {}
     for key, value in pairs:
         if key in out:
             raise ValueError(f"duplicate key {key!r} in document")

@@ -49,8 +49,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .criteria import (_THM45_ROWS, Certificate, Verdict, _ge, _read, _thm45_values, _verdict,
-                       thm45_sos_c4d3)
+from .criteria import (_THM45_ROWS, Certificate, Verdict, _read, _row_certificate, _rows_hold,
+                       _thm45_values, thm45_sos_c4d3)
 from .halfline import sqrt0
 from .tensors import SymmetricTensor, build
 
@@ -139,11 +139,8 @@ def printed_certificate(p: Z3Params, strict: bool = False) -> Certificate:
     strict switches the four non-diagonal conditions from >= to >; the
     three coupling positivity conditions are strict either way.
     """
-    rows = [_ge(text, value, strict=row_strict)
-            for (text, row_strict), value in zip(_PRINTED_ROWS[bool(strict)],
-                                                 _printed_values(p, p.rho))]
-    # sufficient only: a failed list proves nothing
-    return _verdict(rows, [(None, rows)], "z3-printed", Verdict.UNKNOWN)
+    return _row_certificate(_printed_values(p, p.rho), _PRINTED_ROWS[bool(strict)],
+                            "z3-printed")
 
 
 def theorem_certificate(p: Z3Params, strict: bool = False) -> Certificate:
@@ -170,12 +167,6 @@ class StabilityReport:
     printed_at_worst: Certificate
 
 
-def _holds(values: list, rows: tuple[tuple[str, bool], ...]) -> bool:
-    # what _verdict certifies on the same rows: every one satisfied and finite
-    return all((v > 0 if strict else v >= 0) and math.isfinite(v)
-               for v, (_, strict) in zip(values, rows))
-
-
 def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityReport:
     # read at the first grid point, not at p.rho: an error here is then the
     # one the scan would meet first anyway
@@ -191,8 +182,8 @@ def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityRepo
             coupling_tensor(p.with_rho(rho))  # raises build's error for this rho
         theorem = _thm45_values(a)
         printed = _printed_values(p, rho)
-        theorem_ok = theorem_ok and _holds(theorem, theorem_rows)
-        printed_ok = printed_ok and _holds(printed, printed_rows)
+        theorem_ok = theorem_ok and _rows_hold(theorem, theorem_rows)
+        printed_ok = printed_ok and _rows_hold(printed, printed_rows)
         margin = min(min(theorem), min(printed))
         if worst is None or margin <= worst_margin:
             worst = rho

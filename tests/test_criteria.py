@@ -554,6 +554,10 @@ def test_condition_repr_and_equality():
     assert c == Condition("a1111 > 0", 0.0, False)
     assert c != Condition("a1111 > 0", -0.0, True)
     assert c != Condition("a1111 >= 0", -0.0, False)
+    # a Condition is a plain tuple: it equals one and unpacks like one
+    assert c == ("a1111 > 0", 0.0, False)
+    description, value, satisfied = c
+    assert (description, value, satisfied, len(c)) == ("a1111 > 0", -0.0, False, 3)
 
 
 # ---------------------------------------------------------------------------
