@@ -17,14 +17,15 @@ conditions are all satisfied by construction.  A non-finite condition
 value (float overflow on huge entries) proves nothing: it neither fires a
 branch nor refutes, so such a criterion reports ``UNKNOWN``.
 
-Shared algebra.  Every discriminant row (thm3.1, thm3.4, thm4.1, thm4.3
-and thm4.5) is a positive multiple of the one half-line cubic
-discriminant :func:`copos.halfline.cubic_disc` at scaled arguments, and
-square roots go through the clamped :func:`copos.halfline.sqrt0`.
-Square roots appear only over products of quantities whose signs are
-pinned by companion conditions in the same system; radicands that come out
-negative (failed sign conditions, or -0.0 style rounding) are clamped to
-zero so that every condition row is still computable.
+Shared algebra.  Every row is built from the half-line primitives of
+:mod:`copos.halfline`, the only code that takes a square root.  Each
+discriminant row (thm3.1, thm3.4, thm4.1, thm4.3, thm4.5) is a positive
+multiple of :func:`copos.halfline.cubic_disc`, and each square-root row is
+``lhs - rhs`` against :func:`copos.halfline.cubic_bounds` or
+:func:`copos.halfline.quad_bound`, at scaled coefficients.  Square roots
+appear only over products whose signs are pinned by companion conditions in
+the same system; radicands that come out negative (failed sign conditions,
+or -0.0 style rounding) give a zero root, so every row is computable.
 
 Work done once.  Condition texts that do not depend on entry values are
 constants, per ``strict`` flag for thm4.5 and per shape in the cached slice
@@ -47,7 +48,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .halfline import cubic_disc, sqrt0
+from .halfline import cubic_bounds, cubic_disc, quad_bound
 from .tensors import Index, SymmetricTensor, all_indices, multiplicity
 
 
@@ -89,11 +90,6 @@ class Certificate:
 
 def _ge(desc: str, value: float, strict: bool = False) -> Condition:
     return Condition(desc, value, value > 0 if strict else value >= 0)
-
-
-def _threshold(desc: str, lhs: float, rhs: float, strict: bool = False) -> Condition:
-    # compare lhs to rhs directly; the reported value is the margin
-    return Condition(desc, lhs - rhs, lhs > rhs if strict else lhs >= rhs)
 
 
 def _nonneg(entries: dict[str, float], names: tuple[str, ...]) -> list[Condition]:
@@ -195,35 +191,33 @@ def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
 
 
 def thm32_sqrt_c3d2(tensor: SymmetricTensor) -> Certificate:
-    """Sufficient square-root bound for order-3 dim-2 copositivity."""
+    """Sufficient for order-3 dim-2: cubic_nonneg_sufficient at (g111, 3*g112, 3*g122, g222)."""
     g111, g112, g122, g222 = _read(tensor, 3, 2, "thm3.2").values()
-    root = sqrt0(g111 * g222)
+    lo112, lo122 = cubic_bounds(g111, g222)
     conds = [
         _ge("g111 >= 0", g111),
         _ge("g222 >= 0", g222),
-        _threshold("g112 >= (g111 - 2*sqrt(g111*g222))/3", g112, (g111 - 2.0 * root) / 3.0),
-        _threshold("g122 >= (g222 - 2*sqrt(g111*g222))/3", g122, (g222 - 2.0 * root) / 3.0),
+        _ge("g112 >= (g111 - 2*sqrt(g111*g222))/3", g112 - lo112 / 3.0),
+        _ge("g122 >= (g222 - 2*sqrt(g111*g222))/3", g122 - lo122 / 3.0),
     ]
     return _verdict(conds, [(None, conds)], "thm3.2", Verdict.UNKNOWN)
 
 
 def thm33_mixed_c3d2(tensor: SymmetricTensor) -> Certificate:
-    """Sufficient mixed-sign test for order-3 dim-2: one cross entry may be
-    negative if the opposite one compensates through a square-root bound."""
+    """Sufficient mixed-sign test for order-3 dim-2: quad_nonneg at (g111, 3*g112, 3*g122)
+    or at (3*g112, 3*g122, g222), whose middle entry may be negative."""
     g111, g112, g122, g222 = _read(tensor, 3, 2, "thm3.3").values()
     sys1 = [
         _ge("(1) g111 >= 0", g111),
         _ge("(1) g222 >= 0", g222),
         _ge("(1) g122 >= 0", g122),
-        _threshold("(1) g112 >= -(2/3)*sqrt(3*g122*g111)", g112,
-                   -2.0 * sqrt0(3.0 * g122 * g111) / 3.0),
+        _ge("(1) g112 >= -(2/3)*sqrt(3*g122*g111)", g112 - quad_bound(3.0 * g122, g111) / 3.0),
     ]
     sys2 = [
         _ge("(2) g111 >= 0", g111),
         _ge("(2) g222 >= 0", g222),
         _ge("(2) g112 >= 0", g112),
-        _threshold("(2) g122 >= -(2/3)*sqrt(3*g112*g222)", g122,
-                   -2.0 * sqrt0(3.0 * g112 * g222) / 3.0),
+        _ge("(2) g122 >= -(2/3)*sqrt(3*g112*g222)", g122 - quad_bound(3.0 * g112, g222) / 3.0),
     ]
     return _verdict(sys1 + sys2, [("(1)", sys1), ("(2)", sys2)], "thm3.3", Verdict.UNKNOWN)
 
@@ -253,10 +247,9 @@ def _thm34_rows(g: dict[str, float]) -> list[Condition]:
 def _thm35_rows(g: dict[str, float]) -> list[Condition]:
     conds = _nonneg(g, ("g111", "g222", "g333", "g123"))
     for ai, aij, ajj, aj, _, iij_text, ijj_text in _PAIR_ROWS:
-        gi, gj = g[ai], g[aj]
-        root = sqrt0(gi * gj)
-        conds.append(_threshold(iij_text, g[aij], (gi - 2.0 * root) / 6.0))
-        conds.append(_threshold(ijj_text, g[ajj], (gj - 2.0 * root) / 6.0))
+        lo_ij, lo_jj = cubic_bounds(g[ai], g[aj])
+        conds.append(_ge(iij_text, g[aij] - lo_ij / 6.0))
+        conds.append(_ge(ijj_text, g[ajj] - lo_jj / 6.0))
     return conds
 
 
@@ -307,23 +300,21 @@ def thm42_sqrt_c4d2(tensor: SymmetricTensor) -> Certificate:
         _ge("a1111 >= 0", a1111),
         _ge("a2222 >= 0", a2222),
     ]
-    # Each branch is the order-3 square-root test applied to one cubic
-    # cofactor of Ax^4 = x1*f(x) + a2222*x2^4 = a1111*x1^4 + x2*g(x).
-    # The a1122 thresholds carry a single radical; with the cofactor
-    # scaling gamma122 = 2*a1122 a doubled radical over-certifies.
-    r1 = sqrt0(a1111 * a1222)
+    # Each branch is the order-3 square-root test on one cubic cofactor of
+    # Ax^4 = x1*f(x) + a2222*x2^4 = a1111*x1^4 + x2*g(x), halved so that its
+    # radicand is a1111*a1222 (a1112*a2222) as rounded.  The a1122 rows carry
+    # one radical; gamma122 = 2*a1122 with a doubled one over-certifies.
+    lo1112, lo1122 = cubic_bounds(a1111 / 2.0, 2.0 * a1222)
     sys1 = [
         _ge("(1) a1222 >= 0", a1222),
-        _threshold("(1) a1112 >= a1111/4 - sqrt(a1111*a1222)", a1112, a1111 / 4.0 - r1),
-        _threshold("(1) a1122 >= (2/3)*(a1222 - sqrt(a1111*a1222))",
-                   a1122, 2.0 * (a1222 - r1) / 3.0),
+        _ge("(1) a1112 >= a1111/4 - sqrt(a1111*a1222)", a1112 - lo1112 / 2.0),
+        _ge("(1) a1122 >= (2/3)*(a1222 - sqrt(a1111*a1222))", a1122 - lo1122 / 3.0),
     ]
-    r2 = sqrt0(a1112 * a2222)
+    lo1122, lo1222 = cubic_bounds(2.0 * a1112, a2222 / 2.0)
     sys2 = [
         _ge("(2) a1112 >= 0", a1112),
-        _threshold("(2) a1222 >= a2222/4 - sqrt(a1112*a2222)", a1222, a2222 / 4.0 - r2),
-        _threshold("(2) a1122 >= (2/3)*(a1112 - sqrt(a1112*a2222))",
-                   a1122, 2.0 * (a1112 - r2) / 3.0),
+        _ge("(2) a1222 >= a2222/4 - sqrt(a1112*a2222)", a1222 - lo1222 / 2.0),
+        _ge("(2) a1122 >= (2/3)*(a1112 - sqrt(a1112*a2222))", a1122 - lo1122 / 3.0),
     ]
     return _verdict(pre + sys1 + sys2,
                     [("(1)", pre + sys1), ("(2)", pre + sys2)],
@@ -350,16 +341,14 @@ def thm43_disc_c4d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient test for order-4 dim-3 built from boundary-cubic
     discriminants and pairwise quadratic conditions."""
     a = _read(tensor, 4, 3, "thm4.3")
+    a1111, a2222, a3333 = a["a1111"], a["a2222"], a["a3333"]
     conds = _nonneg(a, _EDGES) + [
         _ge("max(a1222, a1333) > 0", max(a["a1222"], a["a1333"]), strict=True),
         _ge("max(a1112, a2333) > 0", max(a["a1112"], a["a2333"]), strict=True),
         _ge("max(a1113, a2223) > 0", max(a["a1113"], a["a2223"]), strict=True),
-        _ge("6*a1122 + sqrt(a1111*a2222) >= 0",
-            6.0 * a["a1122"] + sqrt0(a["a1111"] * a["a2222"])),
-        _ge("6*a1133 + sqrt(a1111*a3333) >= 0",
-            6.0 * a["a1133"] + sqrt0(a["a1111"] * a["a3333"])),
-        _ge("6*a2233 + sqrt(a3333*a2222) >= 0",
-            6.0 * a["a2233"] + sqrt0(a["a3333"] * a["a2222"])),
+        _ge("6*a1122 + sqrt(a1111*a2222) >= 0", 6.0 * a["a1122"] - quad_bound(a1111, a2222) / 2.0),
+        _ge("6*a1133 + sqrt(a1111*a3333) >= 0", 6.0 * a["a1133"] - quad_bound(a1111, a3333) / 2.0),
+        _ge("6*a2233 + sqrt(a3333*a2222) >= 0", 6.0 * a["a2233"] - quad_bound(a3333, a2222) / 2.0),
     ]
     for p, q, r, s, text in _THM43_CUBICS:
         conds.append(_ge(text, cubic_disc(4.0 * a[p], 6.0 * a[q], 6.0 * a[r], 4.0 * a[s]) / 432.0))
@@ -369,28 +358,23 @@ def thm43_disc_c4d3(tensor: SymmetricTensor) -> Certificate:
 def thm44_sqrt_c4d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient square-root test for order-4 dim-3."""
     a = _read(tensor, 4, 3, "thm4.4")
+    # each max pairs the bounds of the two cubic cofactors sharing the entry;
+    # a1223 sits in the (x2,x3) cofactor of x1 and the (x1,x2) cofactor of
+    # x3, so its second arm carries a1113, not a1112
+    lo1222, lo1333 = cubic_bounds(a["a1222"], a["a1333"])
+    lo1113, lo2223 = cubic_bounds(a["a1113"], a["a2223"])
+    lo1112, lo2333 = cubic_bounds(a["a1112"], a["a2333"])
     a1111, a2222, a3333 = a["a1111"], a["a2222"], a["a3333"]
-    a1112, a1113, a1222, a2223 = a["a1112"], a["a1113"], a["a1222"], a["a2223"]
-    a1333, a2333 = a["a1333"], a["a2333"]
     conds = _nonneg(a, _EDGES) + [
-        _threshold("a1122 >= -sqrt(a1111*a2222)/6", a["a1122"], -sqrt0(a1111 * a2222) / 6.0),
-        _threshold("a1133 >= -sqrt(a1111*a3333)/6", a["a1133"], -sqrt0(a1111 * a3333) / 6.0),
-        _threshold("a2233 >= -sqrt(a3333*a2222)/6", a["a2233"], -sqrt0(a3333 * a2222) / 6.0),
-        # each threshold pairs the two cubic cofactors that share the entry;
-        # a1223 sits in the (x2,x3) cofactor of x1 and the (x1,x2) cofactor
-        # of x3, so its second arm carries a1113, not a1112
-        _threshold("a1223 >= (2/3)*max(a1222 - 2*sqrt(a1222*a1333),"
-                   " a2223 - 2*sqrt(a1113*a2223))",
-                   a["a1223"], 2.0 * max(a1222 - 2.0 * sqrt0(a1222 * a1333),
-                                         a2223 - 2.0 * sqrt0(a1113 * a2223)) / 3.0),
-        _threshold("a1233 >= (2/3)*max(a2333 - 2*sqrt(a1112*a2333),"
-                   " a1333 - 2*sqrt(a1222*a1333))",
-                   a["a1233"], 2.0 * max(a2333 - 2.0 * sqrt0(a1112 * a2333),
-                                         a1333 - 2.0 * sqrt0(a1222 * a1333)) / 3.0),
-        _threshold("a1123 >= (2/3)*max(a1113 - 2*sqrt(a1113*a2223),"
-                   " a1112 - 2*sqrt(a1112*a2333))",
-                   a["a1123"], 2.0 * max(a1113 - 2.0 * sqrt0(a1113 * a2223),
-                                         a1112 - 2.0 * sqrt0(a1112 * a2333)) / 3.0),
+        _ge("a1122 >= -sqrt(a1111*a2222)/6", a["a1122"] - quad_bound(a1111, a2222) / 12.0),
+        _ge("a1133 >= -sqrt(a1111*a3333)/6", a["a1133"] - quad_bound(a1111, a3333) / 12.0),
+        _ge("a2233 >= -sqrt(a3333*a2222)/6", a["a2233"] - quad_bound(a3333, a2222) / 12.0),
+        _ge("a1223 >= (2/3)*max(a1222 - 2*sqrt(a1222*a1333), a2223 - 2*sqrt(a1113*a2223))",
+            a["a1223"] - 2.0 * max(lo1222, lo2223) / 3.0),
+        _ge("a1233 >= (2/3)*max(a2333 - 2*sqrt(a1112*a2333), a1333 - 2*sqrt(a1222*a1333))",
+            a["a1233"] - 2.0 * max(lo2333, lo1333) / 3.0),
+        _ge("a1123 >= (2/3)*max(a1113 - 2*sqrt(a1113*a2223), a1112 - 2*sqrt(a1112*a2333))",
+            a["a1123"] - 2.0 * max(lo1113, lo1112) / 3.0),
     ]
     return _verdict(conds, [(None, conds)], "thm4.4", Verdict.UNKNOWN)
 
@@ -426,14 +410,14 @@ _THM45_ROWS = {strict: _thm45_rows(strict) for strict in (False, True)}
 def _thm45_values(a: dict[str, float]) -> list[float]:
     """The value of every thm4.5 row, in row order, from the named entries
     ``_read`` returns; the rho scan of :mod:`copos.vacuum` calls it too."""
-    q = {"q12": 9.0 * a["a1122"] + sqrt0(a["a1111"] * a["a2222"]),
-         "q13": 9.0 * a["a1133"] + sqrt0(a["a1111"] * a["a3333"]),
-         "q23": 9.0 * a["a2233"] + sqrt0(a["a3333"] * a["a2222"])}
+    q = {"q12": 9.0 * a["a1122"] - quad_bound(a["a1111"], a["a2222"]) / 2.0,
+         "q13": 9.0 * a["a1133"] - quad_bound(a["a1111"], a["a3333"]) / 2.0,
+         "q23": 9.0 * a["a2233"] - quad_bound(a["a3333"], a["a2222"]) / 2.0}
     values = [a["a1111"], a["a2222"], a["a3333"], a["a1113"], a["a1222"], a["a2333"],
               q["q12"], q["q13"], q["q23"],
-              27.0 * a["a1123"] + sqrt0(q["q12"] * q["q13"]),
-              27.0 * a["a1223"] + sqrt0(q["q12"] * q["q23"]),
-              27.0 * a["a1233"] + sqrt0(q["q13"] * q["q23"])]
+              27.0 * a["a1123"] - quad_bound(q["q12"], q["q13"]) / 2.0,
+              27.0 * a["a1223"] - quad_bound(q["q12"], q["q23"]) / 2.0,
+              27.0 * a["a1233"] - quad_bound(q["q13"], q["q23"]) / 2.0]
     values += [cubic_disc(a[diag], 36.0 * a[near], 6.0 * q[qn], 324.0 * a[far]) / 432.0
                for diag, near, far, qn in _COFACTORS]
     return values

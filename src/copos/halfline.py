@@ -1,11 +1,12 @@
 """Nonnegativity of low-degree polynomials on the half-line t >= 0.
 
-These are the scalar building blocks behind every closed-form tensor
-criterion in :mod:`copos.criteria`: the cubic discriminant combination
-that every discriminant criterion evaluates, a square root clamped at
-zero, an exact sign characterisation for cubics, a cheaper sufficient
-square-root test, the exact quadratic test, and a brute-force grid
-minimiser used as an independent oracle.
+The scalar building blocks of every closed-form test in :mod:`copos.criteria`
+and :mod:`copos.vacuum`, plus a brute-force grid minimiser used as an oracle.
+Only this module takes square roots.  :func:`cubic_bounds` (the sufficient
+cubic test) feeds thm3.2, thm3.5, thm4.2 and thm4.4's max-arms, and
+:func:`quad_bound` (the exact quadratic test) thm3.3, the pairwise rows of
+thm4.3/4.4, thm4.5's q rows and the printed vacuum rows; both call
+``math.sqrt`` inline (the rho scan runs these rows at every grid point).
 """
 
 from __future__ import annotations
@@ -87,24 +88,33 @@ def cubic_nonneg_exact(cc) -> bool:
     return False
 
 
+def cubic_bounds(a: float, d: float) -> tuple[float, float]:
+    """(a - 2*sqrt(ad), d - 2*sqrt(ad)), the least b and c the sufficient test accepts."""
+    s = 2.0 * math.sqrt(ad) if (ad := a * d) > 0 else 0.0
+    return a - s, d - s
+
+
+def quad_bound(alpha: float, gamma: float) -> float:
+    """-2*sqrt(alpha*gamma), the least beta the quadratic test accepts."""
+    return -2.0 * math.sqrt(ag) if (ag := alpha * gamma) > 0 else -0.0
+
+
 def cubic_nonneg_sufficient(cc) -> bool:
-    """Sufficient test: a >= 0, d >= 0, b >= a - 2*sqrt(ad), c >= d - 2*sqrt(ad)."""
+    """Sufficient test: a >= 0, d >= 0 and (b, c) >= :func:`cubic_bounds`."""
     a, b, c, d = _coeffs(cc, 4)
     if a < 0 or d < 0:
         return False
-    s = sqrt0(a * d)
-    return b >= a - 2.0 * s and c >= d - 2.0 * s
+    lo_b, lo_c = cubic_bounds(a, d)
+    return b >= lo_b and c >= lo_c
 
 
 def quad_nonneg(qc) -> bool:
-    """Exact test: alpha t^2 + beta t + gamma >= 0 for all t >= 0.
-
-    Holds iff alpha >= 0, gamma >= 0 and beta + 2*sqrt(alpha*gamma) >= 0.
-    """
+    """Exact test of alpha t^2 + beta t + gamma >= 0 on t >= 0: alpha >= 0,
+    gamma >= 0 and beta >= :func:`quad_bound`."""
     alpha, beta, gamma = _coeffs(qc, 3)
     if alpha < 0 or gamma < 0:
         return False
-    return beta + 2.0 * sqrt0(alpha * gamma) >= 0
+    return beta >= quad_bound(alpha, gamma)
 
 
 def _grid_min(coeffs: tuple[float, ...], grid_points: int) -> GridMin:

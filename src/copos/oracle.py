@@ -67,6 +67,9 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("resolution", "refine_rounds", "samples", "seed"):
+            if type(getattr(self, name)) is not int:  # bool and 2.5 are not counts
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.resolution < 1:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
         if self.refine_rounds < 0 or self.samples < 0:

@@ -47,11 +47,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 from .criteria import (_THM45_ROWS, Certificate, Verdict, _read, _row_certificate, _rows_hold,
                        _thm45_values, thm45_sos_c4d3)
-from .halfline import sqrt0
+from .halfline import quad_bound
 from .tensors import SymmetricTensor, build
 
 
@@ -76,7 +77,8 @@ class Z3Params:
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
             v = getattr(self, field.name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            real = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not (real and abs(v) <= sys.float_info.max):  # 10**400 fails too
                 raise ValueError(f"{field.name} must be a finite real, got {v!r}")
         if self.abs_lam_s12 < 0:
             raise ValueError(f"abs_lam_s12 must be >= 0, got {self.abs_lam_s12}")
@@ -126,10 +128,10 @@ _PRINTED_ROWS = {strict: _printed_rows(strict) for strict in (False, True)}
 
 def _printed_values(p: Z3Params, rho: float) -> list:
     """The value of every printed row at rho, in row order."""
-    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * rho**2 + 2.0 * sqrt0(p.lam1 * p.lam2)
-    c13 = 3.0 * p.lam_s1 + 2.0 * sqrt0(p.lam1 * p.lam_s)
-    c23 = 3.0 * p.lam_s2 + 2.0 * sqrt0(p.lam_s * p.lam2)
-    mixed = -9.0 * p.abs_lam_s12 * rho / 4.0 + sqrt0(c13 * c23)
+    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * rho**2 - quad_bound(p.lam1, p.lam2)
+    c13 = 3.0 * p.lam_s1 - quad_bound(p.lam1, p.lam_s)
+    c23 = 3.0 * p.lam_s2 - quad_bound(p.lam_s, p.lam2)
+    mixed = -9.0 * p.abs_lam_s12 * rho / 4.0 - quad_bound(c13, c23) / 2.0
     return [p.lam1, p.lam2, p.lam_s, c12, c13, c23, mixed]
 
 

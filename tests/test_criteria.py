@@ -20,6 +20,7 @@ from copos import (Certificate, Condition, SymmetricTensor, Verdict, aggregate,
                    thm33_mixed_c3d2, thm34_disc_c3d3, thm35_sqrt_c3d3, thm41_disc_c4d2,
                    thm42_sqrt_c4d2, thm43_disc_c4d3, thm44_sqrt_c4d3,
                    thm45_sos_c4d3, thm4remark_check, thm4remark_decompose, zero)
+from copos.halfline import cubic_nonneg_sufficient, quad_nonneg
 from copos.oracle import OracleConfig
 from conftest import SHAPES, random_point, random_tensor, rel_err
 
@@ -623,6 +624,41 @@ def test_discriminant_rows_match_their_text(rng):
                 lhs = row.description.rsplit(" >", 1)[0].removeprefix("(1) ").removeprefix("(2) ")
                 want = eval(lhs.replace("^", "**"), env)
                 assert abs(row.value - want) <= 1e-8 * max(1.0, abs(want)), row.description
+
+
+def biased_draws(rng, count, shape):
+    # diagonals mostly nonnegative so that every branch fires often enough
+    order, dim = shape
+    diags = {(i,) * order for i in range(1, dim + 1)}
+    for _ in range(count):
+        yield build(order, dim, {idx: rng.uniform(-0.1 if idx in diags else -1.0, 1.0)
+                                 for idx in all_indices(order, dim)})
+
+
+def test_sqrt_criteria_are_the_halfline_tests_at_scaled_coefficients(rng):
+    # thm3.2 is cubic_nonneg_sufficient on the order-3 cubic, thm3.3 is
+    # quad_nonneg on either quadratic part of it, and each branch of thm4.2
+    # is cubic_nonneg_sufficient on one cubic cofactor of the quartic
+    counts = {"thm3.2": 0, "thm3.3": 0, "thm4.2": 0}
+    for t in biased_draws(rng, 5000, (3, 2)):
+        g111, g112, g122, g222 = (t.get(idx) for idx in all_indices(3, 2))
+        sufficient = cubic_nonneg_sufficient((g111, 3 * g112, 3 * g122, g222))
+        mixed = g111 >= 0 and g222 >= 0 and (
+            (g122 >= 0 and quad_nonneg((g111, 3 * g112, 3 * g122)))
+            or (g112 >= 0 and quad_nonneg((3 * g112, 3 * g122, g222))))
+        assert thm32_sqrt_c3d2(t).certified == sufficient
+        assert thm33_mixed_c3d2(t).certified == mixed
+        counts["thm3.2"] += sufficient
+        counts["thm3.3"] += mixed
+    for t in biased_draws(rng, 5000, (4, 2)):
+        a1111, a1112, a1122, a1222, a2222 = (t.get(idx) for idx in all_indices(4, 2))
+        cofactor = a1111 >= 0 and a2222 >= 0 and (
+            cubic_nonneg_sufficient((a1111, 4 * a1112, 6 * a1122, 4 * a1222))
+            or cubic_nonneg_sufficient((4 * a1112, 6 * a1122, 4 * a1222, a2222)))
+        assert thm42_sqrt_c4d2(t).certified == cofactor
+        counts["thm4.2"] += cofactor
+    # both outcomes are well represented, so the equalities say something
+    assert all(500 < n < 4500 for n in counts.values()), counts
 
 
 @pytest.mark.parametrize("s", [1e80, 1e160])

@@ -77,6 +77,15 @@ def test_config_validation():
         OracleConfig(resolution=10, samples=-1)
 
 
+@pytest.mark.parametrize("field", ["resolution", "refine_rounds", "samples", "seed"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, "2"])
+def test_config_rejects_non_int_counts(field, bad):
+    # a 2.5 lattice never reaches the vertex e1 of g111=-1, g112=g122=g222=1
+    # (min -0.024 instead of -1.0), and True printed as "resolution": true
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        OracleConfig(**{"resolution": 2, field: bad})
+
+
 def test_default_config_by_dim():
     assert default_config(1).resolution == 2000
     assert default_config(2).resolution == 2000

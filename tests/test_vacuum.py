@@ -51,6 +51,11 @@ def test_params_validation():
         Z3Params(lam1=float("nan"))
     with pytest.raises(ValueError):
         Z3Params(lam2=True)
+    # an int too large for a float is not a finite real either; 10**308 fits
+    for big in (10**400, -10**400, 2**1024):
+        with pytest.raises(ValueError, match="lam1 must be a finite real"):
+            Z3Params(lam1=big)
+    assert Z3Params(lam1=10**308).lam1 == 10**308
 
 
 def test_with_rho_replaces_only_rho():
