@@ -48,6 +48,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
+import numpy as np
+
 from .halfline import cubic_bounds, cubic_disc, quad_bound
 from .tensors import Index, SymmetricTensor, all_indices, multiplicity
 
@@ -138,11 +140,11 @@ def _row_certificate(values: list[float], rows: tuple[tuple[str, bool], ...],
     return _verdict(conds, [(None, conds)], criterion_id, Verdict.UNKNOWN)
 
 
-def _rows_hold(values: list[float], rows: tuple[tuple[str, bool], ...]) -> bool:
-    """Whether _row_certificate would certify, from the values alone (the
-    rule of _ge and _holds without building the conditions)."""
-    return all((v > 0 if strict else v >= 0) and math.isfinite(v)
-               for v, (_, strict) in zip(values, rows))
+def _rows_hold(values: np.ndarray, rows: tuple[tuple[str, bool], ...]) -> bool:
+    """Whether _row_certificate would certify each column of a rows x points
+    block of values (the rule of _ge and _holds without the conditions)."""
+    strict = np.array([s for _, s in rows])[:, None]
+    return bool((np.where(strict, values > 0, values >= 0) & np.isfinite(values)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +172,20 @@ def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
     diagonals nonnegative, and the half-line cubic discriminant combination
     4*g111*g122^3 + 4*g112^3*g222 + g111^2*g222^2
       - 6*g111*g112*g122*g222 - 3*g112^2*g122^2 >= 0.
-    Failure of both systems refutes.
+    Failure of both systems refutes.  A negative discriminant row within its
+    rounding error of 0 is recomputed exactly, and an exact value >= 0
+    replaces it: rounding alone must not refute (disc-zero x 0.1 has an
+    exact 0 whose float row is -2.6e-19).
     """
     g111, g112, g122, g222 = _read(tensor, 3, 2, "thm3.1").values()
+    disc = cubic_disc(g111, 3.0 * g112, 3.0 * g122, g222) / 27.0
+    m = max(abs(g111), 3.0 * abs(g112), 3.0 * abs(g122), abs(g222))
+    # five terms, of at most 54*m**4 in all, within 11 roundings each: 64u*m**4
+    # bounds 2*gamma_11*m**4 and the rounding of m**4, 2**-1000 gradual underflow
+    if -(64 * 2.0 ** -53 * (m * m * m * m) + 2.0 ** -1000) <= disc < 0 and not math.isinf(disc):
+        from fractions import Fraction
+        exact = cubic_disc(Fraction(g111), 3 * Fraction(g112), 3 * Fraction(g122), Fraction(g222))
+        disc = float(exact / 27) if exact >= 0 else disc
     sys1 = [
         _ge("(1) g111 >= 0", g111),
         _ge("(1) g112 >= 0", g112),
@@ -185,7 +198,7 @@ def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
         _ge("(2) g222 >= 0", g222),
         _ge("(2) 4*g111*g122^3 + 4*g112^3*g222 + g111^2*g222^2"
             " - 6*g111*g112*g122*g222 - 3*g112^2*g122^2 >= 0",
-            cubic_disc(g111, 3.0 * g112, 3.0 * g122, g222) / 27.0),
+            disc),
     ]
     return _verdict(sys1 + sys2, [("(1)", sys1), ("(2)", sys2)], "thm3.1", Verdict.REFUTED)
 

@@ -6,7 +6,8 @@ Only this module takes square roots.  :func:`cubic_bounds` (the sufficient
 cubic test) feeds thm3.2, thm3.5, thm4.2 and thm4.4's max-arms, and
 :func:`quad_bound` (the exact quadratic test) thm3.3, the pairwise rows of
 thm4.3/4.4, thm4.5's q rows and the printed vacuum rows; both call
-``math.sqrt`` inline (the rho scan runs these rows at every grid point).
+``math.sqrt`` inline.  The rho scan passes float64 columns of grid points
+to :func:`quad_bound` (same rule, elementwise) and :func:`cubic_disc`.
 """
 
 from __future__ import annotations
@@ -95,8 +96,10 @@ def cubic_bounds(a: float, d: float) -> tuple[float, float]:
 
 
 def quad_bound(alpha: float, gamma: float) -> float:
-    """-2*sqrt(alpha*gamma), the least beta the quadratic test accepts."""
-    return -2.0 * math.sqrt(ag) if (ag := alpha * gamma) > 0 else -0.0
+    """-2*sqrt(alpha*gamma), the least beta the quadratic test accepts (elementwise on columns)."""
+    if not isinstance(ag := alpha * gamma, np.ndarray):
+        return -2.0 * math.sqrt(ag) if ag > 0 else -0.0
+    return np.where(ag > 0, -2.0 * np.sqrt(np.fmax(ag, 0.0)), -0.0)
 
 
 def cubic_nonneg_sufficient(cc) -> bool:

@@ -27,10 +27,11 @@ opt-in.  Neither list is necessary, so failure means Unknown, never
 Refuted.
 
 Scans.  rho enters the coupling tensor only through a1122 and a1233, so a
-scan reads the other entries once and, at each grid point, recomputes those
-two and evaluates both routes' rows as plain floats (the same value
-functions the certificates are built from).  The verdicts and the margin
-come from those floats; the two certificates are built only at worst_rho.
+scan reads the other entries once, recomputes those two at each grid point
+and evaluates both routes' rows (the value functions the certificates are
+built from) once per block of _BLOCK points, as float64 columns whose
+elements equal the scalar rows.  The verdicts and the margin come from
+those columns; the two certificates are built only at worst_rho.
 
 Endpoint lemma.  On [0, 1] every row of both routes is monotone in rho:
 q12 = 9*a1122 + sqrt(a1111*a2222) is affine in rho^2; sqrt(q12*q13),
@@ -49,6 +50,8 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .criteria import (_THM45_ROWS, Certificate, Verdict, _read, _row_certificate, _rows_hold,
                        _thm45_values, thm45_sos_c4d3)
@@ -127,8 +130,10 @@ _PRINTED_ROWS = {strict: _printed_rows(strict) for strict in (False, True)}
 
 
 def _printed_values(p: Z3Params, rho: float) -> list:
-    """The value of every printed row at rho, in row order."""
-    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * rho**2 - quad_bound(p.lam1, p.lam2)
+    """The value of every printed row at rho (a float or a column), in row order."""
+    # float ** is libm pow, an ulp off numpy's rho*rho at one k/41: square each point
+    rho2 = np.array([r**2 for r in rho.tolist()]) if isinstance(rho, np.ndarray) else rho**2
+    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * rho2 - quad_bound(p.lam1, p.lam2)
     c13 = 3.0 * p.lam_s1 - quad_bound(p.lam1, p.lam_s)
     c23 = 3.0 * p.lam_s2 - quad_bound(p.lam_s, p.lam2)
     mixed = -9.0 * p.abs_lam_s12 * rho / 4.0 - quad_bound(c13, c23) / 2.0
@@ -169,27 +174,34 @@ class StabilityReport:
     printed_at_worst: Certificate
 
 
+_BLOCK = 1024  # rho points per block: the rows of a block take about 200 KB
+
+
 def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityReport:
-    # read at the first grid point, not at p.rho: an error here is then the
-    # one the scan would meet first anyway
+    # read at the first grid point, not at p.rho: an error here is the one the
+    # scan would meet first (_rho_entries raises only at an integer rho, a lone point)
     a = _read(coupling_tensor(p.with_rho(rhos[0])), 4, 3, "thm4.5")
     theorem_rows, printed_rows = _THM45_ROWS[bool(strict)], _PRINTED_ROWS[bool(strict)]
-    worst = None
-    worst_margin = math.inf
-    theorem_ok = True
-    printed_ok = True
-    for rho in rhos:
-        a["a1122"], a["a1233"] = _rho_entries(p, rho)
-        if not (math.isfinite(a["a1122"]) and math.isfinite(a["a1233"])):
-            coupling_tensor(p.with_rho(rho))  # raises build's error for this rho
-        theorem = _thm45_values(a)
-        printed = _printed_values(p, rho)
-        theorem_ok = theorem_ok and _rows_hold(theorem, theorem_rows)
-        printed_ok = printed_ok and _rows_hold(printed, printed_rows)
-        margin = min(min(theorem), min(printed))
-        if worst is None or margin <= worst_margin:
-            worst = rho
-            worst_margin = margin
+    theorem_ok = printed_ok = True
+    worst, worst_margin = None, math.inf
+    with np.errstate(all="ignore"):  # inf and nan are row values, as with floats
+        for start in range(0, len(rhos), _BLOCK):
+            block = rhos[start:start + _BLOCK]
+            entries = np.array([_rho_entries(p, rho) for rho in block])
+            if not (finite := np.isfinite(entries).all(axis=1)).all():
+                coupling_tensor(p.with_rho(block[finite.argmin()]))  # raises build's error there
+            a["a1122"], a["a1233"] = entries.T
+            values = _thm45_values(a) + _printed_values(p, np.array(block, dtype=float))
+            rows = np.empty((len(values), len(block)))
+            for i, v in enumerate(values):
+                rows[i] = v  # a rho-independent row broadcasts
+            theorem_ok = theorem_ok and _rows_hold(rows[:len(theorem_rows)], theorem_rows)
+            printed_ok = printed_ok and _rows_hold(rows[len(theorem_rows):], printed_rows)
+            # fmin skips nan rows as min does after a finite first row (a1111)
+            margins = np.fmin.reduce(rows)
+            k = len(block) - 1 - int(np.argmin(margins[::-1]))  # ties go to the largest rho
+            if margins[k] <= worst_margin:
+                worst, worst_margin = block[k], margins[k]
     p_worst = p.with_rho(worst)
     return StabilityReport(
         params=p,
@@ -216,6 +228,8 @@ def scan_rho(p: Z3Params, steps: int, strict: bool = False) -> StabilityReport:
     largest rho so the reported point sits where the rho-dependent
     conditions are tightest.
     """
+    if type(steps) is not int:  # True and 2.0 are not step counts
+        raise ValueError(f"steps must be an int, got {steps!r}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     rhos = tuple(k / steps for k in range(steps + 1))

@@ -673,6 +673,26 @@ def test_overflow_never_refutes(s):
     assert aggregate(certify_all(t)) is C
 
 
+def test_thm31_rechecks_a_rounded_negative_discriminant_exactly():
+    # disc-zero has an exact discriminant of 0 and sqrt-boundary a positive
+    # one; at every scale the float row may round below 0, and both tensors
+    # are copositive, so neither thm3.1 nor the aggregate may refute
+    for name in ("disc-zero", "sqrt-boundary"):
+        t = parse_document((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        for k in range(-73, 76):
+            scaled = t.scale(10.0 ** k)
+            for strict in (False, True):
+                certs = certify_all(scaled, strict=strict)
+                assert certs[[c.criterion_id for c in certs].index("thm3.1")].outcome is not R
+                assert aggregate(certs) is not R, (name, k, strict)
+    # at 0.1 the float row is -2.6e-19; the exact recheck puts its exact 0 there
+    cert = thm31_exact_c3d2(t32(0.4, 0.0, -0.1, 0.1))
+    assert (cert.outcome, cert.branch, repr(cert.conditions[-1].value)) == (C, "(2)", "0.0")
+    # a truly negative discriminant is refuted as before, its float row kept
+    cert = thm31_exact_c3d2(t32(0.4, 0.0, -0.1 - 1e-12, 0.1))
+    assert cert.outcome is R and cert.conditions[-1].value < 0
+
+
 def test_non_finite_value_never_fires_a_branch():
     # 1e200 * 1e200 overflows to inf inside thm3.3's radicand: the threshold
     # is "satisfied" but infinite, so the branch must not certify

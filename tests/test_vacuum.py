@@ -12,7 +12,7 @@ from copos import (Classification, OracleConfig, StabilityReport, Verdict,
                    theorem_certificate, thm45_sos_c4d3, zero)
 from copos.criteria import _ge, _read, _thm45_values, _verdict
 from copos.halfline import sqrt0
-from copos.vacuum import _printed_values, _rho_entries
+from copos.vacuum import _BLOCK, _printed_values, _rho_entries
 
 C = Verdict.CERTIFIED
 U = Verdict.UNKNOWN
@@ -262,6 +262,10 @@ def test_scan_rho_independent_family():
 def test_scan_rejects_bad_steps():
     with pytest.raises(ValueError):
         scan_rho(unit(), steps=0)
+    # True would scan (0.0, 1.0) and 2.0 would fail inside range()
+    for steps in (True, False, 2.0, 100.0):
+        with pytest.raises(ValueError, match=f"steps must be an int, got {steps!r}"):
+            scan_rho(unit(), steps)
 
 
 def test_check_stability_single_point():
@@ -377,7 +381,10 @@ def edge_couplings(rng):
            Z3Params(lam1=-1.0, lam2=1.0, lam_s=1.0, lam3=1e307, lam4=1.7e308),
            # integer a1122 overflows: on the float grid build rejects inf, at
            # the integer rho the division itself raises OverflowError
-           Z3Params(lam1=1, lam2=1, lam_s=1, lam3=10**308, lam4=10**308, rho=1)]
+           Z3Params(lam1=1, lam2=1, lam_s=1, lam3=10**308, lam4=10**308, rho=1),
+           # both routes hold only for rho above ~0.55: the verdict of a long
+           # scan must remember the blocks that failed
+           Z3Params(lam1=1.0, lam2=1.0, lam_s=1.0, lam3=-2.5, lam4=6.0)]
     for _ in range(24):
         out.append(Z3Params(**{name: rng.randint(-3, 3) for name in COUPLINGS},
                             abs_lam_s12=rng.randint(0, 3), rho=rng.choice((0, 1))))
@@ -396,11 +403,15 @@ def assert_matches_reference(p, steps, strict):
     return want
 
 
+# grids of exactly one block of rho points, one point over, and three blocks
+BLOCK_STEPS = (_BLOCK - 1, _BLOCK, 2 * _BLOCK + 1)
+
+
 def test_scan_matches_per_point_reference():
     pool = coupling_mix(random.Random(6), 500)
     for i, p in enumerate(pool):
         strict = (i // 2) % 2 == 1  # both strict modes on both kinds
-        for steps in (1, 4, 100):
+        for steps in (1, 4, 100) + (BLOCK_STEPS if i < 4 else ()):
             assert_matches_reference(p, steps, strict)
         for mode in (False, True):
             assert outcome(lambda: check_stability(p, mode)) == outcome(
@@ -409,9 +420,9 @@ def test_scan_matches_per_point_reference():
 
 def test_edge_scans_match_per_point_reference():
     seen = []
-    for p in edge_couplings(random.Random(7)):
+    for i, p in enumerate(edge_couplings(random.Random(7))):
         for strict in (False, True):
-            for steps in (1, 4, 100):
+            for steps in (1, 4, 100) + (BLOCK_STEPS if i < 6 else ()):
                 seen.append(assert_matches_reference(p, steps, strict))
             assert outcome(lambda: check_stability(p, strict)) == outcome(
                 lambda: reference_report(p, (p.rho,), strict))
@@ -436,3 +447,28 @@ def test_rows_are_monotone_in_rho():
         for row in zip(*columns):
             steps = [hi - lo for lo, hi in zip(row, row[1:])]
             assert all(s >= 0 for s in steps) or all(s <= 0 for s in steps), (p, row)
+
+
+def test_column_rows_equal_scalar_rows():
+    # the scan evaluates the rows on float64 columns; element by element they
+    # must be the scalar rows, bit for bit.  Python's rho**2 is libm pow, not
+    # numpy's rho*rho: on k/41, k/157 and k/217 some points differ by an ulp
+    rng = random.Random(9)
+    # the fourth edge coupling's a1122 overflows to inf near rho = 1; the fifth
+    # raises in coupling_tensor itself
+    pool = coupling_mix(rng, 40) + edge_couplings(rng)[:4]
+    for p in pool:
+        a = _read(coupling_tensor(p), 4, 3, "thm4.5")
+        for steps in (41, 100, 157, 217):
+            rhos = [k / steps for k in range(steps + 1)]
+            scalar = []
+            for rho in rhos:
+                a["a1122"], a["a1233"] = _rho_entries(p, rho)
+                scalar.append([repr(float(v)) for v in _thm45_values(a) + _printed_values(p, rho)])
+            column = dict(a)
+            column["a1122"], column["a1233"] = np.array([_rho_entries(p, rho) for rho in rhos]).T
+            with np.errstate(all="ignore"):
+                rows = _thm45_values(column) + _printed_values(p, np.array(rhos))
+            block = np.vstack([np.broadcast_to(np.asarray(v, dtype=float), len(rhos))
+                               for v in rows])
+            assert [[repr(float(v)) for v in col] for col in block.T] == scalar, (p, steps)
