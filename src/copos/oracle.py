@@ -21,7 +21,8 @@ of the smallest one are evaluated exactly, so every exact minimiser is
 among them and the result is the one that evaluating every point exactly
 would give.  Where the bound cannot be formed (another dimension, a
 clipped ``x_d``, a non-finite value) the points are evaluated exactly;
-in dimension 2 that is also cheaper than the screen.
+in dimension 2 that is also cheaper than the screen.  A call prepares the
+form once, and the lattice is cached with its screen tables per shape and N.
 
 Determinism: every exact value follows the rounding sequence of
 :meth:`SymmetricTensor.evaluate`, ties in the argmin are broken by the
@@ -37,11 +38,11 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .tensors import Index, SymmetricTensor, Vector, all_indices
+from .tensors import SymmetricTensor, Vector, all_indices
 
 
 class Classification(enum.Enum):
@@ -74,8 +75,8 @@ class OracleConfig:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
         if self.refine_rounds < 0 or self.samples < 0:
             raise ValueError("refine_rounds and samples must be >= 0")
-        if not (math.isfinite(self.band) and self.band >= 0):
-            raise ValueError(f"band must be finite and >= 0, got {self.band}")
+        if type(self.band) is bool or not (math.isfinite(self.band) and self.band >= 0):
+            raise ValueError(f"band must be a finite number >= 0, got {self.band}")
 
 
 @dataclass(frozen=True)
@@ -125,19 +126,41 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 _BLOCK = 8192  # points per block, so the terms-by-points scratch stays a few MB
 
 
-def _evaluate_many(terms: list[tuple[Index, float]], order: int, coords: np.ndarray) -> np.ndarray:
+class _Form(NamedTuple):
+    """A tensor's terms, prepared once per call: the zero-based factor indices
+    (a row per factor position), the weighted entries (a row per term) and, in
+    dimension 3, ``R @ w``, ``|R| @ |w|`` and ``sum |w|`` (see _reduction)."""
+
+    factors: np.ndarray
+    coeffs: np.ndarray
+    reduced: Optional[tuple[np.ndarray, np.ndarray, float]]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as in _screen
+def _prepare(tensor: SymmetricTensor) -> _Form:
+    terms, m = tensor.weighted_terms(), tensor.order
+    factors = np.array([idx for idx, _ in terms], dtype=np.intp).reshape(len(terms), m).T - 1
+    coeffs = np.array([coeff for _, coeff in terms])[:, None]
+    if tensor.dim != 3:
+        return _Form(factors, coeffs, None)
+    slots, r, abs_r = _reduction(m)[:3]
+    w = np.zeros(len(slots))
+    w[[slots[idx] for idx, _ in terms]] = coeffs[:, 0]
+    rw, abs_rw = (r @ w).reshape(m + 1, m + 1), (abs_r @ np.abs(w)).reshape(m + 1, m + 1)
+    return _Form(factors, coeffs, (rw, abs_rw, float(np.abs(w).sum())))
+
+
+def _evaluate_many(form: _Form, coords: np.ndarray) -> np.ndarray:
     # Same term order and multiplication order as SymmetricTensor.evaluate,
     # one gather and multiply per factor across all terms at once.
     # ``coords`` holds one row per coordinate and one column per point.
-    factors = np.array([idx for idx, _ in terms], dtype=np.intp).reshape(len(terms), order) - 1
-    coeffs = np.array([coeff for _, coeff in terms])[:, None]
     acc = np.zeros(coords.shape[1])
     for start in range(0, coords.shape[1], _BLOCK):
         block = coords[:, start:start + _BLOCK]
-        monoms = block[factors[:, 0]]
-        for j in range(1, order):
-            monoms *= block[factors[:, j]]
-        monoms *= coeffs
+        monoms = block[form.factors[0]]
+        for factor in form.factors[1:]:
+            monoms *= block[factor]
+        monoms *= form.coeffs
         out = acc[start:start + _BLOCK]
         for term in monoms:
             out += term
@@ -150,8 +173,8 @@ def _best_point(coords: np.ndarray, vals: np.ndarray) -> tuple[float, Vector]:
     if tied.size == 0:
         raise ValueError(f"the form is not finite on the grid (minimum {m})")
     # lexsort is stable and sorts by its last key first: the first of equal points wins
-    first = tied[np.lexsort(coords[::-1, tied])[0]]
-    return float(m), tuple(map(float, coords[:, first]))
+    first = tied[0] if tied.size == 1 else tied[np.lexsort(coords[::-1, tied])[0]]
+    return float(m), tuple(coords[:, first].tolist())
 
 
 def _random_simplex(dim: int, count: int, seed: int) -> np.ndarray:
@@ -166,51 +189,56 @@ def _random_simplex(dim: int, count: int, seed: int) -> np.ndarray:
 class _Grid:
     """Product grid over the free coordinates, flattened in C order.
 
-    ``last`` is the coordinate ``x_d`` of each point as the exact path sees
-    it, ``keep`` marks the points that belong to the pass, and ``clipped``
-    those whose ``x_d`` was clipped to 0, which the screen's bound does not
-    cover.  ``centre`` is where the screen expands the form.
+    ``kept`` holds the flat indices of the points in the pass (``slice(None)``
+    for all), ``last`` the coordinate ``x_d`` of each point as the exact path
+    sees it, and ``clipped`` marks the kept points whose ``x_d`` was clipped to
+    0, which the screen's bound does not cover (None if none was).  ``centre``
+    is where the screen expands the form, with the tables ``screen``.
     """
 
     axes: tuple[np.ndarray, ...]
-    keep: np.ndarray
+    kept: np.ndarray | slice
     last: np.ndarray
-    clipped: np.ndarray
+    clipped: Optional[np.ndarray]
     centre: tuple[float, ...]
+    screen: Optional[tuple[np.ndarray, ...]]
 
-    def points(self, flat: np.ndarray) -> np.ndarray:
+    def points(self, flat: np.ndarray | slice) -> np.ndarray:
         """Coordinates of the points at ``flat``, one row per coordinate."""
-        idx = np.unravel_index(flat, [len(a) for a in self.axes]) if self.axes else ()
+        shape = [len(a) for a in self.axes]
+        idx = np.unravel_index(flat, shape) if len(shape) > 1 else (flat,) * len(shape)
         return np.array([a[i] for a, i in zip(self.axes, idx)] + [self.last[flat]])
 
 
-def _free_sums(axes: tuple[np.ndarray, ...]) -> np.ndarray:
-    # left to right, as a row sum over the free coordinates
-    return functools.reduce(np.add.outer, axes, np.zeros(())).ravel()
-
-
 @functools.lru_cache(maxsize=8)
-def _lattice_grid(dim: int, resolution: int) -> _Grid:
+def _lattice_grid(dim: int, resolution: int, order: int) -> _Grid:
     # compositions k/N: the triangle sum(k) <= N of the product grid
     ks = np.arange(resolution + 1)
-    used = _free_sums((ks,) * (dim - 1))
-    grid = _Grid(axes=(ks / resolution,) * (dim - 1), keep=used <= resolution,
-                 last=(resolution - used) / resolution, clipped=np.zeros(used.shape, bool),
-                 centre=(0.5,) * (dim - 1))
-    for shared in (*grid.axes, grid.keep, grid.last, grid.clipped):
+    used = functools.reduce(np.add.outer, (ks,) * (dim - 1), np.zeros(())).ravel()
+    axes, centre = (ks / resolution,) * (dim - 1), (0.5,) * (dim - 1)
+    grid = _Grid(axes=axes, kept=np.flatnonzero(used <= resolution),
+                 last=(resolution - used) / resolution, clipped=None, centre=centre,
+                 screen=_expansion(axes, centre, order))
+    for shared in (*grid.axes, grid.kept, grid.last, *(grid.screen or ())):
         shared.setflags(write=False)
     return grid
 
 
-def _box_grid(centre: Vector, radius: float, resolution: int) -> _Grid:
+def _box_grid(centre: Vector, radius: float, resolution: int, order: int) -> _Grid:
     # l_inf box around the incumbent intersected with the simplex,
     # re-gridded at `resolution` points per free coordinate.
     axes = tuple(np.linspace(max(0.0, c - radius), min(1.0, c + radius), resolution + 1)
                  for c in centre[:-1])
-    last = 1.0 - _free_sums(axes)
-    keep = (last >= -1e-12) & (np.abs(last - centre[-1]) <= radius + 1e-12)
-    return _Grid(axes=axes, keep=keep, last=np.clip(last, 0.0, None), clipped=last < 0.0,
-                 centre=tuple(centre[:-1]))
+    # x_d = 1 - (x_1 + ... + x_{d-1}), summed left to right
+    last = 1.0 - functools.reduce(np.add.outer, axes).ravel()
+    # x_d falls along every axis: the first and the far corner hold its extremes
+    top, low, c, r = last[0], last[-1], centre[-1], radius + 1e-12
+    all_kept = len(axes) == 1 and low >= -1e-12 and abs(top - c) <= r and abs(low - c) <= r
+    kept = slice(None) if all_kept else np.flatnonzero((last >= -1e-12) & (np.abs(last - c) <= r))
+    clipped = (last < 0.0)[kept] if low < 0.0 else None
+    return _Grid(axes=axes, kept=kept, last=last if clipped is None else np.clip(last, 0.0, None),
+                 clipped=clipped, centre=tuple(centre[:-1]),
+                 screen=_expansion(axes, centre[:-1], order))
 
 
 _U = 2.0 ** -53            # unit roundoff of binary64
@@ -226,20 +254,20 @@ def _powers(x: np.ndarray, degree: int) -> np.ndarray:
     out = np.empty((len(x), degree + 1))
     out[:, 0] = 1.0
     for s in range(1, degree + 1):
-        out[:, s] = out[:, s - 1] * x
+        np.multiply(out[:, s - 1], x, out=out[:, s])
     return out
 
 
 @functools.lru_cache(maxsize=4)
-def _reduction(order: int) -> tuple[dict[Index, int], np.ndarray, np.ndarray, np.ndarray]:
+def _reduction(order: int) -> tuple:
     """Tables for the screen of an order-``order``, dim-3 form.
 
     Returns the slot of each canonical index; the integer matrix R with
 
         f(a, b, 1 - a - b) = sum_ij (R @ w)[i, j] * a**i * b**j
 
-    for the weighted entries ``w`` in slot order; and the binomials
-    ``comb(i, s)`` with the exponents ``max(i - s, 0)`` of the shift.
+    for the weighted entries ``w`` in slot order, and ``|R|``; the binomials
+    ``comb(i, s)`` with the exponents ``max(i - s, 0)`` of the shift and ``s + t`` of the bound.
     """
     indices = list(all_indices(order, 3))
     r = np.zeros((order + 1, order + 1, len(indices)))
@@ -253,39 +281,46 @@ def _reduction(order: int) -> tuple[dict[Index, int], np.ndarray, np.ndarray, np
                 r[i + p, j + q, col] += (-1) ** (p + q) * coeff
     steps = np.arange(order + 1)
     comb = np.array([[math.comb(i, s) for s in steps] for i in steps], dtype=float)
-    return ({idx: k for k, idx in enumerate(indices)}, r.reshape(-1, len(indices)),
-            comb, np.maximum(np.subtract.outer(steps, steps), 0))
+    r = r.reshape(-1, len(indices))
+    return ({idx: k for k, idx in enumerate(indices)}, r, np.abs(r), comb,
+            np.maximum(np.subtract.outer(steps, steps), 0), np.add.outer(steps, steps))
+
+
+def _expansion(axes: tuple[np.ndarray, ...], centre: Vector,
+               order: int) -> Optional[tuple[np.ndarray, ...]]:
+    """The screen's tables for a grid over two free coordinates, else None:
+    the shifts to the centre, their absolute values, the Vandermonde columns
+    of the axes about the centre and the powers ``radius**(s + t)``."""
+    if len(axes) != 2:
+        return None
+    comb, exps, sums = _reduction(order)[3:]
+    (a, b), (ca, cb) = axes, centre
+    # about the centre: a = ca + u, b = cb + v and a**i = sum_s ta[i, s] * u**s;
+    # accumulate multiplies in sequence, as _powers does
+    ta, tb = (comb * np.multiply.accumulate([1.0] + [c] * order)[exps] for c in (ca, cb))
+    # rounding is monotone, so |a - ca| is largest at an end of the axis
+    radius = max(abs(a[0] - ca), abs(a[-1] - ca), abs(b[0] - cb), abs(b[-1] - cb))
+    return (ta, tb, np.abs(ta), np.abs(tb), _powers(a - ca, order), _powers(b - cb, order),
+            np.multiply.accumulate([1.0] + [radius] * (2 * order))[sums])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values disable the screen
-def _screen(terms: list[tuple[Index, float]], order: int, grid: _Grid) -> tuple[np.ndarray, float]:
+def _screen(form: _Form, grid: _Grid) -> tuple[np.ndarray, float]:
     """Approximate values of a dim-3 form over the whole product grid, and their error bound E.
 
     For every point with ``x_3`` unclipped, ``|approx - (exact - c)| <= E``,
     where ``exact`` is ``_evaluate_many`` at the point and ``c`` the form at
     the centre (the dropped constant term).
     """
-    slots, r, comb, exps = _reduction(order)
-    w = np.zeros(len(slots))
-    for idx, coeff in terms:
-        w[slots[idx]] = coeff
-    abs_w = np.abs(w)
-    (a, b), (ca, cb) = grid.axes, grid.centre
-
-    # about the centre: a = ca + u, b = cb + v and a**i = sum_s ta[i, s] * u**s
-    ta, tb = (comb * _powers(np.array([c]), order)[0][exps] for c in (ca, cb))
-    va, vb = _powers(a - ca, order), _powers(b - cb, order)
-    g = ta.T @ (r @ w).reshape(order + 1, order + 1) @ tb
-    h = np.abs(ta).T @ (np.abs(r) @ abs_w).reshape(order + 1, order + 1) @ np.abs(tb)
+    ta, tb, abs_ta, abs_tb, va, vb, radius_pow = grid.screen
+    rw, abs_rw, total_w = form.reduced
+    g = ta.T @ rw @ tb
+    h = abs_ta.T @ abs_rw @ abs_tb
     g[0, 0] = h[0, 0] = 0.0  # the constant shifts every point alike
     approx = (va @ g @ vb.T).ravel()
 
-    m, k = order, len(terms)
-    radius = max(np.abs(va[:, 1]).max(), np.abs(vb[:, 1]).max())
-    radius_pow = _powers(np.array([radius]), 2 * m)[0]
-    steps = np.arange(m + 1)
-    h_r = float((h * radius_pow[np.add.outer(steps, steps)]).sum())
-    total_w = float(abs_w.sum())
+    m, k = form.factors.shape
+    h_r = float((h * radius_pow).sum())
     # the exact path (m roundings per term, k-1 in the sum, coordinates <= 1),
     # the chain R.w -> shift -> Vandermonde (at most k + 8m + 4 roundings),
     # and x_3 rounded within 2u against a slope of at most m * sum|w|
@@ -297,33 +332,26 @@ def _screen(terms: list[tuple[Index, float]], order: int, grid: _Grid) -> tuple[
     return approx, window
 
 
-def _candidates(terms: list[tuple[Index, float]], order: int, grid: _Grid) -> np.ndarray:
-    """Flat indices of the kept points the screen cannot rule out, ascending.
-
-    Only dim-3 grids are screened: in dim 2 the screen costs more than
-    evaluating the 2,001 points of a default pass exactly.
-    """
-    keep = grid.keep
-    if len(grid.axes) == 2:
-        approx, window = _screen(terms, order, grid)
-        near = approx[keep & ~grid.clipped]
-        low = near.min() if near.size else math.nan
+def _grid_minimum(form: _Form, grid: _Grid, extra: Optional[np.ndarray] = None
+                  ) -> tuple[float, Vector, tuple[int, int]]:
+    """Exact minimum and argmin over the kept points the screen cannot rule out, plus ``extra``."""
+    kept = grid.kept
+    if grid.screen is not None:
+        approx, window = _screen(form, grid)
+        near = approx[kept]
+        unclipped = near if grid.clipped is None else near[~grid.clipped]
+        low = unclipped.min() if unclipped.size else math.nan
         # every point survives unless the bound holds: finite approximations and window
-        if math.isfinite(window) and np.isfinite(low) and np.isfinite(near.max()):
+        if math.isfinite(window) and math.isfinite(low) and math.isfinite(unclipped.max()):
             # rounding is monotone, so approx - low <= 2E holds in floats if it does in reals
-            keep = keep & (grid.clipped | (approx - low <= 2.0 * window))
-    return np.flatnonzero(keep)
-
-
-def _grid_minimum(terms: list[tuple[Index, float]], order: int, grid: _Grid,
-                  extra: Optional[np.ndarray] = None) -> tuple[float, Vector, tuple[int, int]]:
-    """Exact minimum and argmin over the grid's kept points plus ``extra``."""
-    coords = grid.points(_candidates(terms, order, grid))
-    screened = int(grid.keep.sum())
+            survive = near - low <= 2.0 * window
+            kept = kept[survive if grid.clipped is None else survive | grid.clipped]
+    coords = grid.points(kept)
+    screened = len(grid.last) if isinstance(grid.kept, slice) else len(grid.kept)
     if extra is not None:
         coords = np.hstack([coords, extra.T])
         screened += len(extra)
-    value, point = _best_point(coords, _evaluate_many(terms, order, coords))
+    value, point = _best_point(coords, _evaluate_many(form, coords))
     return value, point, (screened, coords.shape[1])
 
 
@@ -336,18 +364,18 @@ def min_on_simplex(tensor: SymmetricTensor, config: Optional[OracleConfig] = Non
     """
     cfg = config if config is not None else default_config(tensor.dim)
     dim, order = tensor.dim, tensor.order
-    terms = tensor.weighted_terms()
+    form = _prepare(tensor)
     samples = None
     if cfg.samples > 0 and dim > 1:
         samples = _random_simplex(dim, cfg.samples, cfg.seed)
-    best, point, stage = _grid_minimum(terms, order, _lattice_grid(dim, cfg.resolution), samples)
+    best, point, stage = _grid_minimum(form, _lattice_grid(dim, cfg.resolution, order), samples)
     stages = [stage]
 
     spacing = 1.0 / cfg.resolution
     if dim > 1:
         for _ in range(cfg.refine_rounds):
-            box = _box_grid(point, spacing, cfg.resolution)
-            cand_val, cand, stage = _grid_minimum(terms, order, box)
+            box = _box_grid(point, spacing, cfg.resolution, order)
+            cand_val, cand, stage = _grid_minimum(form, box)
             stages.append(stage)
             if cand_val < best:
                 best, point = cand_val, cand

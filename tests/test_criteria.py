@@ -693,6 +693,20 @@ def test_thm31_rechecks_a_rounded_negative_discriminant_exactly():
     assert cert.outcome is R and cert.conditions[-1].value < 0
 
 
+def test_thm31_never_certifies_an_underflowing_refuted_tensor():
+    # refuted-mixed is not copositive; below 1e-81 every term of its float
+    # discriminant row underflows to 0.0, and the exact recheck keeps the
+    # row negative (-5e-324 where the exact quotient rounds to -0.0)
+    t = parse_document((GOLDEN / "refuted-mixed.json").read_text(encoding="utf-8"))
+    for k in range(-110, 80):
+        for strict in (False, True):
+            certs = certify_all(t.scale(10.0 ** k), strict=strict)
+            assert certs[[c.criterion_id for c in certs].index("thm3.1")].outcome is not C
+            assert aggregate(certs) is not C, (k, strict)
+    cert = thm31_exact_c3d2(t.scale(1e-90))
+    assert (cert.outcome, repr(cert.conditions[-1].value)) == (R, "-5e-324")
+
+
 def test_non_finite_value_never_fires_a_branch():
     # 1e200 * 1e200 overflows to inf inside thm3.3's radicand: the threshold
     # is "satisfied" but infinite, so the branch must not certify

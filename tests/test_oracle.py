@@ -75,6 +75,10 @@ def test_config_validation():
         OracleConfig(resolution=10, band=float("nan"))
     with pytest.raises(ValueError):
         OracleConfig(resolution=10, samples=-1)
+    # bool is an int subclass, so True passed the finite >= 0 test as 1.0
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="band must be a finite number"):
+            OracleConfig(resolution=10, band=flag)
 
 
 @pytest.mark.parametrize("field", ["resolution", "refine_rounds", "samples", "seed"])
@@ -381,6 +385,55 @@ def test_scaled_tensors_match_reference(exponent):
             assert repr((r.min_value, r.argmin, r.classification)) == repr(want)
 
 
+def _first_box(tensor):
+    # the first refine box of a default call, around the lattice argmin
+    from copos.oracle import _box_grid
+    n = default_config(tensor.dim).resolution
+    lattice = min_on_simplex(tensor, OracleConfig(resolution=n, refine_rounds=0))
+    return _box_grid(lattice.argmin, 1.0 / n, n, tensor.order)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_dim3_boxes_with_and_without_a_clipped_corner_match_reference(order):
+    # a minimum at the vertex e1 puts the far corner of its box below x_3 = 0;
+    # 1 - c*x1^(m-2)*x2*x3 has its minimum inside, where no corner is clipped
+    ones = build(order, 3, {idx: 1.0 for idx in all_indices(order, 3)})
+    interior = ones.add(build(order, 3, {(1,) * (order - 2) + (2, 3): -0.5}))
+    vertex = build(order, 3, {(1,) * order: -1.0, (2,) * order: 1.0, (3,) * order: 1.0})
+    assert _first_box(vertex).clipped is not None and _first_box(interior).clipped is None
+    assert_matches_reference(vertex)
+    assert_matches_reference(interior)
+
+
+def test_dim2_boxes_with_all_or_some_points_kept_match_reference():
+    from copos.oracle import _box_grid, _grid_minimum, _prepare
+    t = cubic2(1.0, 0.0, -1.0, 1.0)
+    # a centre on the simplex keeps every point of its box, the only case
+    # min_on_simplex meets
+    assert isinstance(_first_box(t).kept, slice)
+    assert_matches_reference(t)
+    # a centre off the simplex drops the points whose x_2 leaves the box
+    box = _box_grid((0.3, 0.4), 0.5, 20, 3)
+    assert not isinstance(box.kept, slice) and 0 < len(box.kept) < 21
+    pts = _reference_box_lattice((0.3, 0.4), 0.5, 20)
+    want = _reference_best_point(pts, _reference_evaluate_many(t, pts))
+    value, point, stage = _grid_minimum(_prepare(t), box)
+    assert repr((value, point)) == repr(want) and stage == (len(pts), len(pts))
+
+
+def test_argmins_with_one_or_several_tied_points_match_reference():
+    def lattice_ties(t):
+        pts = _reference_lattice(t.dim, default_config(t.dim).resolution)
+        vals = _reference_evaluate_many(t, pts)
+        return int((vals == vals.min()).sum())
+
+    single = cubic2(1.0, 0.0, -1.0, 1.0)
+    several = build(3, 3, {(1, 1, 1): 1.0})  # x1^3 is 0 along the edge x1 = 0
+    assert lattice_ties(single) == 1 and lattice_ties(several) > 1
+    for t in (single, several, zero(3, 2)):
+        assert_matches_reference(t)
+
+
 def _exact_form(tensor, x):
     # the form in rational arithmetic at rational coordinates
     acc = Fraction(0)
@@ -395,7 +448,7 @@ def _exact_form(tensor, x):
 def test_screen_window_is_sound():
     # |approx - (exact - c)| <= E at every unclipped point of random lattices
     # and boxes, c being the form at the expansion centre
-    from copos.oracle import _box_grid, _evaluate_many, _lattice_grid, _screen
+    from copos.oracle import _box_grid, _evaluate_many, _lattice_grid, _prepare, _screen
     rng = np.random.default_rng(2026)
     checked = 0
     for trial in range(120):
@@ -409,18 +462,19 @@ def test_screen_window_is_sound():
                                  for idx, v in t.entries.items()})
         n = int(rng.integers(3, 40))
         if trial % 4 == 0:
-            grid = _lattice_grid(3, n)
+            grid = _lattice_grid(3, n, order)
         else:
             center = tuple(rng.dirichlet(np.ones(3)))
             if trial % 4 == 3:
                 center = (0.0, *center[1:]) if rng.random() < 0.5 else (center[0], 0.0, 1.0 - center[0])
-            grid = _box_grid(center, float(10.0 ** rng.uniform(-8, 0)), n)
-        approx, window = _screen(t.weighted_terms(), order, grid)
+            grid = _box_grid(center, float(10.0 ** rng.uniform(-8, 0)), n, order)
+        approx, window = _screen(_prepare(t), grid)
         assert math.isfinite(window)
         ca, cb = map(Fraction, grid.centre)
         constant = _exact_form(t, (ca, cb, 1 - ca - cb))
-        flat = np.flatnonzero(grid.keep & ~grid.clipped)
-        exact = _evaluate_many(t.weighted_terms(), order, grid.points(flat))
+        flat = np.arange(len(grid.last))[grid.kept]
+        flat = flat if grid.clipped is None else flat[~grid.clipped]
+        exact = _evaluate_many(_prepare(t), grid.points(flat))
         bound = Fraction(window)
         for a, e in zip(approx[flat], exact):
             assert abs(Fraction(a) - (Fraction(e) - constant)) <= bound
@@ -443,3 +497,27 @@ def test_stages_count_screened_and_exact_points():
     assert sampled.stages[0][0] == 231 + 64
     # a diagnostic only: equality ignores it
     assert r3 == dataclasses.replace(r3, stages=())
+
+
+# stages of every golden document and of ten seeded mixed tensors per shape
+# under the default config, frozen from the oracle before its per-call
+# set-up was hoisted out of the passes; regenerate only for a deliberate
+# change to what the screen keeps, and say so
+FROZEN_STAGES = pathlib.Path(__file__).parent / "data" / "oracle_stages.json"
+
+
+def observed_stages():
+    from copos import load_document
+    golden = pathlib.Path(__file__).parent / "data" / "golden"
+    out = {path.stem: min_on_simplex(load_document(str(path))).stages
+           for path in sorted(golden.glob("*.json"))}
+    rng = np.random.default_rng(909)
+    for order, dim in SHAPES:
+        for i in range(10):
+            out[f"mixed-{order}-{dim}-{i}"] = min_on_simplex(mixed_tensor(rng, order, dim, i % 4)).stages
+    return {name: [list(stage) for stage in stages] for name, stages in out.items()}
+
+
+def test_stages_match_frozen_table():
+    import json
+    assert observed_stages() == json.loads(FROZEN_STAGES.read_text(encoding="utf-8"))
