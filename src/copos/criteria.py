@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .halfline import cubic_bounds, cubic_disc, quad_bound
+from .halfline import cubic_bounds, cubic_disc, cubic_disc_checked, quad_bound
 from .tensors import Index, SymmetricTensor, all_indices, multiplicity
 
 
@@ -172,22 +172,10 @@ def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
     diagonals nonnegative, and the half-line cubic discriminant combination
     4*g111*g122^3 + 4*g112^3*g222 + g111^2*g222^2
       - 6*g111*g112*g122*g222 - 3*g112^2*g122^2 >= 0.
-    Failure of both systems refutes.  A discriminant row within its rounding
-    error of 0 is recomputed exactly and replaced where the exact sign differs:
-    rounding must neither refute (disc-zero x 0.1: exact 0, float -2.6e-19)
-    nor certify (refuted-mixed x 1e-90: every term underflows to 0.0).
+    Failure of both systems refutes.  The discriminant row carries the exact
+    sign (:func:`copos.halfline.cubic_disc_checked`, as in the half-line test).
     """
     g111, g112, g122, g222 = _read(tensor, 3, 2, "thm3.1").values()
-    disc = cubic_disc(g111, 3.0 * g112, 3.0 * g122, g222) / 27.0
-    m = max(abs(g111), 3.0 * abs(g112), 3.0 * abs(g122), abs(g222))
-    # five terms, of at most 54*m**4 in all, within 11 roundings each: 64u*m**4
-    # bounds 2*gamma_11*m**4 and the rounding of m**4, 2**-1000 gradual underflow
-    if abs(disc) <= 64 * 2.0 ** -53 * (m * m * m * m) + 2.0 ** -1000 and not math.isinf(disc):
-        from fractions import Fraction
-        exact = cubic_disc(Fraction(g111), 3 * Fraction(g112), 3 * Fraction(g122), Fraction(g222))
-        if (exact >= 0) != (disc >= 0):
-            # an exact negative stays negative where its quotient rounds to -0.0
-            disc = float(exact / 27) if exact >= 0 else min(float(exact / 27), -math.ulp(0.0))
     sys1 = [
         _ge("(1) g111 >= 0", g111),
         _ge("(1) g112 >= 0", g112),
@@ -200,7 +188,7 @@ def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
         _ge("(2) g222 >= 0", g222),
         _ge("(2) 4*g111*g122^3 + 4*g112^3*g222 + g111^2*g222^2"
             " - 6*g111*g112*g122*g222 - 3*g112^2*g122^2 >= 0",
-            disc),
+            cubic_disc_checked(g111, g112, g122, g222, 3)),
     ]
     return _verdict(sys1 + sys2, [("(1)", sys1), ("(2)", sys2)], "thm3.1", Verdict.REFUTED)
 

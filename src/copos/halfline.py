@@ -8,6 +8,7 @@ cubic test) feeds thm3.2, thm3.5, thm4.2 and thm4.4's max-arms, and
 thm4.3/4.4, thm4.5's q rows and the printed vacuum rows; both call
 ``math.sqrt`` inline.  The rho scan passes float64 columns of grid points
 to :func:`quad_bound` (same rule, elementwise) and :func:`cubic_disc`.
+The exact cubic test and thm3.1 share :func:`cubic_disc_checked`.
 """
 
 from __future__ import annotations
@@ -54,12 +55,6 @@ def _coeffs(cc, n: int) -> tuple[float, ...]:
     return out
 
 
-def sqrt0(x: float) -> float:
-    """sqrt clamped at zero; negative radicands only arise from rounding or
-    from branches whose sign preconditions already failed."""
-    return math.sqrt(x) if x > 0 else 0.0
-
-
 def cubic_disc(a: float, b: float, c: float, d: float) -> float:
     """4ac^3 + 4b^3d + 27a^2d^2 - 18abcd - b^2c^2, the negated discriminant
     of a t^3 + b t^2 + c t + d.
@@ -73,20 +68,39 @@ def cubic_disc(a: float, b: float, c: float, d: float) -> float:
     return 4*a*(c*c*c) + 4*(b*b*b)*d + 27*a*a*d*d - 18*a*b*c*d - b*b*c*c
 
 
+def cubic_disc_checked(a: float, b: float, c: float, d: float, k: int = 1) -> float:
+    """cubic_disc(a, k*b, k*c, d) / k**3 with the exact sign (thm3.1's row is k = 3).
+
+    A value within its rounding error of 0 is recomputed in Fraction at the
+    exact k*b and k*c, and replaced where the exact sign differs: rounding
+    must neither refute (disc-zero x 0.1) nor certify (refuted-mixed x 1e-90).
+    """
+    kb, kc = k * b, k * c
+    disc = cubic_disc(a, kb, kc, d) / k**3
+    m = max(abs(a), abs(kb), abs(kc), abs(d))
+    # five terms of at most 54*m**4 in all, within 11 roundings each: 1728u*m**4
+    # bounds 54*gamma_11*m**4 and the rounding of m**4, 2**-1000 gradual underflow
+    if abs(disc) <= 1728 / k**3 * 2.0**-53 * (m * m * m * m) + 2.0**-1000 and not math.isinf(disc):
+        from fractions import Fraction
+        exact = cubic_disc(Fraction(a), k * Fraction(b), k * Fraction(c), Fraction(d)) / k**3
+        if (exact >= 0) != (disc >= 0):  # an exact negative stays below -0.0
+            disc = float(exact) if exact >= 0 else min(float(exact), -math.ulp(0.0))
+    return disc
+
+
 def cubic_nonneg_exact(cc) -> bool:
     """Exact test: P(t) >= 0 for all t >= 0.
 
     Holds iff one of two systems is satisfied:
       (1) a, b, c, d all >= 0;
       (2) max(a, d) > 0, a >= 0, d >= 0, and
-          4ac^3 + 4b^3d + 27a^2d^2 - 18abcd - b^2c^2 >= 0.
+          4ac^3 + 4b^3d + 27a^2d^2 - 18abcd - b^2c^2 >= 0,
+          its sign made exact by :func:`cubic_disc_checked`.
     """
     a, b, c, d = _coeffs(cc, 4)
-    if a >= 0 and b >= 0 and c >= 0 and d >= 0:
+    if min(a, b, c, d) >= 0:
         return True
-    if max(a, d) > 0 and a >= 0 and d >= 0:
-        return cubic_disc(a, b, c, d) >= 0
-    return False
+    return max(a, d) > 0 and a >= 0 and d >= 0 and cubic_disc_checked(a, b, c, d) >= 0
 
 
 def cubic_bounds(a: float, d: float) -> tuple[float, float]:

@@ -113,11 +113,11 @@ class SymmetricTensor:
         if len(x) != self.dim:
             raise ValueError(f"point has {len(x)} components, tensor dimension is {self.dim}")
         acc = 0.0
-        for idx, value in sorted(self.entries.items()):
+        for idx, coeff in self.weighted_terms():
             monom = x[idx[0] - 1]
             for j in idx[1:]:
                 monom *= x[j - 1]
-            acc += _canonical_multiplicity(idx) * value * monom
+            acc += coeff * monom
         return acc
 
     def slice(self, i: int) -> "SymmetricTensor":

@@ -26,12 +26,12 @@ route is the sound-by-construction default and the printed route is
 opt-in.  Neither list is necessary, so failure means Unknown, never
 Refuted.
 
-Scans.  rho enters the coupling tensor only through a1122 and a1233, so a
-scan reads the other entries once, recomputes those two at each grid point
-and evaluates both routes' rows (the value functions the certificates are
-built from) once per block of _BLOCK points, as float64 columns whose
-elements equal the scalar rows.  The verdicts and the margin come from
-those columns; the two certificates are built only at worst_rho.
+Scans.  Z3Params stores floats and rows square rho as rho*rho (correctly
+rounded), so a row on a float64 column of rho points is the scalar row point
+by point.  A scan reads the rho-independent entries once and evaluates
+a1122, a1233 and both routes' rows (the certificates' value functions) once
+per block of _BLOCK points, as columns; the verdicts and the margin come
+from those, and the two certificates are built only at worst_rho.
 
 Endpoint lemma.  On [0, 1] every row of both routes is monotone in rho:
 q12 = 9*a1122 + sqrt(a1111*a2222) is affine in rho^2; sqrt(q12*q13),
@@ -83,6 +83,7 @@ class Z3Params:
             real = isinstance(v, (int, float)) and not isinstance(v, bool)
             if not (real and abs(v) <= sys.float_info.max):  # 10**400 fails too
                 raise ValueError(f"{field.name} must be a finite real, got {v!r}")
+            object.__setattr__(self, field.name, float(v))
         if self.abs_lam_s12 < 0:
             raise ValueError(f"abs_lam_s12 must be >= 0, got {self.abs_lam_s12}")
         if not 0.0 <= self.rho <= 1.0:
@@ -109,9 +110,9 @@ def coupling_tensor(p: Z3Params) -> SymmetricTensor:
 
 
 def _rho_entries(p: Z3Params, rho: float) -> tuple[float, float]:
-    """(a1122, a1233) of the coupling tensor at rho: its only rho-dependent
-    entries."""
-    return (p.lam3 + p.lam4 * rho**2) / 6.0, -p.abs_lam_s12 * rho / 12.0
+    """(a1122, a1233) of the coupling tensor at rho (a float or a column): its
+    only rho-dependent entries."""
+    return (p.lam3 + p.lam4 * (rho * rho)) / 6.0, -p.abs_lam_s12 * rho / 12.0
 
 
 def _printed_rows(strict: bool) -> tuple[tuple[str, bool], ...]:
@@ -131,9 +132,7 @@ _PRINTED_ROWS = {strict: _printed_rows(strict) for strict in (False, True)}
 
 def _printed_values(p: Z3Params, rho: float) -> list:
     """The value of every printed row at rho (a float or a column), in row order."""
-    # float ** is libm pow, an ulp off numpy's rho*rho at one k/41: square each point
-    rho2 = np.array([r**2 for r in rho.tolist()]) if isinstance(rho, np.ndarray) else rho**2
-    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * rho2 - quad_bound(p.lam1, p.lam2)
+    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * (rho * rho) - quad_bound(p.lam1, p.lam2)
     c13 = 3.0 * p.lam_s1 - quad_bound(p.lam1, p.lam_s)
     c23 = 3.0 * p.lam_s2 - quad_bound(p.lam_s, p.lam2)
     mixed = -9.0 * p.abs_lam_s12 * rho / 4.0 - quad_bound(c13, c23) / 2.0
@@ -178,20 +177,18 @@ _BLOCK = 1024  # rho points per block: the rows of a block take about 200 KB
 
 
 def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityReport:
-    # read at the first grid point, not at p.rho: an error here is the one the
-    # scan would meet first (_rho_entries raises only at an integer rho, a lone point)
+    # read at the first grid point, not at p.rho: any error is the one the scan meets first
     a = _read(coupling_tensor(p.with_rho(rhos[0])), 4, 3, "thm4.5")
     theorem_rows, printed_rows = _THM45_ROWS[bool(strict)], _PRINTED_ROWS[bool(strict)]
     theorem_ok = printed_ok = True
     worst, worst_margin = None, math.inf
     with np.errstate(all="ignore"):  # inf and nan are row values, as with floats
         for start in range(0, len(rhos), _BLOCK):
-            block = rhos[start:start + _BLOCK]
-            entries = np.array([_rho_entries(p, rho) for rho in block])
-            if not (finite := np.isfinite(entries).all(axis=1)).all():
-                coupling_tensor(p.with_rho(block[finite.argmin()]))  # raises build's error there
-            a["a1122"], a["a1233"] = entries.T
-            values = _thm45_values(a) + _printed_values(p, np.array(block, dtype=float))
+            block = np.array(rhos[start:start + _BLOCK])
+            a["a1122"], a["a1233"] = _rho_entries(p, block)
+            if not (finite := np.isfinite(a["a1122"])).all():  # a1233 is finite for rho <= 1
+                coupling_tensor(p.with_rho(rhos[start + finite.argmin()]))  # build's error there
+            values = _thm45_values(a) + _printed_values(p, block)
             rows = np.empty((len(values), len(block)))
             for i, v in enumerate(values):
                 rows[i] = v  # a rho-independent row broadcasts
@@ -201,7 +198,7 @@ def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityRepo
             margins = np.fmin.reduce(rows)
             k = len(block) - 1 - int(np.argmin(margins[::-1]))  # ties go to the largest rho
             if margins[k] <= worst_margin:
-                worst, worst_margin = block[k], margins[k]
+                worst, worst_margin = rhos[start + k], margins[k]
     p_worst = p.with_rho(worst)
     return StabilityReport(
         params=p,

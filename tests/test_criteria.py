@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import math
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from copos import (Certificate, Condition, SymmetricTensor, Verdict, aggregate,
                    thm33_mixed_c3d2, thm34_disc_c3d3, thm35_sqrt_c3d3, thm41_disc_c4d2,
                    thm42_sqrt_c4d2, thm43_disc_c4d3, thm44_sqrt_c4d3,
                    thm45_sos_c4d3, thm4remark_check, thm4remark_decompose, zero)
-from copos.halfline import cubic_nonneg_sufficient, quad_nonneg
+from copos.halfline import cubic_disc, cubic_nonneg_exact, cubic_nonneg_sufficient, quad_nonneg
 from copos.oracle import OracleConfig
 from conftest import SHAPES, random_point, random_tensor, rel_err
 
@@ -705,6 +706,29 @@ def test_thm31_never_certifies_an_underflowing_refuted_tensor():
             assert aggregate(certs) is not C, (k, strict)
     cert = thm31_exact_c3d2(t.scale(1e-90))
     assert (cert.outcome, repr(cert.conditions[-1].value)) == (R, "-5e-324")
+
+
+def test_exact_cubic_test_agrees_with_thm31_at_every_scale():
+    # cubic_nonneg_exact and thm3.1 share one discriminant recheck.  Where
+    # 3*g112 and 3*g122 are exact floats the half-line cubic is thm3.1's and
+    # the two agree; elsewhere the rounded cubic is another polynomial
+    # (disc-zero x 1e-72: exact discriminant -1.1e-301), decided exactly
+    seen = {True: 0, False: 0}
+    for name in ("disc-zero", "sqrt-boundary"):
+        t = parse_document((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        for k in range(-73, 76):
+            scaled = t.scale(10.0 ** k)
+            g111, g112, g122, g222 = (scaled.get(idx) for idx in all_indices(3, 2))
+            cubic = (g111, 3 * g112, 3 * g122, g222)
+            exact = [Fraction(v) for v in cubic]
+            same = exact[1:3] == [3 * Fraction(g112), 3 * Fraction(g122)]
+            seen[same] += 1
+            if same:
+                want = thm31_exact_c3d2(scaled).certified
+            else:
+                want = min(cubic) >= 0 or cubic_disc(*exact) >= 0
+            assert cubic_nonneg_exact(cubic) == want, (name, k, same)
+    assert seen[True] > 100 and seen[False] > 100, seen
 
 
 def test_non_finite_value_never_fires_a_branch():

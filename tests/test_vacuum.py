@@ -11,7 +11,6 @@ from copos import (Classification, OracleConfig, StabilityReport, Verdict,
                    min_on_simplex, printed_certificate, scan_rho,
                    theorem_certificate, thm45_sos_c4d3, zero)
 from copos.criteria import _ge, _read, _thm45_values, _verdict
-from copos.halfline import sqrt0
 from copos.vacuum import _BLOCK, _printed_values, _rho_entries
 
 C = Verdict.CERTIFIED
@@ -55,7 +54,10 @@ def test_params_validation():
     for big in (10**400, -10**400, 2**1024):
         with pytest.raises(ValueError, match="lam1 must be a finite real"):
             Z3Params(lam1=big)
-    assert Z3Params(lam1=10**308).lam1 == 10**308
+    # every field is stored as the equal float
+    p = Z3Params(lam1=10**308, rho=1)
+    assert type(p.lam1) is float and p.lam1 == float(10**308)
+    assert all(type(getattr(p, name)) is float for name in (*COUPLINGS, "abs_lam_s12", "rho"))
 
 
 def test_with_rho_replaces_only_rho():
@@ -290,6 +292,11 @@ def test_report_with_oracle():
 # both certificates, kept verbatim: scan_rho and check_stability, which build
 # them only at worst_rho, must match these in repr, exceptions included
 
+def sqrt0(x):
+    """sqrt clamped at zero, as the printed rows took it."""
+    return math.sqrt(x) if x > 0 else 0.0
+
+
 def reference_printed_certificate(p, strict=False):
     c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * p.rho**2 + 2.0 * sqrt0(p.lam1 * p.lam2)
     c13 = 3.0 * p.lam_s1 + 2.0 * sqrt0(p.lam1 * p.lam_s)
@@ -371,16 +378,16 @@ def coupling_mix(rng, count):
 
 
 def edge_couplings(rng):
-    """Integer and all-zero couplings, and couplings scaled up to the top of
-    the float range, where rows overflow to inf or nan and build rejects a
-    non-finite a1122."""
+    """Integer and all-zero couplings (stored as the equal floats), and
+    couplings scaled up to the top of the float range, where rows overflow to
+    inf or nan and build rejects a non-finite a1122."""
     out = [Z3Params(), Z3Params(rho=1), Z3Params(lam1=1, lam2=1, lam_s=1, abs_lam_s12=1, rho=1),
            # a1122 overflows only at rho = 1, and below it the a1111 cofactor
            # row is -inf: the worst rho is not where build fails, so the
            # scan itself must raise there
            Z3Params(lam1=-1.0, lam2=1.0, lam_s=1.0, lam3=1e307, lam4=1.7e308),
-           # integer a1122 overflows: on the float grid build rejects inf, at
-           # the integer rho the division itself raises OverflowError
+           # a1122 = (1e308 + 1e308*rho^2)/6 overflows at rho = 1, where
+           # build rejects inf
            Z3Params(lam1=1, lam2=1, lam_s=1, lam3=10**308, lam4=10**308, rho=1),
            # both routes hold only for rho above ~0.55: the verdict of a long
            # scan must remember the blocks that failed
@@ -451,8 +458,8 @@ def test_rows_are_monotone_in_rho():
 
 def test_column_rows_equal_scalar_rows():
     # the scan evaluates the rows on float64 columns; element by element they
-    # must be the scalar rows, bit for bit.  Python's rho**2 is libm pow, not
-    # numpy's rho*rho: on k/41, k/157 and k/217 some points differ by an ulp
+    # must be the scalar rows, bit for bit.  Both square rho as rho*rho; libm
+    # pow's rho**2 would differ by an ulp at some points of k/41, k/157, k/217
     rng = random.Random(9)
     # the fourth edge coupling's a1122 overflows to inf near rho = 1; the fifth
     # raises in coupling_tensor itself
@@ -472,3 +479,22 @@ def test_column_rows_equal_scalar_rows():
             block = np.vstack([np.broadcast_to(np.asarray(v, dtype=float), len(rhos))
                                for v in rows])
             assert [[repr(float(v)) for v in col] for col in block.T] == scalar, (p, steps)
+
+
+def test_integer_couplings_act_as_the_equal_floats():
+    # an integer coupling gives the report, or the error, of the equal float,
+    # also where integer arithmetic would raise OverflowError (the first two)
+    rng = random.Random(10)
+    cases = [(dict(lam1=10**308, lam2=10**308, lam_s=1), lambda p: scan_rho(p, 4)),
+             (dict(lam1=1, lam2=1, lam_s=1, lam3=10**308, lam4=10**308, rho=1), check_stability)]
+    for strict in (False, True):
+        kw = {name: rng.randint(-3, 3) for name in COUPLINGS}
+        kw.update(abs_lam_s12=rng.randint(0, 3), rho=rng.choice((0, 1)))
+        cases += [(kw, lambda p, strict=strict: scan_rho(p, 100, strict)),
+                  (kw, lambda p, strict=strict: check_stability(p, strict))]
+    got = [outcome(lambda: run(Z3Params(**kw))) for kw, run in cases]
+    want = [outcome(lambda: run(Z3Params(**{k: float(v) for k, v in kw.items()})))
+            for kw, run in cases]
+    assert got == want
+    assert "unknown" in got[0]
+    assert got[1] == (ValueError, "entry (1, 1, 2, 2) is not finite: inf")
