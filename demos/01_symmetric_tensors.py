@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Symmetric tensors: canonical storage, evaluation, slices.
+"""Symmetric tensors: canonical storage and evaluation.
 
 A symmetric tensor keeps one value per sorted multi-index; every
 permutation of an index names the same entry.  Evaluation weights each

@@ -26,7 +26,7 @@ from .criteria import (Certificate, Condition, Verdict, aggregate,
                        thm42_sqrt_c4d2, thm43_disc_c4d3, thm44_sqrt_c4d3,
                        thm45_sos_c4d3, thm4remark_check, thm4remark_decompose)
 from .oracle import (Classification, OracleConfig, OracleResult, classify,
-                     default_config, min_on_simplex, simplex_grid)
+                     default_config, min_on_simplex)
 from .vacuum import (StabilityReport, Z3Params, check_stability, coupling_tensor,
                      printed_certificate, scan_rho, theorem_certificate)
 from .documents import (entries_as_strings, load_document, parse_document,
@@ -44,7 +44,7 @@ __all__ = [
     "thm42_sqrt_c4d2", "thm43_disc_c4d3", "thm44_sqrt_c4d3", "thm45_sos_c4d3",
     "thm4remark_check", "thm4remark_decompose",
     "Classification", "OracleConfig", "OracleResult", "classify",
-    "default_config", "min_on_simplex", "simplex_grid",
+    "default_config", "min_on_simplex",
     "StabilityReport", "Z3Params", "check_stability", "coupling_tensor",
     "printed_certificate", "scan_rho", "theorem_certificate",
     "entries_as_strings", "load_document", "parse_document", "serialize_document",

@@ -15,8 +15,8 @@ scan and writes ``config.oracle``.  Without ``--band`` the COPOS_BAND
 environment variable sets the band.
 
 Exit codes: 0 certified / copositive up to band, 1 refuted / not
-copositive, 2 unknown / indeterminate, 3 malformed input, usage error or
-arithmetic overflow.
+copositive, 2 unknown / indeterminate, 3 any failure: malformed input, a
+usage error, overflow or running out of memory.
 """
 
 from __future__ import annotations
@@ -303,9 +303,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
-        # ArithmeticError: float overflow on huge entries, never a verdict
-        print(f"copos: error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"copos: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -55,7 +55,7 @@ def parse_document(text: str) -> SymmetricTensor:
     naming the offending key where there is one."""
     try:
         obj = json.loads(text, object_pairs_hook=_pairs_rejecting_duplicates)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"document must be a JSON object, got {type(obj).__name__}")

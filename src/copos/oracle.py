@@ -38,7 +38,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -98,29 +98,6 @@ class OracleResult:
 def default_config(dim: int) -> OracleConfig:
     """Default scan: N=2000 for dim <= 2, N=120 above (count grows as N^(dim-1))."""
     return OracleConfig(resolution=2000 if dim <= 2 else 120)
-
-
-def simplex_grid(dim: int, resolution: int) -> Iterator[Vector]:
-    """Lattice points k/N on the simplex, first coordinate decreasing.
-
-    Yields C(N+dim-1, dim-1) points; for dim=2, N=2 the order is
-    (1,0), (0.5,0.5), (0,1).
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
-    for comp in _compositions(resolution, dim):
-        yield tuple(k / resolution for k in comp)
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for k in range(total, -1, -1):
-        for rest in _compositions(total - k, parts - 1):
-            yield (k, *rest)
 
 
 _BLOCK = 8192  # points per block, so the terms-by-points scratch stays a few MB

@@ -16,9 +16,9 @@ the shape's canonical indices, built on first use, and call
 :func:`canonicalize`, with its checks and messages, only on a miss (a
 permutation, a list, a float such as 1.5, a component out of range).
 
-Tensors are immutable after construction; ``scale``, ``add`` and ``slice``
-return new objects.  Dimensions above 3 are supported generically (the
-closed-form criteria in :mod:`copos.criteria` restrict shape themselves).
+Tensors are immutable after construction; ``scale`` and ``add`` return new
+objects.  Dimensions above 3 are supported generically (the closed-form
+criteria in :mod:`copos.criteria` restrict shape themselves).
 """
 
 from __future__ import annotations
@@ -119,17 +119,6 @@ class SymmetricTensor:
                 monom *= x[j - 1]
             acc += coeff * monom
         return acc
-
-    def slice(self, i: int) -> "SymmetricTensor":
-        """Order ``m-1`` tensor ``S`` with ``S[j_2..j_m] = T[i, j_2..j_m]``."""
-        if not 1 <= i <= self.dim:
-            raise ValueError(f"slice index {i} outside 1..{self.dim}")
-        out: dict[Index, float] = {}
-        for rest in all_indices(self.order - 1, self.dim):
-            v = self.get((i, *rest))
-            if v != 0.0:
-                out[rest] = v
-        return SymmetricTensor(self.order - 1, self.dim, out)
 
     def scale(self, c: float) -> "SymmetricTensor":
         return SymmetricTensor(self.order, self.dim, {k: c * v for k, v in self.entries.items()})

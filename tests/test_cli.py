@@ -89,6 +89,25 @@ def test_check_missing_file(capsys, tmp_path):
     assert "copos: error:" in err
 
 
+def test_check_deeply_nested_document(capsys, tmp_path):
+    # json raises RecursionError here; it must not escape as exit 1 (refuted)
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, ["check", str(path)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("copos: error: not valid JSON: ")
+
+
+def test_report_out_of_memory(capsys, pair_doc, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("copos.cli.min_on_simplex", exhausted)
+    code, out, err = run(capsys, ["report", pair_doc])
+    assert (code, out, err) == (3, "", "copos: error: MemoryError\n")
+
+
 def test_check_json_shape(capsys, pair_doc):
     code, out, _ = run(capsys, ["check", pair_doc, "--json"])
     assert code == 0

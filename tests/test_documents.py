@@ -187,6 +187,9 @@ PARSE_REJECTIONS = [
      ValueError, "duplicate key '111' in document"),
     ("duplicate top key", '{"order": 3, "order": 3, "dim": 2, "entries": {}}',
      ValueError, "duplicate key 'order' in document"),
+    ("deeply nested", "[" * 100_000 + "]" * 100_000, ValueError,
+     "not valid JSON: maximum recursion depth exceeded while decoding a JSON array"
+     " from a unicode string"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import pathlib
 from fractions import Fraction
@@ -10,8 +11,7 @@ import numpy as np
 import pytest
 
 from copos import (Classification, OracleConfig, OracleResult, all_indices, build,
-                   coupling_tensor, default_config, min_on_simplex,
-                   simplex_grid, zero, Z3Params)
+                   coupling_tensor, default_config, min_on_simplex, zero, Z3Params)
 from conftest import SHAPES, random_tensor
 
 
@@ -21,44 +21,19 @@ def cubic2(g111, g112, g122, g222):
 
 
 # ---------------------------------------------------------------------------
-# grid generation
+# the lattice the reference scans
 
-def test_grid_dim2_resolution2():
-    assert list(simplex_grid(2, 2)) == [(1.0, 0.0), (0.5, 0.5), (0.0, 1.0)]
-
-
-def test_grid_dim3_resolution2():
-    pts = list(simplex_grid(3, 2))
-    assert len(pts) == 6
-    assert pts[0] == (1.0, 0.0, 0.0)
-    assert pts[-1] == (0.0, 0.0, 1.0)
+def simplex_lattice(dim, resolution):
+    """The lattice points k/N on the simplex, in no particular order."""
+    return [tuple(k / resolution for k in (*head, resolution - sum(head)))
+            for head in itertools.product(range(resolution + 1), repeat=dim - 1)
+            if sum(head) <= resolution]
 
 
-def test_grid_dim3_resolution60():
-    # C(62, 2) compositions
-    assert len(list(simplex_grid(3, 60))) == 1891
-
-
-def test_grid_dim1():
-    assert list(simplex_grid(1, 5)) == [(1.0,)]
-
-
-def test_grid_points_lie_on_simplex():
-    for pt in simplex_grid(3, 7):
-        assert abs(sum(pt) - 1.0) <= 1e-12
-        assert all(c >= 0.0 for c in pt)
-
-
-def test_grid_first_coordinate_descends():
-    firsts = [pt[0] for pt in simplex_grid(3, 5)]
-    assert firsts == sorted(firsts, reverse=True)
-
-
-def test_grid_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        list(simplex_grid(0, 2))
-    with pytest.raises(ValueError):
-        list(simplex_grid(2, 0))
+def test_lattice_counts():
+    # C(N + dim - 1, dim - 1) points
+    assert len(simplex_lattice(3, 60)) == 1891
+    assert simplex_lattice(1, 5) == [(1.0,)]
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +166,7 @@ def test_reported_min_bounds_grid_min(rng):
     for _ in range(40):
         t = random_tensor(rng, 3, 2)
         r = min_on_simplex(t, OracleConfig(resolution=80, refine_rounds=3))
-        lattice = min(t.evaluate(p) for p in simplex_grid(2, 80))
+        lattice = min(t.evaluate(p) for p in simplex_lattice(2, 80))
         assert r.min_value <= lattice
 
 
@@ -277,7 +252,7 @@ def _reference_box_lattice(center, radius, resolution):
 
 @functools.lru_cache(maxsize=8)
 def _reference_lattice(dim, resolution):
-    pts = np.array(list(simplex_grid(dim, resolution)))
+    pts = np.array(simplex_lattice(dim, resolution))
     pts.setflags(write=False)
     return pts
 

@@ -183,43 +183,7 @@ def test_permutation_invariance(seed):
 
 
 # ---------------------------------------------------------------------------
-# slice / scale / add
-
-def test_slice_picks_first_index():
-    t = build(3, 2, {(1, 1, 2): 5.0})
-    s = t.slice(1)
-    assert s.order == 2 and s.dim == 2
-    assert s.get((1, 2)) == 5.0
-    assert s.get((1, 1)) == 0.0
-
-
-def test_slice_of_diagonal_tensor():
-    t = build(3, 3, {(1, 1, 1): 2.0, (2, 2, 2): 3.0, (3, 3, 3): 4.0})
-    for i, want in ((1, 2.0), (2, 3.0), (3, 4.0)):
-        s = t.slice(i)
-        assert s.get((i, i)) == want
-        others = [idx for idx in all_indices(2, 3) if idx != (i, i)]
-        assert all(s.get(idx) == 0.0 for idx in others)
-
-
-def test_slice_mixed_coupling_entry():
-    t = build(4, 3, {(1, 1, 1, 1): 1, (2, 2, 2, 2): 1, (3, 3, 3, 3): 1,
-                     (1, 2, 3, 3): -1.0 / 12.0})
-    assert t.slice(1).get((2, 3, 3)) == -1.0 / 12.0
-
-
-def test_slice_range_check():
-    with pytest.raises(ValueError):
-        zero(3, 2).slice(3)
-
-
-def test_slice_consistent_with_definition(rng):
-    t = random_tensor(rng, 4, 3)
-    for i in (1, 2, 3):
-        s = t.slice(i)
-        for rest in all_indices(3, 3):
-            assert s.get(rest) == t.get((i, *rest))
-
+# scale / add
 
 def test_scale_zero_and_additive_inverse(rng):
     t = random_tensor(rng, 3, 3)

@@ -289,8 +289,9 @@ def test_report_with_oracle():
 # the scan against its per-point reference
 
 # _report and printed_certificate as they stood when every grid point built
-# both certificates, kept verbatim: scan_rho and check_stability, which build
-# them only at worst_rho, must match these in repr, exceptions included
+# both certificates, kept verbatim but for squaring rho as rho*rho, as src/
+# does: scan_rho and check_stability, which build them only at worst_rho,
+# must match these in repr, exceptions included
 
 def sqrt0(x):
     """sqrt clamped at zero, as the printed rows took it."""
@@ -298,7 +299,7 @@ def sqrt0(x):
 
 
 def reference_printed_certificate(p, strict=False):
-    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * p.rho**2 + 2.0 * sqrt0(p.lam1 * p.lam2)
+    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * (p.rho * p.rho) + 2.0 * sqrt0(p.lam1 * p.lam2)
     c13 = 3.0 * p.lam_s1 + 2.0 * sqrt0(p.lam1 * p.lam_s)
     c23 = 3.0 * p.lam_s2 + 2.0 * sqrt0(p.lam_s * p.lam2)
     mixed = -9.0 * p.abs_lam_s12 * p.rho / 4.0 + sqrt0(c13 * c23)
@@ -423,6 +424,13 @@ def test_scan_matches_per_point_reference():
         for mode in (False, True):
             assert outcome(lambda: check_stability(p, mode)) == outcome(
                 lambda: reference_report(p, (p.rho,), mode))
+
+
+def test_single_point_matches_reference_where_pow_rounds_apart():
+    # libm pow(33/41, 2) differs from 33/41 * 33/41 by an ulp, which moves the
+    # printed c12 row
+    p = Z3Params(lam1=1, lam2=1, lam_s=1, lam3=0.25, lam4=-0.87, rho=33 / 41)
+    assert repr(check_stability(p)) == repr(reference_report(p, (p.rho,), False))
 
 
 def test_edge_scans_match_per_point_reference():
