@@ -30,9 +30,12 @@ def simplex_lattice(dim, resolution):
             if sum(head) <= resolution]
 
 
-def test_lattice_counts():
-    # C(N + dim - 1, dim - 1) points
+def test_grid_dim3_resolution60():
+    # C(62, 2) compositions
     assert len(simplex_lattice(3, 60)) == 1891
+
+
+def test_grid_dim1():
     assert simplex_lattice(1, 5) == [(1.0,)]
 
 
