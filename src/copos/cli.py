@@ -11,8 +11,7 @@ their ``Z3Params`` fields; it declares them for ``vacuum`` and ``report``,
 builds the parameters and writes ``input.params``.  ``_ORACLE`` gives each
 of ``--grid/--refine/--band/--samples/--seed`` its ``OracleConfig`` field,
 type and help; it declares them for ``oracle`` and ``report``, builds the
-scan and writes ``config.oracle``.  Without ``--band`` the COPOS_BAND
-environment variable sets the band.
+scan and writes ``config.oracle``.
 
 Exit codes: 0 certified / copositive up to band, 1 refuted / not
 copositive, 2 unknown / indeterminate, 3 any failure: malformed input, a
@@ -24,7 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
+import re
 import sys
 from typing import Optional
 
@@ -53,6 +52,12 @@ _ORACLE = (("grid", "resolution", int, "N", "lattice resolution"),
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so it would read -1e-1 as a
+        # flag; no copos flag looks like a number
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     # usage problems must exit 3, not argparse's default 2 (taken by Unknown)
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -60,15 +65,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _oracle_config(dim: int, args: Optional[argparse.Namespace] = None) -> OracleConfig:
-    """The default scan for dim, with the oracle flags in args and COPOS_BAND."""
+def _oracle_config(dim: int, args: argparse.Namespace) -> OracleConfig:
+    """The default scan for dim, with the oracle flags given in args."""
     values = {field: getattr(args, flag, None) for flag, field, *_ in _ORACLE}
-    raw = os.environ.get("COPOS_BAND")
-    if values["band"] is None and raw is not None:
-        try:
-            values["band"] = float(raw)
-        except ValueError:
-            raise ValueError(f"COPOS_BAND must be a decimal float, got {raw!r}") from None
     return dataclasses.replace(default_config(dim), **{
         field: value for field, value in values.items() if value is not None})
 
@@ -188,7 +187,7 @@ def _cmd_vacuum(args: argparse.Namespace) -> int:
     result = None
     if args.oracle:
         tensor = coupling_tensor(params.with_rho(report.worst_rho))
-        cfg = _oracle_config(3)
+        cfg = default_config(3)
         config["oracle"] = _config_json(cfg)
         result = min_on_simplex(tensor, cfg)
     agg = report.printed_verdict if args.as_printed else report.theorem_verdict

@@ -505,7 +505,7 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# generic strict tests (any order >= 2, any dimension)
+# generic strict tests (any order, any dimension)
 
 @functools.lru_cache(maxsize=32)
 def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple[str, ...]], ...]:
@@ -529,8 +529,6 @@ def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple
 def qi_strict_generic(tensor: SymmetricTensor) -> Certificate:
     """Strict copositivity if every diagonal entry dominates the negative
     mass of its slice, counted over ordered index tuples."""
-    if tensor.order < 2:
-        raise ValueError("qi requires order >= 2")
     conds = []
     for diag, keys, (_, qi_text, _, _) in _slices(tensor.order, tensor.dim):
         value = tensor.entries.get(diag, 0.0)
@@ -543,8 +541,6 @@ def qi_strict_generic(tensor: SymmetricTensor) -> Certificate:
 def songqi_strict_generic(tensor: SymmetricTensor) -> Certificate:
     """Strict copositivity if every slice sum is positive and its ordered
     mean strictly exceeds every off-diagonal entry of the slice."""
-    if tensor.order < 2:
-        raise ValueError("songqi requires order >= 2")
     conds = []
     count = float(tensor.dim ** (tensor.order - 1))
     for diag, keys, (_, _, sum_text, mean_text) in _slices(tensor.order, tensor.dim):
@@ -555,7 +551,7 @@ def songqi_strict_generic(tensor: SymmetricTensor) -> Certificate:
             total += v
             worst = max(worst, v)
         conds.append(_ge(sum_text, total, strict=True))
-        if keys:  # dim 1 has no off-diagonal entries to exceed
+        if keys:  # order 1 and dim 1 have no off-diagonal entries to exceed
             conds.append(_ge(mean_text, total / count - worst, strict=True))
     return _verdict(conds, [(None, conds)], "songqi", Verdict.UNKNOWN)
 

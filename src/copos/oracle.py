@@ -127,6 +127,7 @@ def _prepare(tensor: SymmetricTensor) -> _Form:
     return _Form(factors, coeffs, (rw, abs_rw, float(np.abs(w).sum())))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in _screen
 def _evaluate_many(form: _Form, coords: np.ndarray) -> np.ndarray:
     # Same term order and multiplication order as SymmetricTensor.evaluate,
     # one gather and multiply per factor across all terms at once.

@@ -62,8 +62,7 @@ CRITERIA_43 = {"criteria." + cid for cid in
     (["vacuum", *UNIT, "--ls12", "4", "--rho-scan", "4", "--oracle"],
      {"cli.main", "vacuum.scan_rho", "criteria.thm4.5", "oracle.d3"} | VACUUM_SPANS),
 ], ids=["report-file", "report-couplings", "vacuum-scan-oracle"])
-def test_cli_runs_record_every_layer_span(capsys, monkeypatch, argv, spans):
-    monkeypatch.delenv("COPOS_BAND", raising=False)
+def test_cli_runs_record_every_layer_span(capsys, argv, spans):
     tracing = load_tracing()
     tracer = tracing.Tracer()
     with tracing.Instrumentation(tracer):

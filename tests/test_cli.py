@@ -143,15 +143,12 @@ def test_oracle_zero_tensor_band(capsys, zero33_doc):
 
 
 def test_oracle_band_environment(capsys, zero33_doc, monkeypatch):
+    # only --band sets the band, whatever the environment holds
     monkeypatch.setenv("COPOS_BAND", "0")
-    code, _, _ = run(capsys, ["oracle", zero33_doc])
+    code, _, _ = run(capsys, ["oracle", zero33_doc, "--band", "0"])
     assert code == 2
-    code, _, _ = run(capsys, ["oracle", zero33_doc, "--band", "1e-8"])
-    assert code == 0  # explicit flag wins
-    monkeypatch.setenv("COPOS_BAND", "abc")
-    code, _, err = run(capsys, ["oracle", zero33_doc])
-    assert code == 3
-    assert "COPOS_BAND must be a decimal float" in err
+    code, _, _ = run(capsys, ["oracle", zero33_doc])
+    assert code == 0
 
 
 def test_oracle_json_knobs(capsys, refuted_doc):
@@ -229,6 +226,18 @@ def test_vacuum_rho_flags_are_exclusive(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("command", ["vacuum", "report"])
+@pytest.mark.parametrize("value", ["-1e-1", "-2.5E+0", "-.5e1"])
+def test_negative_coupling_in_exponent_notation(capsys, command, value):
+    # argparse's own negative-number pattern has no exponent and would take
+    # the value for a flag; the spaced form must read as --l3=VALUE does
+    argv = [command, *UNIT, "--rho", "1"] + (["--json"] if command == "vacuum" else [])
+    spaced = run(capsys, argv + ["--l3", value])
+    assert spaced == run(capsys, argv + [f"--l3={value}"])
+    assert spaced[2] == ""
+    assert json.loads(spaced[1])["input"]["params"]["l3"] == float(value)
+
+
 def test_vacuum_json_shape(capsys):
     code, out, _ = run(capsys, ["vacuum", *UNIT, "--ls12", "0.4",
                                 "--rho-scan", "10", "--json"])
@@ -294,7 +303,6 @@ def test_report_matches_frozen_golden(capsys, monkeypatch, name):
     # regenerate expected/ with the loop in README "Tests" after an
     # intended change to the report
     monkeypatch.chdir(GOLDEN_DIR)
-    monkeypatch.delenv("COPOS_BAND", raising=False)
     code = main(["report", name])
     out = capsys.readouterr().out
     assert code in (0, 1, 2)
@@ -313,9 +321,17 @@ def test_overflow_is_an_error_not_a_verdict(capsys, tmp_path, command):
     assert err == ""
 
 
-# argv of every transcript run, from the golden directory with COPOS_BAND
-# unset; regenerate tests/data/cli_transcript.txt with the command in
-# README "Tests" after an intended change to the output
+def test_report_on_non_finite_form_is_one_error_line(capsys, tmp_path):
+    # the weight 2 * 1e308 of x1*x2 is inf, and inf * 0 is nan at the
+    # vertices; no numpy warning may precede the error line
+    doc = write_doc(tmp_path, "inf.json", 2, 2, {"11": 1e308, "12": 1e308, "22": 1e308})
+    assert run(capsys, ["report", doc]) == (
+        3, "", "copos: error: the form is not finite on the grid (minimum nan)\n")
+
+
+# argv of every transcript run, from the golden directory; regenerate
+# tests/data/cli_transcript.txt with the command in README "Tests" after an
+# intended change to the output
 TRANSCRIPT_CASES = [
     "check disc-zero.json",
     "check quartic-pair.json --strict",
@@ -368,7 +384,19 @@ def transcript() -> str:
 
 def test_cli_transcript_matches_frozen(monkeypatch):
     monkeypatch.chdir(GOLDEN_DIR)
-    monkeypatch.delenv("COPOS_BAND", raising=False)
+    frozen = (GOLDEN_DIR.parent / "cli_transcript.txt").read_text(encoding="utf-8")
+    assert transcript().split("$ copos ") == frozen.split("$ copos ")
+
+
+@pytest.mark.parametrize("band", ["0", "abc"])
+def test_band_environment_variable_changes_no_output(capsys, monkeypatch, band):
+    # COPOS_BAND is not read: a zero band or a malformed one alters no byte
+    monkeypatch.chdir(GOLDEN_DIR)
+    monkeypatch.setenv("COPOS_BAND", band)
+    for name in GOLDEN_NAMES:
+        main(["report", name])
+        out = capsys.readouterr().out
+        assert out.encode("utf-8") == (GOLDEN_DIR / "expected" / name).read_bytes(), name
     frozen = (GOLDEN_DIR.parent / "cli_transcript.txt").read_text(encoding="utf-8")
     assert transcript().split("$ copos ") == frozen.split("$ copos ")
 

@@ -489,11 +489,18 @@ def test_songqi_zero_tensor_unknown():
     assert songqi_strict_generic(zero(3, 2)).outcome is U
 
 
-def test_generic_tests_reject_order_one():
-    with pytest.raises(ValueError):
-        qi_strict_generic(build(1, 2, {(1,): 1.0}))
-    with pytest.raises(ValueError):
-        songqi_strict_generic(build(1, 2, {(1,): 1.0}))
+def test_generic_tests_certify_order_one():
+    # a slice of a linear form has no off-diagonal tail: qi's row and songqi's
+    # sum row are both g_i > 0, which is exactly strict copositivity
+    t = build(1, 3, {(1,): 1.0, (2,): 2.0, (3,): 0.5})
+    for fn, text in ((qi_strict_generic, "diagonal + sum of negative off-diagonal entries"
+                      " (ordered count) > 0"), (songqi_strict_generic, "ordered sum > 0")):
+        cert = fn(t)
+        assert cert.outcome is C
+        assert [(c.description, c.value) for c in cert.conditions] == [
+            (f"slice {i}: {text}", v) for i, v in ((1, 1.0), (2, 2.0), (3, 0.5))]
+        assert fn(build(1, 3, {(1,): 1.0, (2,): 2.0})).outcome is U  # g_3 = 0
+        assert fn(build(1, 3, {(1,): 1.0, (2,): -2.0, (3,): 0.5})).outcome is U
 
 
 # ---------------------------------------------------------------------------
@@ -870,8 +877,6 @@ def remark_reference(tensor):
 
 
 def qi_reference(tensor):
-    if tensor.order < 2:
-        raise ValueError("qi requires order >= 2")
     conds = []
     for i in range(1, tensor.dim + 1):
         value = tensor.get((i,) * tensor.order)
@@ -883,8 +888,6 @@ def qi_reference(tensor):
 
 
 def songqi_reference(tensor):
-    if tensor.order < 2:
-        raise ValueError("songqi requires order >= 2")
     conds = []
     count = float(tensor.dim ** (tensor.order - 1))
     for i in range(1, tensor.dim + 1):
@@ -896,7 +899,7 @@ def songqi_reference(tensor):
             total += v
             worst = max(worst, v)
         conds.append(_ge_reference(f"slice {i}: ordered sum > 0", total, strict=True))
-        if keys:  # dim 1 has no off-diagonal entries to exceed
+        if keys:  # order 1 and dim 1 have no off-diagonal entries to exceed
             conds.append(_ge_reference(f"slice {i}: mean of ordered sum exceeds every"
                                        " off-diagonal entry", total / count - worst,
                                        strict=True))
@@ -907,7 +910,8 @@ def test_remark_qi_songqi_match_reference_bit_for_bit():
     rng = np.random.default_rng(5006)
     # the generic tests also run on shapes without closed-form criteria
     extra = [build(order, dim, digest_entries(rng, k % 5, order, dim))
-             for order, dim in ((2, 1), (2, 4), (3, 1), (3, 4), (5, 2)) for k in range(40)]
+             for order, dim in ((2, 1), (2, 4), (3, 1), (3, 4), (5, 2), (1, 1), (1, 3))
+             for k in range(40)]
     for t in digest_tensors() + extra:
         if (t.order, t.dim) == (4, 3):
             assert certificate_key(thm4remark_check(t)) == certificate_key(remark_reference(t))

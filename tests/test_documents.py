@@ -49,6 +49,17 @@ def test_serialize_is_fixpoint(rng):
     assert serialize_document(parse_document(text)) == text
 
 
+def test_parse_and_round_trip_without_key_table():
+    # order 7, dim 9 has 6,435 canonical keys, more than the key table holds,
+    # so every key goes through the per-key checks
+    t = parse_document(doc(7, 9, {"1125579": 1.5, "3333333": -2, "3456789": 0.25}))
+    assert t.entries == {(1, 1, 2, 5, 5, 7, 9): 1.5, (3,) * 7: -2.0,
+                         (3, 4, 5, 6, 7, 8, 9): 0.25}
+    text = serialize_document(t)
+    assert parse_document(text) == t
+    assert serialize_document(parse_document(text)) == text
+
+
 def test_serialize_sorts_keys():
     t = build(3, 2, {(2, 2, 2): 1.0, (1, 1, 1): 2.0, (1, 2, 2): 3.0})
     keys = list(entries_as_strings(t))
@@ -167,6 +178,12 @@ PARSE_REJECTIONS = [
      "non-canonical entry key '121': digits must be sorted non-decreasing"),
     ("non-canonical dim 3", doc(4, 3, {"1132": 1.0}), ValueError,
      "non-canonical entry key '1132': digits must be sorted non-decreasing"),
+    ("non-canonical key, no key table", doc(7, 9, {"1122597": 1.0}), ValueError,
+     "non-canonical entry key '1122597': digits must be sorted non-decreasing"),
+    ("digit zero, no key table", doc(7, 9, {"0112233": 1.0}), ValueError,
+     "entry key '0112233' has a digit outside 1..9"),
+    ("short key, no key table", doc(7, 9, {"112233": 1.0}), ValueError,
+     "entry key '112233' must be 7 digits"),
     ("bad key after good", doc(3, 2, {"111": 1.0, "112": 2.0, "221": 3.0}), ValueError,
      "non-canonical entry key '221': digits must be sorted non-decreasing"),
     ("string value", doc(3, 2, {"111": "1"}), ValueError,
@@ -205,6 +222,8 @@ def test_parse_rejection_messages_are_pinned(text, exc, message):
 BUILD_REJECTIONS = [
     ("out-of-range index", (3, 2, {(1, 1, 3): 1.0}), ValueError,
      "index (1, 1, 3) has components outside 1..2"),
+    ("out-of-range index, no index table", (7, 9, {(1, 1, 1, 1, 1, 1, 10): 1.0}), ValueError,
+     "index (1, 1, 1, 1, 1, 1, 10) has components outside 1..9"),
     ("zero component in a list", (3, 2, [([0, 1, 1], 1.0)]), ValueError,
      "index (0, 1, 1) has components outside 1..2"),
     ("short index", (3, 2, {(1, 1): 1.0}), ValueError,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from copos import (SymmetricTensor, all_indices, build, canonicalize,
                    multiplicity, zero)
+from copos.tensors import _index_table
 from conftest import SHAPES, naive_evaluate, random_point, random_tensor, rel_err
 
 
@@ -110,6 +111,24 @@ def test_index_table_agrees_with_canonicalize():
                 tuple(np.array([2, 2, 1])), "112", (2, 2, 2)]:
         assert t.get(idx) == t.entries.get(canonicalize(idx, 2), 0.0)
         assert build(3, 2, [(idx, 5.0)]).entries == {canonicalize(idx, 2): 5.0}
+
+
+def test_shape_without_index_table():
+    # order 7, dim 9 has C(15, 7) = 6,435 canonical indices, more than the
+    # table holds, so build and get canonicalize every index themselves
+    assert _index_table(7, 9) == {}
+    t = build(7, 9, [((9, 1, 5, 5, 2, 7, 1), 1.5), ((3,) * 7, -2.0),
+                     ([9, 8, 7, 6, 5, 4, 3], 0.25), ((1, 1, 2, 5, 5, 7, 9), 1.5)])
+    assert t.entries == {(1, 1, 2, 5, 5, 7, 9): 1.5, (3,) * 7: -2.0,
+                         (3, 4, 5, 6, 7, 8, 9): 0.25}
+    assert t.get((5, 1, 9, 2, 7, 1, 5)) == 1.5
+    assert t.get([3] * 7) == -2.0
+    assert t.get((1,) * 7) == 0.0
+    with pytest.raises(ValueError, match=r"^index \(1, 1, 1, 1, 1, 1, 10\) has components"
+                                         r" outside 1\.\.9$"):
+        t.get((1, 1, 1, 1, 1, 1, 10))
+    with pytest.raises(ValueError, match=r"^index \(1, 1\) has 2 components, expected 7$"):
+        t.get((1, 1))
 
 
 def test_build_rejects_nonfinite():
