@@ -28,7 +28,8 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .criteria import Certificate, Verdict, aggregate, applicable_criteria, run_criterion
+from .criteria import (Certificate, Verdict, aggregate, applicable_criteria, certify_all,
+                       run_criterion)  # noqa: F401 -- bench/tracing.py patches it here
 from .documents import entries_as_strings, load_document
 from .oracle import (Classification, OracleConfig, OracleResult, default_config,
                      min_on_simplex)
@@ -146,17 +147,16 @@ def _print_oracle(result: OracleResult) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     tensor = load_document(args.file)
     ids = applicable_criteria(tensor.order, tensor.dim)
-    if args.criterion:
-        for cid in args.criterion:
-            if cid not in ids:
-                raise ValueError(f"criterion {cid!r} does not apply to order-{tensor.order}"
-                                 f" dim-{tensor.dim} tensors; applicable: {', '.join(ids)}")
-        ids = tuple(cid for cid in ids if cid in args.criterion)
-    certs = [run_criterion(cid, tensor, strict=args.strict) for cid in ids]
+    for cid in args.criterion or ():
+        if cid not in ids:
+            raise ValueError(f"criterion {cid!r} does not apply to order-{tensor.order}"
+                             f" dim-{tensor.dim} tensors; applicable: {', '.join(ids)}")
+    ids = [cid for cid in ids if not args.criterion or cid in args.criterion]
+    certs = [c for c in certify_all(tensor, strict=args.strict) if c.criterion_id in ids]
     agg = aggregate(certs)
     if args.json:
         _emit("check", _input_json({"path": args.file}, tensor),
-              {"strict": args.strict, "criteria": list(ids)}, certs, None, agg.value)
+              {"strict": args.strict, "criteria": ids}, certs, None, agg.value)
     else:
         for cert in certs:
             _print_certificate(cert)
@@ -230,8 +230,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         tensor = coupling_tensor(params)
         stability = check_stability(params, strict=args.strict)
         head = {"params": _params_json(params)}
-    ids = applicable_criteria(tensor.order, tensor.dim)
-    certs = [run_criterion(cid, tensor, strict=args.strict) for cid in ids]
+    certs = certify_all(tensor, strict=args.strict)
+    config = {"strict": args.strict, "criteria": [c.criterion_id for c in certs]}
     # the aggregate stays certify_all's; the opt-in printed route is shown
     # alongside but never certifies on its own
     agg = aggregate(certs)
@@ -239,8 +239,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         certs = certs + [stability.printed_at_worst]
     cfg = _oracle_config(tensor.dim, args)
     result = min_on_simplex(tensor, cfg)
-    _emit("report", _input_json(head, tensor),
-          {"strict": args.strict, "criteria": list(ids), "oracle": _config_json(cfg)},
+    _emit("report", _input_json(head, tensor), {**config, "oracle": _config_json(cfg)},
           certs, result, agg.value, stability)
     return _EXIT_CODE[agg]
 

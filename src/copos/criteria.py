@@ -27,11 +27,11 @@ appear only over products whose signs are pinned by companion conditions in
 the same system; radicands that come out negative (failed sign conditions,
 or -0.0 style rounding) give a zero root, so every row is computable.
 
-Work done once.  Condition texts that do not depend on entry values are
-constants, per ``strict`` flag for thm4.5 and per shape in the cached slice
-plan that also holds each slice's diagonal and off-diagonal keys.  The
-remark feeds its components' entries to the row builders of thm3.4 and
-thm3.5 instead of certifying each component as a tensor.
+Work done once.  Texts that do not depend on entry values are constants:
+the row tables of thm3.4, thm3.5 and thm4.5 (per ``strict`` flag) and the
+cached per-shape slice plan, which also holds each slice's keys; the ids
+that apply to a shape are cached too.  The remark reads its six rows off the
+thm3.4/thm3.5 value lists, so a row costs its arithmetic and one tuple.
 
 Dispatch.  One registry maps each criterion id to the shape it applies to
 (or any shape), its function and whether it takes the ``strict`` flag;
@@ -91,11 +91,8 @@ class Certificate:
 
 
 def _ge(desc: str, value: float, strict: bool = False) -> Condition:
-    return Condition(desc, value, value > 0 if strict else value >= 0)
-
-
-def _nonneg(entries: dict[str, float], names: tuple[str, ...]) -> list[Condition]:
-    return [_ge(f"{name} >= 0", entries[name]) for name in names]
+    # tuple.__new__ skips the generated NamedTuple constructor's overhead
+    return tuple.__new__(Condition, (desc, value, value > 0 if strict else value >= 0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,31 +101,26 @@ def _names(order: int, dim: int) -> tuple[tuple[str, Index], ...]:
     return tuple((prefix + "".join(map(str, idx)), idx) for idx in all_indices(order, dim))
 
 
-def _require(tensor: SymmetricTensor, order: int, dim: int, name: str) -> None:
-    if (tensor.order, tensor.dim) != (order, dim):
-        raise ValueError(f"{name} applies to order-{order} dim-{dim} tensors, "
-                         f"got order-{tensor.order} dim-{tensor.dim}")
-
-
 def _read(tensor: SymmetricTensor, order: int, dim: int, name: str) -> dict[str, float]:
     """Every canonical entry of the required shape, keyed by the name the
     condition text uses (``g112``, ``a1123``), in ``all_indices`` order."""
-    _require(tensor, order, dim, name)
+    if (tensor.order, tensor.dim) != (order, dim):
+        raise ValueError(f"{name} applies to order-{order} dim-{dim} tensors, "
+                         f"got order-{tensor.order} dim-{tensor.dim}")
     return {key: tensor.entries.get(idx, 0.0) for key, idx in _names(order, dim)}
-
-
-def _holds(conds: list[Condition]) -> bool:
-    """Every condition satisfied with a finite value: a branch that fires."""
-    return all(c.satisfied and math.isfinite(c.value) for c in conds)
 
 
 def _verdict(conditions: list[Condition], branches: list[tuple[Optional[str], list[Condition]]],
              criterion_id: str, on_fail: Verdict) -> Certificate:
     for name, conds in branches:
-        if _holds(conds):
+        for _, value, satisfied in conds:
+            if not (satisfied and math.isfinite(value)):
+                break
+        else:  # every condition satisfied with a finite value: the branch fires
             return Certificate(criterion_id, Verdict.CERTIFIED, tuple(conditions), name)
-    if not all(math.isfinite(c.value) for c in conditions):
-        on_fail = Verdict.UNKNOWN
+    for _, value, _ in conditions:
+        if not math.isfinite(value):  # a failed list with a non-finite value proves nothing
+            return Certificate(criterion_id, Verdict.UNKNOWN, tuple(conditions), None)
     return Certificate(criterion_id, on_fail, tuple(conditions), None)
 
 
@@ -142,7 +134,7 @@ def _row_certificate(values: list[float], rows: tuple[tuple[str, bool], ...],
 
 def _rows_hold(values: np.ndarray, rows: tuple[tuple[str, bool], ...]) -> bool:
     """Whether _row_certificate would certify each column of a rows x points
-    block of values (the rule of _ge and _holds without the conditions)."""
+    block of values (the rule of _ge and _verdict without the conditions)."""
     strict = np.array([s for _, s in rows])[:, None]
     return bool((np.where(strict, values > 0, values >= 0) & np.isfinite(values)).all())
 
@@ -228,45 +220,40 @@ def thm33_mixed_c3d2(tensor: SymmetricTensor) -> Certificate:
 # ---------------------------------------------------------------------------
 # order 3, dimension 3
 
-# per coordinate pair (i, j): the entries giii, giij, gijj, gjjj, the
-# discriminant row's text, and the texts of the two square-root rows
-_PAIR_ROWS = tuple(
-    (f"g{i}{i}{i}", f"g{i}{i}{j}", f"g{i}{j}{j}", f"g{j}{j}{j}",
-     f"32*g{i}{i}{i}*g{i}{j}{j}^3 + 32*g{i}{i}{j}^3*g{j}{j}{j} + g{i}{i}{i}^2*g{j}{j}{j}^2"
-     f" - 24*g{i}{i}{i}*g{i}{i}{j}*g{i}{j}{j}*g{j}{j}{j}"
-     f" - 48*g{i}{i}{j}^2*g{i}{j}{j}^2 >= 0",
-     f"g{i}{i}{j} >= (g{i}{i}{i} - 2*sqrt(g{i}{i}{i}*g{j}{j}{j}))/6",
-     f"g{i}{j}{j} >= (g{j}{j}{j} - 2*sqrt(g{i}{i}{i}*g{j}{j}{j}))/6")
-    for i, j in ((1, 2), (1, 3), (2, 3)))
+# the entries giii, giij, gijj, gjjj of each coordinate pair (i, j), and the
+# (text, strict) rows of thm3.4 and thm3.5 in row order: all non-strict
+_PAIRS = tuple((f"g{i}{i}{i}", f"g{i}{i}{j}", f"g{i}{j}{j}", f"g{j}{j}{j}")
+               for i, j in ((1, 2), (1, 3), (2, 3)))
+_SIGN_ROWS = tuple((f"{name} >= 0", False) for name in ("g111", "g222", "g333", "g123"))
+_THM34_ROWS = _SIGN_ROWS + tuple(
+    (f"32*{p}*{r}^3 + 32*{q}^3*{s} + {p}^2*{s}^2"
+     f" - 24*{p}*{q}*{r}*{s} - 48*{q}^2*{r}^2 >= 0", False) for p, q, r, s in _PAIRS)
+_THM35_ROWS = _SIGN_ROWS + tuple((text, False) for p, q, r, s in _PAIRS for text in (
+    f"{q} >= ({p} - 2*sqrt({p}*{s}))/6", f"{r} >= ({s} - 2*sqrt({p}*{s}))/6"))
 
 
-def _thm34_rows(g: dict[str, float]) -> list[Condition]:
-    conds = _nonneg(g, ("g111", "g222", "g333", "g123"))
-    for ai, aij, ajj, aj, disc_text, _, _ in _PAIR_ROWS:
-        conds.append(_ge(disc_text, cubic_disc(g[ai], 6.0 * g[aij], 6.0 * g[ajj], g[aj]) / 27.0))
-    return conds
+def _thm34_values(g: dict[str, float]) -> list[float]:
+    return [g["g111"], g["g222"], g["g333"], g["g123"]] + [
+        cubic_disc(g[p], 6.0 * g[q], 6.0 * g[r], g[s]) / 27.0 for p, q, r, s in _PAIRS]
 
 
-def _thm35_rows(g: dict[str, float]) -> list[Condition]:
-    conds = _nonneg(g, ("g111", "g222", "g333", "g123"))
-    for ai, aij, ajj, aj, _, iij_text, ijj_text in _PAIR_ROWS:
-        lo_ij, lo_jj = cubic_bounds(g[ai], g[aj])
-        conds.append(_ge(iij_text, g[aij] - lo_ij / 6.0))
-        conds.append(_ge(ijj_text, g[ajj] - lo_jj / 6.0))
-    return conds
+def _thm35_values(g: dict[str, float]) -> list[float]:
+    values = [g["g111"], g["g222"], g["g333"], g["g123"]]
+    for p, q, r, s in _PAIRS:
+        lo_q, lo_r = cubic_bounds(g[p], g[s])
+        values += (g[q] - lo_q / 6.0, g[r] - lo_r / 6.0)
+    return values
 
 
 def thm34_disc_c3d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient test for order-3 dim-3: nonnegative diagonals and g123,
     plus one discriminant inequality per coordinate pair."""
-    conds = _thm34_rows(_read(tensor, 3, 3, "thm3.4"))
-    return _verdict(conds, [(None, conds)], "thm3.4", Verdict.UNKNOWN)
+    return _row_certificate(_thm34_values(_read(tensor, 3, 3, "thm3.4")), _THM34_ROWS, "thm3.4")
 
 
 def thm35_sqrt_c3d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient square-root bounds for order-3 dim-3, pair by pair."""
-    conds = _thm35_rows(_read(tensor, 3, 3, "thm3.5"))
-    return _verdict(conds, [(None, conds)], "thm3.5", Verdict.UNKNOWN)
+    return _row_certificate(_thm35_values(_read(tensor, 3, 3, "thm3.5")), _THM35_ROWS, "thm3.5")
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +314,10 @@ def thm42_sqrt_c4d2(tensor: SymmetricTensor) -> Certificate:
 # ---------------------------------------------------------------------------
 # order 4, dimension 3
 
-# diagonals and the x_i^3 x_j entries, nonnegative in thm4.3 and thm4.4
-_EDGES = ("a1111", "a2222", "a3333", "a1112", "a1113", "a1222", "a2223", "a1333", "a2333")
+# the diagonals and the x_i^3 x_j entries, nonnegative in thm4.3 and thm4.4,
+# with the texts of their rows
+_EDGES = tuple((name, f"{name} >= 0") for name in (
+    "a1111", "a2222", "a3333", "a1112", "a1113", "a1222", "a2223", "a1333", "a2333"))
 
 # the boundary cubics 4p t^3 + 6q t^2 + 6r t + 4s of thm4.3 and the text of
 # each one's discriminant row
@@ -345,7 +334,7 @@ def thm43_disc_c4d3(tensor: SymmetricTensor) -> Certificate:
     discriminants and pairwise quadratic conditions."""
     a = _read(tensor, 4, 3, "thm4.3")
     a1111, a2222, a3333 = a["a1111"], a["a2222"], a["a3333"]
-    conds = _nonneg(a, _EDGES) + [
+    conds = [_ge(text, a[name]) for name, text in _EDGES] + [
         _ge("max(a1222, a1333) > 0", max(a["a1222"], a["a1333"]), strict=True),
         _ge("max(a1112, a2333) > 0", max(a["a1112"], a["a2333"]), strict=True),
         _ge("max(a1113, a2223) > 0", max(a["a1113"], a["a2223"]), strict=True),
@@ -368,7 +357,7 @@ def thm44_sqrt_c4d3(tensor: SymmetricTensor) -> Certificate:
     lo1113, lo2223 = cubic_bounds(a["a1113"], a["a2223"])
     lo1112, lo2333 = cubic_bounds(a["a1112"], a["a2333"])
     a1111, a2222, a3333 = a["a1111"], a["a2222"], a["a3333"]
-    conds = _nonneg(a, _EDGES) + [
+    conds = [_ge(text, a[name]) for name, text in _EDGES] + [
         _ge("a1122 >= -sqrt(a1111*a2222)/6", a["a1122"] - quad_bound(a1111, a2222) / 12.0),
         _ge("a1133 >= -sqrt(a1111*a3333)/6", a["a1133"] - quad_bound(a1111, a3333) / 12.0),
         _ge("a2233 >= -sqrt(a3333*a2222)/6", a["a2233"] - quad_bound(a3333, a2222) / 12.0),
@@ -441,13 +430,13 @@ def thm45_sos_c4d3(tensor: SymmetricTensor, strict: bool = False) -> Certificate
                             _THM45_ROWS[bool(strict)], "thm4.5")
 
 
-def _split_rows() -> tuple[tuple[Index, int, Index, float, float], ...]:
-    # (alpha, i, beta, num, den): the share of monomial alpha that goes to
-    # component i at index beta = alpha minus one i.  Each monomial is
-    # shared equally over its k distinct coordinates, and the entry is
-    # rescaled by mult(alpha)/(k*mult(beta)) so the monomial weights match.
+def _split_rows() -> tuple[tuple[str, int, Index, float, float], ...]:
+    # (name, i, beta, num, den): the share of monomial alpha, named as _read
+    # names it, that goes to component i at index beta = alpha minus one i.
+    # Each monomial is shared equally over its k distinct coordinates, and the
+    # entry is rescaled by mult(alpha)/(k*mult(beta)) so the weights match.
     rows = []
-    for alpha in all_indices(4, 3):
+    for name, alpha in _names(4, 3):
         coords = sorted(set(alpha))
         for i in coords:
             rest = list(alpha)
@@ -455,11 +444,12 @@ def _split_rows() -> tuple[tuple[Index, int, Index, float, float], ...]:
             beta = tuple(rest)
             num, den = multiplicity(alpha), len(coords) * multiplicity(beta)
             g = math.gcd(num, den)
-            rows.append((alpha, i, beta, float(num // g), float(den // g)))
+            rows.append((name, i, beta, float(num // g), float(den // g)))
     return tuple(rows)
 
 
 _SPLIT = _split_rows()
+_REMARK_TEXTS = tuple(tuple(f"component {i} passes thm3.{k}" for k in (4, 5)) for i in (1, 2, 3))
 
 
 def thm4remark_decompose(tensor: SymmetricTensor) -> tuple[SymmetricTensor, ...]:
@@ -469,10 +459,10 @@ def thm4remark_decompose(tensor: SymmetricTensor) -> tuple[SymmetricTensor, ...]
     split distributes every monomial of A over the coordinate factors it
     contains, so the identity holds for all x (not just x >= 0).
     """
-    _require(tensor, 4, 3, "thm4remark_decompose")
+    a = _read(tensor, 4, 3, "thm4remark_decompose")
     parts: tuple[dict[Index, float], ...] = ({}, {}, {})
-    for alpha, i, beta, num, den in _SPLIT:
-        parts[i - 1][beta] = num * tensor.entries.get(alpha, 0.0) / den
+    for name, i, beta, num, den in _SPLIT:
+        parts[i - 1][beta] = num * a[name] / den
     return tuple(SymmetricTensor(3, 3, part) for part in parts)
 
 
@@ -485,20 +475,18 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
     """
     conds = []
     fired: list[str] = []
-    ok = True
-    for i, comp in enumerate(thm4remark_decompose(tensor), start=1):
+    for texts, comp in zip(_REMARK_TEXTS, thm4remark_decompose(tensor)):
         g = _read(comp, 3, 3, "remark")
-        rows34, rows35 = _thm34_rows(g), _thm35_rows(g)
-        conds.append(Condition(f"component {i} passes thm3.4", min(c.value for c in rows34),
-                               _holds(rows34)))
-        conds.append(Condition(f"component {i} passes thm3.5", min(c.value for c in rows35),
-                               _holds(rows35)))
-        if conds[-2].satisfied:
-            fired.append("thm3.4")
-        elif conds[-1].satisfied:
-            fired.append("thm3.5")
-        else:
-            ok = False
+        for text, values in zip(texts, (_thm34_values(g), _thm35_values(g))):
+            held = True  # the rows are non-strict: each value must lie in [0, inf)
+            for v in values:
+                if not 0.0 <= v < math.inf:
+                    held = False
+                    break
+            conds.append(tuple.__new__(Condition, (text, min(values), held)))
+        if conds[-2].satisfied or conds[-1].satisfied:
+            fired.append("thm3.4" if conds[-2].satisfied else "thm3.5")
+    ok = len(fired) == 3
     outcome = Verdict.CERTIFIED if ok else Verdict.UNKNOWN
     branch = "(" + ",".join(fired) + ")" if ok else None
     return Certificate("remark", outcome, tuple(conds), branch)
@@ -529,11 +517,12 @@ def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple
 def qi_strict_generic(tensor: SymmetricTensor) -> Certificate:
     """Strict copositivity if every diagonal entry dominates the negative
     mass of its slice, counted over ordered index tuples."""
+    get = tensor.entries.get
     conds = []
     for diag, keys, (_, qi_text, _, _) in _slices(tensor.order, tensor.dim):
-        value = tensor.entries.get(diag, 0.0)
-        for key in keys:
-            value += min(tensor.entries.get(key, 0.0), 0.0)
+        value = get(diag, 0.0)
+        for v in map(get, keys, itertools.repeat(0.0)):
+            value += 0.0 if v > 0.0 else v  # min(v, 0.0), -0.0 included
         conds.append(_ge(qi_text, value, strict=True))
     return _verdict(conds, [(None, conds)], "qi", Verdict.UNKNOWN)
 
@@ -541,15 +530,16 @@ def qi_strict_generic(tensor: SymmetricTensor) -> Certificate:
 def songqi_strict_generic(tensor: SymmetricTensor) -> Certificate:
     """Strict copositivity if every slice sum is positive and its ordered
     mean strictly exceeds every off-diagonal entry of the slice."""
+    get = tensor.entries.get
     conds = []
     count = float(tensor.dim ** (tensor.order - 1))
     for diag, keys, (_, _, sum_text, mean_text) in _slices(tensor.order, tensor.dim):
-        total = tensor.entries.get(diag, 0.0)
+        total = get(diag, 0.0)
         worst = -math.inf
-        for key in keys:
-            v = tensor.entries.get(key, 0.0)
+        for v in map(get, keys, itertools.repeat(0.0)):
             total += v
-            worst = max(worst, v)
+            if v > worst:  # max(worst, v)
+                worst = v
         conds.append(_ge(sum_text, total, strict=True))
         if keys:  # order 1 and dim 1 have no off-diagonal entries to exceed
             conds.append(_ge(mean_text, total / count - worst, strict=True))
@@ -578,6 +568,7 @@ _REGISTRY: dict[str, tuple[Optional[tuple[int, int]], Callable[..., Certificate]
 }
 
 
+@functools.lru_cache(maxsize=32)
 def applicable_criteria(order: int, dim: int) -> tuple[str, ...]:
     """Criterion identifiers certify_all runs for this shape, in order."""
     return tuple(cid for cid, (shape, _, _) in _REGISTRY.items()

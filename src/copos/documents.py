@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 
-from .tensors import Index, SymmetricTensor, _index_table, build
+from .tensors import Index, SymmetricTensor, _entry_value, _index_table, build
 
 _TOP_KEYS = ("order", "dim", "entries")
 
@@ -85,11 +84,7 @@ def parse_document(text: str) -> SymmetricTensor:
             if any(a > b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"non-canonical entry key {key!r}: digits must be"
                                  " sorted non-decreasing")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"entry {key!r} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"entry {key!r} is not finite: {value}")
-        entries[idx] = float(value)
+        entries[idx] = _entry_value(key, value)
     return build(order, dim, entries)
 
 

@@ -152,6 +152,21 @@ class SymmetricTensor:
         return f"SymmetricTensor(order={self.order}, dim={self.dim}, {len(self.entries)} entries)"
 
 
+def _entry_value(key: object, value: object) -> float:
+    """The value of entry ``key`` as a finite float, or ValueError naming it."""
+    if isinstance(value, (bool, str)):  # float() would read True as 1.0 and '1.5' as 1.5
+        raise ValueError(f"entry {key!r} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except TypeError:  # None, a list
+        raise ValueError(f"entry {key!r} must be a number, got {value!r}") from None
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"entry {key!r} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ValueError(f"entry {key!r} is not finite: {value}")
+    return value
+
+
 def build(order: int, dim: int,
           entries: Mapping[Sequence[int], float] | Iterable[tuple[Sequence[int], float]],
           ) -> SymmetricTensor:
@@ -168,9 +183,8 @@ def build(order: int, dim: int,
     out: dict[Index, float] = {}
     for idx, value in items:
         key = _canonical(idx, order, dim)
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"entry {key} is not finite: {value}")
+        if type(value) is not float or not math.isfinite(value):  # a finite float needs no checks
+            value = _entry_value(key, value)
         if key in out and out[key] != value:
             raise ValueError(f"conflicting values for entry {key}: {out[key]} vs {value}")
         out[key] = value

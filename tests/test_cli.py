@@ -83,6 +83,18 @@ def test_check_rejects_bad_document(capsys, tmp_path):
     assert "non-canonical entry key '121'" in err
 
 
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_huge_int_entry_names_the_key(capsys, tmp_path, command):
+    # an int beyond the float range used to escape as OverflowError without the key
+    path = tmp_path / "huge.json"
+    path.write_text('{"order": 3, "dim": 2, "entries": {"111": 1%s}}' % ("0" * 400),
+                    encoding="utf-8")
+    code, out, err = run(capsys, [command, str(path)])
+    assert code == 3
+    assert out == ""
+    assert err == "copos: error: entry '111' is too large for a float\n"
+
+
 def test_check_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["check", str(tmp_path / "nope.json")])
     assert code == 3

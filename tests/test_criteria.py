@@ -918,3 +918,50 @@ def test_remark_qi_songqi_match_reference_bit_for_bit():
         assert certificate_key(qi_strict_generic(t)) == certificate_key(qi_reference(t))
         assert (certificate_key(songqi_strict_generic(t))
                 == certificate_key(songqi_reference(t)))
+
+
+# every public criterion function, by id, as certify_all dispatches it
+PUBLIC_CRITERIA = {
+    "diag": diag_necessity, "thm3.1": thm31_exact_c3d2, "thm3.2": thm32_sqrt_c3d2,
+    "thm3.3": thm33_mixed_c3d2, "thm3.4": thm34_disc_c3d3, "thm3.5": thm35_sqrt_c3d3,
+    "thm4.1": thm41_disc_c4d2, "thm4.2": thm42_sqrt_c4d2, "thm4.3": thm43_disc_c4d3,
+    "thm4.4": thm44_sqrt_c4d3, "thm4.5": thm45_sos_c4d3, "remark": thm4remark_check,
+    "qi": qi_strict_generic, "songqi": songqi_strict_generic,
+}
+
+
+def test_certify_all_equals_each_public_criterion():
+    for t in digest_tensors():
+        ids = applicable_criteria(t.order, t.dim)
+        for strict in (False, True):
+            want = [certificate_key(PUBLIC_CRITERIA[cid](t, strict=strict) if cid == "thm4.5"
+                                    else PUBLIC_CRITERIA[cid](t)) for cid in ids]
+            assert [certificate_key(c) for c in certify_all(t, strict=strict)] == want
+
+
+def test_qi_songqi_signed_zero_rows():
+    # min(v, 0.0) keeps an entry of -0.0, and -0.0 + -0.0 stays -0.0, so a
+    # slice of explicit -0.0 entries reads -0.0 while one +0.0 or absent
+    # entry (read as 0.0) makes it 0.0; repr tells the two apart
+    def reprs(cert):
+        return [repr(c.value) for c in cert.conditions]
+
+    negative = build(3, 2, {idx: -0.0 for idx in all_indices(3, 2)})
+    assert reprs(qi_strict_generic(negative)) == ["-0.0", "-0.0"]
+    assert reprs(songqi_strict_generic(negative)) == ["-0.0", "0.0", "-0.0", "0.0"]
+    # g122 = +0.0: slice 1 reads it once, slice 2 twice
+    mixed = build(3, 2, {(1, 1, 1): -0.0, (1, 1, 2): -0.0, (1, 2, 2): 0.0, (2, 2, 2): -0.0})
+    assert reprs(qi_strict_generic(mixed)) == ["0.0", "0.0"]
+    assert reprs(songqi_strict_generic(mixed)) == ["0.0", "0.0", "0.0", "0.0"]
+    # a positive entry is clipped to +0.0, so its slices read 0.0 too; an
+    # absent diagonal reads 0.0
+    clipped = build(3, 2, {(1, 1, 1): -0.0, (1, 1, 2): 0.5, (1, 2, 2): -0.0})
+    assert reprs(qi_strict_generic(clipped)) == ["0.0", "0.0"]
+    assert reprs(songqi_strict_generic(clipped)) == ["1.0", "-0.25", "0.5", "-0.375"]
+    # order 1 has no off-diagonal tail: the rows are the diagonal entries
+    linear = build(1, 2, {(1,): -0.0, (2,): 0.0})
+    assert reprs(qi_strict_generic(linear)) == ["-0.0", "0.0"]
+    assert reprs(songqi_strict_generic(linear)) == ["-0.0", "0.0"]
+    for t in (negative, mixed, clipped, linear):
+        assert certificate_key(qi_strict_generic(t)) == certificate_key(qi_reference(t))
+        assert certificate_key(songqi_strict_generic(t)) == certificate_key(songqi_reference(t))

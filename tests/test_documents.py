@@ -1,7 +1,9 @@
 """JSON document parsing and canonical serialization."""
 
 import json
+import sys
 
+import numpy as np
 import pytest
 
 from copos import (build, entries_as_strings, load_document, parse_document,
@@ -199,7 +201,9 @@ PARSE_REJECTIONS = [
     ("infinite value", '{"order": 3, "dim": 2, "entries": {"112": -Infinity}}', ValueError,
      "entry '112' is not finite: -inf"),
     ("huge int value", '{"order": 3, "dim": 2, "entries": {"111": %s}}' % BIG,
-     OverflowError, "int too large to convert to float"),
+     ValueError, "entry '111' is too large for a float"),
+    ("huge negative int value", '{"order": 3, "dim": 2, "entries": {"122": -%s}}' % BIG,
+     ValueError, "entry '122' is too large for a float"),
     ("duplicate entry", '{"order": 3, "dim": 2, "entries": {"111": 1, "111": 2}}',
      ValueError, "duplicate key '111' in document"),
     ("duplicate top key", '{"order": 3, "order": 3, "dim": 2, "entries": {}}',
@@ -237,7 +241,17 @@ BUILD_REJECTIONS = [
     ("inf on a permutation", (3, 2, {(2, 1, 2): float("-inf")}), ValueError,
      "entry (1, 2, 2) is not finite: -inf"),
     ("string value", (3, 2, {(1, 1, 1): "x"}), ValueError,
-     "could not convert string to float: 'x'"),
+     "entry (1, 1, 1) must be a number, got 'x'"),
+    ("null value", (3, 2, {(1, 1, 1): None}), ValueError,
+     "entry (1, 1, 1) must be a number, got None"),
+    ("numeric string value", (3, 2, {(2, 1, 1): "1.5"}), ValueError,
+     "entry (1, 1, 2) must be a number, got '1.5'"),
+    ("bool value", (3, 2, {(1, 1, 1): True}), ValueError,
+     "entry (1, 1, 1) must be a number, got True"),
+    ("huge int value", (3, 2, {(1, 1, 1): 10**400}), ValueError,
+     "entry (1, 1, 1) is too large for a float"),
+    ("huge negative int on a permutation", (3, 2, {(2, 2, 1): -10**400}), ValueError,
+     "entry (1, 2, 2) is too large for a float"),
     ("list component", (3, 2, [((1, [1], 1), 1.0)]), TypeError,
      "int() argument must be a string, a bytes-like object or a real number, not 'list'"),
     ("order 0", (0, 2, {}), ValueError, "order must be >= 1, got 0"),
@@ -252,3 +266,14 @@ def test_build_rejection_messages_are_pinned(args, exc, message):
         build(*args)
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def test_build_accepts_ints_floats_and_numpy_reals():
+    t = build(3, 2, {(1, 1, 1): 2, (1, 1, 2): -0.5, (1, 2, 2): np.float32(0.25),
+                     (2, 2, 2): np.int64(3)})
+    assert t.entries == {(1, 1, 1): 2.0, (1, 1, 2): -0.5, (1, 2, 2): 0.25, (2, 2, 2): 3.0}
+    assert all(type(v) is float for v in t.entries.values())
+    # the largest int that still rounds to a finite float is accepted
+    assert build(3, 2, {(1, 1, 1): 2**1024 - 2**970 - 1}).get((1, 1, 1)) == sys.float_info.max
+    with pytest.raises(ValueError, match="too large for a float"):
+        build(3, 2, {(1, 1, 1): 2**1024 - 2**970})

@@ -6,11 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from copos import (Classification, OracleConfig, StabilityReport, Verdict,
-                   Z3Params, check_stability, coupling_tensor, diag_necessity,
+from copos import (Certificate, Classification, Condition, OracleConfig, StabilityReport,
+                   Verdict, Z3Params, check_stability, coupling_tensor, diag_necessity,
                    min_on_simplex, printed_certificate, scan_rho,
                    theorem_certificate, thm45_sos_c4d3, zero)
-from copos.criteria import _ge, _read, _thm45_values, _verdict
+from copos.criteria import _read, _thm45_values
 from copos.vacuum import _BLOCK, _printed_values, _rho_entries
 
 C = Verdict.CERTIFIED
@@ -289,9 +289,23 @@ def test_report_with_oracle():
 # the scan against its per-point reference
 
 # _report and printed_certificate as they stood when every grid point built
-# both certificates, kept verbatim but for squaring rho as rho*rho, as src/
-# does: scan_rho and check_stability, which build them only at worst_rho,
-# must match these in repr, exceptions included
+# both certificates, kept verbatim with the criteria helpers _ge and _verdict
+# they called, but for squaring rho as rho*rho, as src/ does: scan_rho and
+# check_stability, which build them only at worst_rho, must match these in
+# repr, exceptions included
+
+def _ge(desc, value, strict=False):
+    return Condition(desc, value, value > 0 if strict else value >= 0)
+
+
+def _verdict(conditions, branches, criterion_id, on_fail):
+    for name, conds in branches:
+        if all(c.satisfied and math.isfinite(c.value) for c in conds):
+            return Certificate(criterion_id, Verdict.CERTIFIED, tuple(conditions), name)
+    if not all(math.isfinite(c.value) for c in conditions):
+        on_fail = Verdict.UNKNOWN
+    return Certificate(criterion_id, on_fail, tuple(conditions), None)
+
 
 def sqrt0(x):
     """sqrt clamped at zero, as the printed rows took it."""
