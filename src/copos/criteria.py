@@ -45,7 +45,6 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -73,8 +72,7 @@ class Condition(NamedTuple):
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     criterion_id: str
     outcome: Verdict
     conditions: tuple[Condition, ...]

@@ -17,7 +17,6 @@ byte-identical documents.
 
 from __future__ import annotations
 
-import functools
 import json
 
 from .tensors import Index, SymmetricTensor, _entry_value, _index_table, build
@@ -29,7 +28,7 @@ def _pairs_rejecting_duplicates(pairs: list[tuple[str, object]]) -> dict:
     out: dict = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError(f"duplicate key {key!r} in document")
+            raise KeyError(f"duplicate key {key!r} in document")
         out[key] = value
     return out
 
@@ -43,18 +42,14 @@ def _int_field(obj: dict, name: str) -> int:
     return v
 
 
-@functools.lru_cache(maxsize=32)
-def _key_table(order: int, dim: int) -> dict[str, Index]:
-    # canonical digit strings; only a key missing here goes through the checks
-    return {"".join(map(str, idx)): idx for idx in _index_table(order, dim)}
-
-
 def parse_document(text: str) -> SymmetricTensor:
     """Parse a JSON tensor document; raises ValueError on any defect,
     naming the offending key where there is one."""
     try:
         obj = json.loads(text, object_pairs_hook=_pairs_rejecting_duplicates)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
+    except KeyError as exc:  # the hook's duplicate key, kept apart from bad JSON
+        raise ValueError(*exc.args) from None
+    except (ValueError, RecursionError) as exc:  # an int past the digit limit, too deep nesting
         raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"document must be a JSON object, got {type(obj).__name__}")
@@ -71,7 +66,7 @@ def parse_document(text: str) -> SymmetricTensor:
     raw = obj["entries"]
     if not isinstance(raw, dict):
         raise ValueError(f"entries must be an object, got {type(raw).__name__}")
-    keys = _key_table(order, dim)
+    keys = _index_table(order, dim)  # only a key missing here goes through the checks
     entries: dict[Index, float] = {}
     for key, value in raw.items():
         idx = keys.get(key)

@@ -147,9 +147,7 @@ def _grid_min(coeffs: tuple[float, ...], grid_points: int) -> GridMin:
     else:
         bound = 1.0 + max(abs(v) for v in coeffs) / abs(lead)
     ts = np.linspace(0.0, bound, grid_points)
-    vals = np.full_like(ts, coeffs[0])
-    for v in coeffs[1:]:
-        vals = vals * ts + v
+    vals = np.polyval(coeffs, ts)  # Horner, highest coefficient first
     i = int(vals.argmin())  # first index on ties: smallest t
     return GridMin(float(vals[i]), float(ts[i]), lead < 0)
 

@@ -159,8 +159,7 @@ def _random_simplex(dim: int, count: int, seed: int) -> np.ndarray:
     # sorted uniform spacings: gaps of sorted U[0,1] draws are uniform on the simplex
     rng = np.random.default_rng(seed)
     u = np.sort(rng.random((count, dim - 1)), axis=1)
-    padded = np.hstack([np.zeros((count, 1)), u, np.ones((count, 1))])
-    return np.diff(padded, axis=1)
+    return np.diff(u, axis=1, prepend=0.0, append=1.0)
 
 
 @dataclass(frozen=True)
@@ -254,8 +253,7 @@ def _reduction(order: int) -> tuple:
         # (1 - a - b)**n = sum_pq n!/(p! q! (n-p-q)!) (-1)**(p+q) a**p b**q
         for p in range(n + 1):
             for q in range(n - p + 1):
-                coeff = math.factorial(n) // (math.factorial(p) * math.factorial(q)
-                                              * math.factorial(n - p - q))
+                coeff = math.comb(n, p) * math.comb(n - p, q)
                 r[i + p, j + q, col] += (-1) ** (p + q) * coeff
     steps = np.arange(order + 1)
     comb = np.array([[math.comb(i, s) for s in steps] for i in steps], dtype=float)

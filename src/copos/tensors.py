@@ -57,11 +57,7 @@ def multiplicity(idx: Sequence[int]) -> int:
 @functools.lru_cache(maxsize=4096)
 def _canonical_multiplicity(idx: Index) -> int:
     # cached per canonical index: evaluation loops call this once per entry
-    m = len(idx)
-    out = math.factorial(m)
-    for c in Counter(idx).values():
-        out //= math.factorial(c)
-    return out
+    return math.factorial(len(idx)) // math.prod(map(math.factorial, Counter(idx).values()))
 
 
 def all_indices(order: int, dim: int) -> Iterator[Index]:
@@ -70,12 +66,16 @@ def all_indices(order: int, dim: int) -> Iterator[Index]:
 
 
 @functools.lru_cache(maxsize=32)
-def _index_table(order: int, dim: int) -> dict[Index, Index]:
+def _index_table(order: int, dim: int) -> dict[Index | str, Index]:
+    # canonical indices and, for dim <= 9, their digit strings (document keys);
     # a shape with more canonical indices than this gets an empty table, so
     # every lookup misses: the table would cost more to hold than it saves
     if math.comb(dim + order - 1, order) > 4096:
         return {}
-    return {idx: idx for idx in all_indices(order, dim)}
+    table: dict[Index | str, Index] = {idx: idx for idx in all_indices(order, dim)}
+    if dim <= 9:
+        table.update({"".join(map(str, idx)): idx for idx in all_indices(order, dim)})
+    return table
 
 
 def _canonical(idx: Sequence[int], order: int, dim: int) -> Index:

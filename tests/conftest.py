@@ -1,4 +1,5 @@
-"""Shared helpers: an independent naive evaluator and random generators.
+"""Shared helpers: an independent naive evaluator, random generators and
+the criteria's row rule as first written.
 
 The naive evaluator sums over all n**m ordered index tuples, so it shares
 no code with SymmetricTensor.evaluate beyond entry lookup; tests use it as
@@ -6,11 +7,12 @@ the ground truth for the multiplicity-weighted fast path.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from copos import all_indices, build
+from copos import Certificate, Condition, Verdict, all_indices, build
 
 SHAPES = ((3, 2), (3, 3), (4, 2), (4, 3))
 
@@ -36,6 +38,22 @@ def random_point(rng, dim, lo=0.0, hi=1.0):
 
 def rel_err(got, want):
     return abs(got - want) / max(1.0, abs(want))
+
+
+# the criteria helpers _ge and _verdict as first written, kept verbatim: the
+# per-point references of the cached criteria and of the rho scan call them
+
+def ge_reference(desc, value, strict=False):
+    return Condition(desc, value, value > 0 if strict else value >= 0)
+
+
+def verdict_reference(conditions, branches, criterion_id, on_fail):
+    for name, conds in branches:
+        if all(c.satisfied and math.isfinite(c.value) for c in conds):
+            return Certificate(criterion_id, Verdict.CERTIFIED, tuple(conditions), name)
+    if not all(math.isfinite(c.value) for c in conditions):
+        on_fail = Verdict.UNKNOWN
+    return Certificate(criterion_id, on_fail, tuple(conditions), None)
 
 
 @pytest.fixture

@@ -23,7 +23,8 @@ from copos import (Certificate, Condition, SymmetricTensor, Verdict, aggregate,
                    thm45_sos_c4d3, thm4remark_check, thm4remark_decompose, zero)
 from copos.halfline import cubic_disc, cubic_nonneg_exact, cubic_nonneg_sufficient, quad_nonneg
 from copos.oracle import OracleConfig
-from conftest import SHAPES, random_point, random_tensor, rel_err
+from conftest import (SHAPES, ge_reference, random_point, random_tensor, rel_err,
+                      verdict_reference)
 
 C = Verdict.CERTIFIED
 R = Verdict.REFUTED
@@ -569,6 +570,23 @@ def test_condition_repr_and_equality():
     assert (description, value, satisfied, len(c)) == ("a1111 > 0", -0.0, False, 3)
 
 
+def test_certificate_repr_and_equality():
+    row = Condition("g111 >= 0", -1.0, False)
+    cert = Certificate("diag", Verdict.REFUTED, (row,))
+    # the repr reports print, unchanged from when Certificate was a dataclass
+    assert repr(cert) == ("Certificate(criterion_id='diag', outcome=<Verdict.REFUTED: 'refuted'>,"
+                          " conditions=(Condition(description='g111 >= 0', value=-1.0,"
+                          " satisfied=False),), branch=None)")
+    assert not cert.certified and cert.margin == -1.0
+    # a Certificate is a plain tuple, like Condition: it equals one and unpacks like one
+    assert cert == ("diag", Verdict.REFUTED, (row,), None)
+    criterion_id, outcome, conditions, branch = cert
+    assert (criterion_id, outcome, conditions, branch, len(cert)) == (
+        "diag", Verdict.REFUTED, (row,), None, 4)
+    # a tensor compared with anything else is unequal (its __eq__ defers to the other side)
+    assert (build(3, 2, {}) == 5) is False
+
+
 # ---------------------------------------------------------------------------
 # structural laws
 
@@ -828,20 +846,8 @@ def test_certificates_match_frozen_digest():
 
 
 # remark, qi and songqi as first written, kept verbatim with the helpers
-# they used: the references the cached versions must match bit for bit
-
-def _ge_reference(desc, value, strict=False):
-    return Condition(desc, value, value > 0 if strict else value >= 0)
-
-
-def _verdict_reference(conditions, branches, criterion_id, on_fail):
-    for name, conds in branches:
-        if all(c.satisfied and math.isfinite(c.value) for c in conds):
-            return Certificate(criterion_id, Verdict.CERTIFIED, tuple(conditions), name)
-    if not all(math.isfinite(c.value) for c in conditions):
-        on_fail = Verdict.UNKNOWN
-    return Certificate(criterion_id, on_fail, tuple(conditions), None)
-
+# they used (the row rule is conftest's): the references the cached versions
+# must match bit for bit
 
 def _offdiag_slice_keys(order, dim):
     # for slice i: canonical keys of (i, tail) over ordered tails != (i,..,i)
@@ -882,9 +888,9 @@ def qi_reference(tensor):
         value = tensor.get((i,) * tensor.order)
         for key in _offdiag_slice_keys(tensor.order, tensor.dim)[i - 1]:
             value += min(tensor.entries.get(key, 0.0), 0.0)
-        conds.append(_ge_reference(f"slice {i}: diagonal + sum of negative off-diagonal"
+        conds.append(ge_reference(f"slice {i}: diagonal + sum of negative off-diagonal"
                                    " entries (ordered count) > 0", value, strict=True))
-    return _verdict_reference(conds, [(None, conds)], "qi", Verdict.UNKNOWN)
+    return verdict_reference(conds, [(None, conds)], "qi", Verdict.UNKNOWN)
 
 
 def songqi_reference(tensor):
@@ -898,12 +904,12 @@ def songqi_reference(tensor):
             v = tensor.entries.get(key, 0.0)
             total += v
             worst = max(worst, v)
-        conds.append(_ge_reference(f"slice {i}: ordered sum > 0", total, strict=True))
+        conds.append(ge_reference(f"slice {i}: ordered sum > 0", total, strict=True))
         if keys:  # order 1 and dim 1 have no off-diagonal entries to exceed
-            conds.append(_ge_reference(f"slice {i}: mean of ordered sum exceeds every"
+            conds.append(ge_reference(f"slice {i}: mean of ordered sum exceeds every"
                                        " off-diagonal entry", total / count - worst,
                                        strict=True))
-    return _verdict_reference(conds, [(None, conds)], "songqi", Verdict.UNKNOWN)
+    return verdict_reference(conds, [(None, conds)], "songqi", Verdict.UNKNOWN)
 
 
 def test_remark_qi_songqi_match_reference_bit_for_bit():

@@ -52,7 +52,7 @@ def test_serialize_is_fixpoint(rng):
 
 
 def test_parse_and_round_trip_without_key_table():
-    # order 7, dim 9 has 6,435 canonical keys, more than the key table holds,
+    # order 7, dim 9 has 6,435 canonical keys, more than the index table holds,
     # so every key goes through the per-key checks
     t = parse_document(doc(7, 9, {"1125579": 1.5, "3333333": -2, "3456789": 0.25}))
     assert t.entries == {(1, 1, 2, 5, 5, 7, 9): 1.5, (3,) * 7: -2.0,
@@ -204,6 +204,9 @@ PARSE_REJECTIONS = [
      ValueError, "entry '111' is too large for a float"),
     ("huge negative int value", '{"order": 3, "dim": 2, "entries": {"122": -%s}}' % BIG,
      ValueError, "entry '122' is too large for a float"),
+    ("int past the digit limit", '{"order": 3, "dim": 2, "entries": {"111": 1%s}}' % ("0" * 5000),
+     ValueError, "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion:"
+     " value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
     ("duplicate entry", '{"order": 3, "dim": 2, "entries": {"111": 1, "111": 2}}',
      ValueError, "duplicate key '111' in document"),
     ("duplicate top key", '{"order": 3, "order": 3, "dim": 2, "entries": {}}',

@@ -6,12 +6,12 @@ import random
 import numpy as np
 import pytest
 
-from copos import (Certificate, Classification, Condition, OracleConfig, StabilityReport,
-                   Verdict, Z3Params, check_stability, coupling_tensor, diag_necessity,
-                   min_on_simplex, printed_certificate, scan_rho,
-                   theorem_certificate, thm45_sos_c4d3, zero)
+from copos import (Classification, OracleConfig, StabilityReport, Verdict, Z3Params,
+                   check_stability, coupling_tensor, diag_necessity, min_on_simplex,
+                   printed_certificate, scan_rho, theorem_certificate, thm45_sos_c4d3, zero)
 from copos.criteria import _read, _thm45_values
 from copos.vacuum import _BLOCK, _printed_values, _rho_entries
+from conftest import ge_reference, verdict_reference
 
 C = Verdict.CERTIFIED
 U = Verdict.UNKNOWN
@@ -290,22 +290,9 @@ def test_report_with_oracle():
 
 # _report and printed_certificate as they stood when every grid point built
 # both certificates, kept verbatim with the criteria helpers _ge and _verdict
-# they called, but for squaring rho as rho*rho, as src/ does: scan_rho and
-# check_stability, which build them only at worst_rho, must match these in
-# repr, exceptions included
-
-def _ge(desc, value, strict=False):
-    return Condition(desc, value, value > 0 if strict else value >= 0)
-
-
-def _verdict(conditions, branches, criterion_id, on_fail):
-    for name, conds in branches:
-        if all(c.satisfied and math.isfinite(c.value) for c in conds):
-            return Certificate(criterion_id, Verdict.CERTIFIED, tuple(conditions), name)
-    if not all(math.isfinite(c.value) for c in conditions):
-        on_fail = Verdict.UNKNOWN
-    return Certificate(criterion_id, on_fail, tuple(conditions), None)
-
+# they called (conftest's ge_reference and verdict_reference), but for
+# squaring rho as rho*rho, as src/ does: scan_rho and check_stability, which
+# build them only at worst_rho, must match these in repr, exceptions included
 
 def sqrt0(x):
     """sqrt clamped at zero, as the printed rows took it."""
@@ -319,17 +306,17 @@ def reference_printed_certificate(p, strict=False):
     mixed = -9.0 * p.abs_lam_s12 * p.rho / 4.0 + sqrt0(c13 * c23)
     op = ">" if strict else ">="
     rows = [
-        _ge("lam1 > 0", p.lam1, strict=True),
-        _ge("lam2 > 0", p.lam2, strict=True),
-        _ge("lam_s > 0", p.lam_s, strict=True),
-        _ge(f"3*lam3 + 3*lam4*rho^2 + 2*sqrt(lam1*lam2) {op} 0", c12, strict),
-        _ge(f"3*lam_s1 + 2*sqrt(lam1*lam_s) {op} 0", c13, strict),
-        _ge(f"3*lam_s2 + 2*sqrt(lam_s*lam2) {op} 0", c23, strict),
-        _ge("-(9/4)*|lam_s12|*rho + sqrt((3*lam_s1 + 2*sqrt(lam1*lam_s))"
+        ge_reference("lam1 > 0", p.lam1, strict=True),
+        ge_reference("lam2 > 0", p.lam2, strict=True),
+        ge_reference("lam_s > 0", p.lam_s, strict=True),
+        ge_reference(f"3*lam3 + 3*lam4*rho^2 + 2*sqrt(lam1*lam2) {op} 0", c12, strict),
+        ge_reference(f"3*lam_s1 + 2*sqrt(lam1*lam_s) {op} 0", c13, strict),
+        ge_reference(f"3*lam_s2 + 2*sqrt(lam_s*lam2) {op} 0", c23, strict),
+        ge_reference("-(9/4)*|lam_s12|*rho + sqrt((3*lam_s1 + 2*sqrt(lam1*lam_s))"
             f"*(3*lam_s2 + 2*sqrt(lam_s*lam2))) {op} 0", mixed, strict),
     ]
     # sufficient only: a failed list proves nothing
-    return _verdict(rows, [(None, rows)], "z3-printed", Verdict.UNKNOWN)
+    return verdict_reference(rows, [(None, rows)], "z3-printed", Verdict.UNKNOWN)
 
 
 def reference_report(p, rhos, strict):
