@@ -47,8 +47,6 @@ import itertools
 import math
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
 from .halfline import cubic_bounds, cubic_disc, cubic_disc_checked, quad_bound
 from .tensors import Index, SymmetricTensor, all_indices, multiplicity
 
@@ -128,13 +126,6 @@ def _row_certificate(values: list[float], rows: tuple[tuple[str, bool], ...],
     value, in row order; a failed list proves nothing."""
     conds = [_ge(text, value, strict=strict) for (text, strict), value in zip(rows, values)]
     return _verdict(conds, [(None, conds)], criterion_id, Verdict.UNKNOWN)
-
-
-def _rows_hold(values: np.ndarray, rows: tuple[tuple[str, bool], ...]) -> bool:
-    """Whether _row_certificate would certify each column of a rows x points
-    block of values (the rule of _ge and _verdict without the conditions)."""
-    strict = np.array([s for _, s in rows])[:, None]
-    return bool((np.where(strict, values > 0, values >= 0) & np.isfinite(values)).all())
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ rounded), so a row on a float64 column of rho points is the scalar row point
 by point.  A scan reads the rho-independent entries once and evaluates
 a1122, a1233 and both routes' rows (the certificates' value functions) once
 per block of _BLOCK points, as columns; the verdicts and the margin come
-from those, and the two certificates are built only at worst_rho.
+from those, and the two certificates are read off the column at worst_rho.
 
 Endpoint lemma.  On [0, 1] every row of both routes is monotone in rho:
 q12 = 9*a1122 + sqrt(a1111*a2222) is affine in rho^2; sqrt(q12*q13),
@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import (_THM45_ROWS, Certificate, Verdict, _read, _row_certificate, _rows_hold,
-                       _thm45_values, thm45_sos_c4d3)
+from .criteria import (_THM45_ROWS, Certificate, Verdict, _read, _row_certificate, _thm45_values,
+                       thm45_sos_c4d3)
 from .halfline import quad_bound
 from .tensors import SymmetricTensor, build
 
@@ -97,7 +97,11 @@ def coupling_tensor(p: Z3Params) -> SymmetricTensor:
     """Order-4 dim-3 tensor G with G (h1,h2,s)^4 equal to the quartic
     potential; entries carry 1/multiplicity so that evaluation reproduces
     the polynomial coefficients exactly."""
-    a1122, a1233 = _rho_entries(p, p.rho)
+    return _coupling_at(p, p.rho)
+
+
+def _coupling_at(p: Z3Params, rho: float) -> SymmetricTensor:  # at rho, with no Z3Params copy
+    a1122, a1233 = _rho_entries(p, rho)
     return build(4, 3, {
         (1, 1, 1, 1): p.lam1,
         (2, 2, 2, 2): p.lam2,
@@ -128,6 +132,9 @@ def _printed_rows(strict: bool) -> tuple[tuple[str, bool], ...]:
 
 
 _PRINTED_ROWS = {strict: _printed_rows(strict) for strict in (False, True)}
+# per strict flag, whether each scan row (thm4.5's, then the printed) is strict, as a column
+_STRICT = {strict: np.array([s for _, s in _THM45_ROWS[strict] + _PRINTED_ROWS[strict]])[:, None]
+           for strict in (False, True)}
 
 
 def _printed_values(p: Z3Params, rho: float) -> list:
@@ -178,10 +185,10 @@ _BLOCK = 1024  # rho points per block: the rows of a block take about 200 KB
 
 def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityReport:
     # read at the largest rho: a1122 overflows there if anywhere on the grid (endpoint lemma)
-    a = _read(coupling_tensor(p.with_rho(rhos[-1])), 4, 3, "thm4.5")
+    a = _read(_coupling_at(p, rhos[-1]), 4, 3, "thm4.5")
     theorem_rows, printed_rows = _THM45_ROWS[bool(strict)], _PRINTED_ROWS[bool(strict)]
-    theorem_ok = printed_ok = True
-    worst, worst_margin = None, math.inf
+    n = len(theorem_rows)
+    theorem_ok, printed_ok, worst, worst_margin = True, True, None, math.inf
     with np.errstate(all="ignore"):  # inf and nan are row values, as with floats
         for start in range(0, len(rhos), _BLOCK):
             block = np.array(rhos[start:start + _BLOCK])
@@ -190,22 +197,24 @@ def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityRepo
             rows = np.empty((len(values), len(block)))
             for i, v in enumerate(values):
                 rows[i] = v  # a rho-independent row broadcasts
-            theorem_ok = theorem_ok and _rows_hold(rows[:len(theorem_rows)], theorem_rows)
-            printed_ok = printed_ok and _rows_hold(rows[len(theorem_rows):], printed_rows)
+            # the rule of criteria._ge and _verdict: a row holds if it passes with a finite value
+            held = np.where(_STRICT[bool(strict)], rows > 0, rows >= 0) & np.isfinite(rows)
+            theorem_ok = theorem_ok and bool(held[:n].all())
+            printed_ok = printed_ok and bool(held[n:].all())
             # fmin skips nan rows as min does after a finite first row (a1111)
             margins = np.fmin.reduce(rows)
             k = len(block) - 1 - int(np.argmin(margins[::-1]))  # ties go to the largest rho
             if margins[k] <= worst_margin:
-                worst, worst_margin = rhos[start + k], margins[k]
-    p_worst = p.with_rho(worst)
+                worst, worst_margin, column = rhos[start + k], margins[k], rows[:, k].tolist()
+    # a column row is the scalar row bit for bit: these are the scalar routes' certificates
     return StabilityReport(
         params=p,
         rho_values=rhos,
         theorem_verdict=Verdict.CERTIFIED if theorem_ok else Verdict.UNKNOWN,
         printed_verdict=Verdict.CERTIFIED if printed_ok else Verdict.UNKNOWN,
         worst_rho=worst,
-        theorem_at_worst=theorem_certificate(p_worst, strict),
-        printed_at_worst=printed_certificate(p_worst, strict),
+        theorem_at_worst=_row_certificate(column[:n], theorem_rows, "thm4.5"),
+        printed_at_worst=_row_certificate(column[n:], printed_rows, "z3-printed"),
     )
 
 

@@ -14,8 +14,8 @@ import time
 
 import numpy as np
 
-from copos import (Classification, Verdict, Z3Params, aggregate, all_indices,
-                   build, certify_all, coupling_tensor, cubic_min_bruteforce,
+from copos import (Classification, Verdict, Z3Params, all_indices, build,
+                   certify_all, coupling_tensor, cubic_min_bruteforce,
                    cubic_nonneg_exact, cubic_nonneg_sufficient, default_config,
                    min_on_simplex, printed_certificate, quad_min_bruteforce,
                    quad_nonneg, theorem_certificate, thm31_exact_c3d2,

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copos import (SymmetricTensor, all_indices, build, canonicalize,
-                   multiplicity, zero)
+from copos import all_indices, build, canonicalize, multiplicity, zero
 from copos.tensors import _index_table
 from conftest import SHAPES, naive_evaluate, random_point, random_tensor, rel_err
 

@@ -1,0 +1,56 @@
+"""No module of the package or of its tests imports a name it never reads.
+
+A top-level import counts as used if the module reads the name it binds
+anywhere (as a name or as the root of an attribute chain) or lists it in
+``__all__``.  ``from __future__`` imports are skipped, and so is a name whose
+line carries ``# noqa: F401`` (an import kept for code outside the module).
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = sorted([*(ROOT / "src" / "copos").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module's top-level imports bind and the module never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = {}  # bound name -> the line that imports it
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                # import a.b binds a; import a.b as c and from a import b as c bind c
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = alias.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1])
+            if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_rules():
+    source = ("from __future__ import annotations\n"
+              "import os.path\n"
+              "import numpy as np\n"
+              "from json import dumps, loads  # noqa: F401\n"
+              "from math import sqrt as root, pi\n"
+              "__all__ = ['pi']\n"
+              "def f():\n"
+              "    return os.sep\n")
+    assert unused_imports(source) == ["line 3: np", "line 5: root"]

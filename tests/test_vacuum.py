@@ -292,7 +292,8 @@ def test_report_with_oracle():
 # both certificates, kept verbatim with the criteria helpers _ge and _verdict
 # they called (conftest's ge_reference and verdict_reference), but for
 # squaring rho as rho*rho, as src/ does: scan_rho and check_stability, which
-# build them only at worst_rho, must match these in repr, exceptions included
+# read both certificates off the block's column at worst_rho, and the scalar
+# printed_certificate must match these in repr, exceptions included
 
 def sqrt0(x):
     """sqrt clamped at zero, as the printed rows took it."""
@@ -425,6 +426,8 @@ def test_scan_matches_per_point_reference():
         for mode in (False, True):
             assert outcome(lambda: check_stability(p, mode)) == outcome(
                 lambda: reference_report(p, (p.rho,), mode))
+            assert outcome(lambda: printed_certificate(p, mode)) == outcome(
+                lambda: reference_printed_certificate(p, mode))
 
 
 def test_single_point_matches_reference_where_pow_rounds_apart():
@@ -442,6 +445,8 @@ def test_edge_scans_match_per_point_reference():
                 seen.append(assert_matches_reference(p, steps, strict))
             assert outcome(lambda: check_stability(p, strict)) == outcome(
                 lambda: reference_report(p, (p.rho,), strict))
+            assert outcome(lambda: printed_certificate(p, strict)) == outcome(
+                lambda: reference_printed_certificate(p, strict))
     # the edges are really reached: build's error, and nan or inf margins
     assert any(isinstance(o, tuple) and o[0] is ValueError for o in seen)
     assert any(isinstance(o, str) and "nan" in o for o in seen)
