@@ -30,13 +30,14 @@ or -0.0 style rounding) give a zero root, so every row is computable.
 Work done once.  Texts that do not depend on entry values are constants:
 the row tables of thm3.4, thm3.5 and thm4.5 (per ``strict`` flag) and the
 cached per-shape slice plan, which also holds each slice's keys; the ids
-that apply to a shape are cached too.  The remark reads its six rows off the
-thm3.4/thm3.5 value lists, so a row costs its arithmetic and one tuple.
+that apply to a shape are cached too.  The remark splits its tensor once into
+three name-keyed components and reads its six rows off their thm3.4/thm3.5
+value lists, so a row costs its arithmetic and one tuple.
 
-Dispatch.  One registry maps each criterion id to the shape it applies to
-(or any shape), its function and whether it takes the ``strict`` flag;
-:func:`applicable_criteria`, :func:`run_criterion` and :func:`certify_all`
-all read it, in its order.
+Dispatch.  One registry maps each criterion id to its shape (or any shape),
+its function and whether it takes the ``strict`` flag, and is the only place
+a shape is written: ``_read`` takes the id, and :func:`applicable_criteria`,
+:func:`run_criterion` and :func:`certify_all` read it in its order.
 """
 
 from __future__ import annotations
@@ -97,18 +98,21 @@ def _names(order: int, dim: int) -> tuple[tuple[str, Index], ...]:
     return tuple((prefix + "".join(map(str, idx)), idx) for idx in all_indices(order, dim))
 
 
-def _read(tensor: SymmetricTensor, order: int, dim: int, name: str) -> dict[str, float]:
-    """Every canonical entry of the required shape, keyed by the name the
-    condition text uses (``g112``, ``a1123``), in ``all_indices`` order."""
+def _read(tensor: SymmetricTensor, criterion_id: str) -> dict[str, float]:
+    """Every canonical entry of the shape registered for ``criterion_id``, keyed
+    by the name the condition text uses (``g112``, ``a1123``), in ``all_indices`` order."""
+    order, dim = _REGISTRY[criterion_id][0]
     if (tensor.order, tensor.dim) != (order, dim):
-        raise ValueError(f"{name} applies to order-{order} dim-{dim} tensors, "
+        raise ValueError(f"{criterion_id} applies to order-{order} dim-{dim} tensors, "
                          f"got order-{tensor.order} dim-{tensor.dim}")
     return {key: tensor.entries.get(idx, 0.0) for key, idx in _names(order, dim)}
 
 
-def _verdict(conditions: list[Condition], branches: list[tuple[Optional[str], list[Condition]]],
-             criterion_id: str, on_fail: Verdict) -> Certificate:
-    for name, conds in branches:
+def _verdict(criterion_id: str, conditions: list[Condition],
+             branches: Optional[list[tuple[Optional[str], list[Condition]]]] = None,
+             on_fail: Verdict = Verdict.UNKNOWN) -> Certificate:
+    # without branches, all conditions form one sufficient test
+    for name, conds in branches or ((None, conditions),):
         for _, value, satisfied in conds:
             if not (satisfied and math.isfinite(value)):
                 break
@@ -124,8 +128,7 @@ def _row_certificate(values: list[float], rows: tuple[tuple[str, bool], ...],
                      criterion_id: str) -> Certificate:
     """A one-branch sufficient test: each (text, strict) row against its
     value, in row order; a failed list proves nothing."""
-    conds = [_ge(text, value, strict=strict) for (text, strict), value in zip(rows, values)]
-    return _verdict(conds, [(None, conds)], criterion_id, Verdict.UNKNOWN)
+    return _verdict(criterion_id, [_ge(text, v, s) for (text, s), v in zip(rows, values)])
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +159,7 @@ def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
     Failure of both systems refutes.  The discriminant row carries the exact
     sign (:func:`copos.halfline.cubic_disc_checked`, as in the half-line test).
     """
-    g111, g112, g122, g222 = _read(tensor, 3, 2, "thm3.1").values()
+    g111, g112, g122, g222 = _read(tensor, "thm3.1").values()
     sys1 = [
         _ge("(1) g111 >= 0", g111),
         _ge("(1) g112 >= 0", g112),
@@ -171,12 +174,12 @@ def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
             " - 6*g111*g112*g122*g222 - 3*g112^2*g122^2 >= 0",
             cubic_disc_checked(g111, g112, g122, g222, 3)),
     ]
-    return _verdict(sys1 + sys2, [("(1)", sys1), ("(2)", sys2)], "thm3.1", Verdict.REFUTED)
+    return _verdict("thm3.1", sys1 + sys2, [("(1)", sys1), ("(2)", sys2)], Verdict.REFUTED)
 
 
 def thm32_sqrt_c3d2(tensor: SymmetricTensor) -> Certificate:
     """Sufficient for order-3 dim-2: cubic_nonneg_sufficient at (g111, 3*g112, 3*g122, g222)."""
-    g111, g112, g122, g222 = _read(tensor, 3, 2, "thm3.2").values()
+    g111, g112, g122, g222 = _read(tensor, "thm3.2").values()
     lo112, lo122 = cubic_bounds(g111, g222)
     conds = [
         _ge("g111 >= 0", g111),
@@ -184,13 +187,13 @@ def thm32_sqrt_c3d2(tensor: SymmetricTensor) -> Certificate:
         _ge("g112 >= (g111 - 2*sqrt(g111*g222))/3", g112 - lo112 / 3.0),
         _ge("g122 >= (g222 - 2*sqrt(g111*g222))/3", g122 - lo122 / 3.0),
     ]
-    return _verdict(conds, [(None, conds)], "thm3.2", Verdict.UNKNOWN)
+    return _verdict("thm3.2", conds)
 
 
 def thm33_mixed_c3d2(tensor: SymmetricTensor) -> Certificate:
     """Sufficient mixed-sign test for order-3 dim-2: quad_nonneg at (g111, 3*g112, 3*g122)
     or at (3*g112, 3*g122, g222), whose middle entry may be negative."""
-    g111, g112, g122, g222 = _read(tensor, 3, 2, "thm3.3").values()
+    g111, g112, g122, g222 = _read(tensor, "thm3.3").values()
     sys1 = [
         _ge("(1) g111 >= 0", g111),
         _ge("(1) g222 >= 0", g222),
@@ -203,7 +206,7 @@ def thm33_mixed_c3d2(tensor: SymmetricTensor) -> Certificate:
         _ge("(2) g112 >= 0", g112),
         _ge("(2) g122 >= -(2/3)*sqrt(3*g112*g222)", g122 - quad_bound(3.0 * g112, g222) / 3.0),
     ]
-    return _verdict(sys1 + sys2, [("(1)", sys1), ("(2)", sys2)], "thm3.3", Verdict.UNKNOWN)
+    return _verdict("thm3.3", sys1 + sys2, [("(1)", sys1), ("(2)", sys2)])
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +240,12 @@ def _thm35_values(g: dict[str, float]) -> list[float]:
 def thm34_disc_c3d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient test for order-3 dim-3: nonnegative diagonals and g123,
     plus one discriminant inequality per coordinate pair."""
-    return _row_certificate(_thm34_values(_read(tensor, 3, 3, "thm3.4")), _THM34_ROWS, "thm3.4")
+    return _row_certificate(_thm34_values(_read(tensor, "thm3.4")), _THM34_ROWS, "thm3.4")
 
 
 def thm35_sqrt_c3d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient square-root bounds for order-3 dim-3, pair by pair."""
-    return _row_certificate(_thm35_values(_read(tensor, 3, 3, "thm3.5")), _THM35_ROWS, "thm3.5")
+    return _row_certificate(_thm35_values(_read(tensor, "thm3.5")), _THM35_ROWS, "thm3.5")
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +253,7 @@ def thm35_sqrt_c3d3(tensor: SymmetricTensor) -> Certificate:
 
 def thm41_disc_c4d2(tensor: SymmetricTensor) -> Certificate:
     """Sufficient discriminant test for order-4 dim-2 with positive diagonals."""
-    a1111, a1112, a1122, a1222, a2222 = _read(tensor, 4, 2, "thm4.1").values()
+    a1111, a1112, a1122, a1222, a2222 = _read(tensor, "thm4.1").values()
     pre = [
         _ge("a1111 > 0", a1111, strict=True),
         _ge("a2222 > 0", a2222, strict=True),
@@ -267,14 +270,12 @@ def thm41_disc_c4d2(tensor: SymmetricTensor) -> Certificate:
             " - 108*a1112*a1122*a1222*a2222 - 36*a1122^2*a1222^2 >= 0",
             cubic_disc(4.0 * a1112, 6.0 * a1122, 4.0 * a1222, a2222) / 16.0),
     ]
-    return _verdict(pre + sys1 + sys2,
-                    [("(1)", pre + sys1), ("(2)", pre + sys2)],
-                    "thm4.1", Verdict.UNKNOWN)
+    return _verdict("thm4.1", pre + sys1 + sys2, [("(1)", pre + sys1), ("(2)", pre + sys2)])
 
 
 def thm42_sqrt_c4d2(tensor: SymmetricTensor) -> Certificate:
     """Sufficient square-root test for order-4 dim-2."""
-    a1111, a1112, a1122, a1222, a2222 = _read(tensor, 4, 2, "thm4.2").values()
+    a1111, a1112, a1122, a1222, a2222 = _read(tensor, "thm4.2").values()
     pre = [
         _ge("a1111 >= 0", a1111),
         _ge("a2222 >= 0", a2222),
@@ -295,9 +296,7 @@ def thm42_sqrt_c4d2(tensor: SymmetricTensor) -> Certificate:
         _ge("(2) a1222 >= a2222/4 - sqrt(a1112*a2222)", a1222 - lo1222 / 2.0),
         _ge("(2) a1122 >= (2/3)*(a1112 - sqrt(a1112*a2222))", a1122 - lo1122 / 3.0),
     ]
-    return _verdict(pre + sys1 + sys2,
-                    [("(1)", pre + sys1), ("(2)", pre + sys2)],
-                    "thm4.2", Verdict.UNKNOWN)
+    return _verdict("thm4.2", pre + sys1 + sys2, [("(1)", pre + sys1), ("(2)", pre + sys2)])
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +320,7 @@ _THM43_CUBICS = tuple(
 def thm43_disc_c4d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient test for order-4 dim-3 built from boundary-cubic
     discriminants and pairwise quadratic conditions."""
-    a = _read(tensor, 4, 3, "thm4.3")
+    a = _read(tensor, "thm4.3")
     a1111, a2222, a3333 = a["a1111"], a["a2222"], a["a3333"]
     conds = [_ge(text, a[name]) for name, text in _EDGES] + [
         _ge("max(a1222, a1333) > 0", max(a["a1222"], a["a1333"]), strict=True),
@@ -333,12 +332,12 @@ def thm43_disc_c4d3(tensor: SymmetricTensor) -> Certificate:
     ]
     for p, q, r, s, text in _THM43_CUBICS:
         conds.append(_ge(text, cubic_disc(4.0 * a[p], 6.0 * a[q], 6.0 * a[r], 4.0 * a[s]) / 432.0))
-    return _verdict(conds, [(None, conds)], "thm4.3", Verdict.UNKNOWN)
+    return _verdict("thm4.3", conds)
 
 
 def thm44_sqrt_c4d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient square-root test for order-4 dim-3."""
-    a = _read(tensor, 4, 3, "thm4.4")
+    a = _read(tensor, "thm4.4")
     # each max pairs the bounds of the two cubic cofactors sharing the entry;
     # a1223 sits in the (x2,x3) cofactor of x1 and the (x1,x2) cofactor of
     # x3, so its second arm carries a1113, not a1112
@@ -357,7 +356,7 @@ def thm44_sqrt_c4d3(tensor: SymmetricTensor) -> Certificate:
         _ge("a1123 >= (2/3)*max(a1113 - 2*sqrt(a1113*a2223), a1112 - 2*sqrt(a1112*a2333))",
             a["a1123"] - 2.0 * max(lo1113, lo1112) / 3.0),
     ]
-    return _verdict(conds, [(None, conds)], "thm4.4", Verdict.UNKNOWN)
+    return _verdict("thm4.4", conds)
 
 
 # d1..d3 are the exact cubic discriminants of the three cofactors: the
@@ -415,29 +414,36 @@ def thm45_sos_c4d3(tensor: SymmetricTensor, strict: bool = False) -> Certificate
     With ``strict=True`` every non-strict inequality becomes strict and a
     certificate asserts strict copositivity.
     """
-    return _row_certificate(_thm45_values(_read(tensor, 4, 3, "thm4.5")),
+    return _row_certificate(_thm45_values(_read(tensor, "thm4.5")),
                             _THM45_ROWS[bool(strict)], "thm4.5")
 
 
-def _split_rows() -> tuple[tuple[str, int, Index, float, float], ...]:
-    # (name, i, beta, num, den): the share of monomial alpha, named as _read
-    # names it, that goes to component i at index beta = alpha minus one i.
-    # Each monomial is shared equally over its k distinct coordinates, and the
-    # entry is rescaled by mult(alpha)/(k*mult(beta)) so the weights match.
+def _split_rows() -> tuple[tuple[str, int, str, float, float], ...]:
+    # (name, i, key, num, den) per component i and index beta in all_indices
+    # order: the share of monomial alpha = beta + (i,) that goes to G_i at beta,
+    # both named as _read names them.  Each monomial is shared equally over its
+    # k distinct coordinates, rescaled by mult(alpha)/(k*mult(beta)).
     rows = []
-    for name, alpha in _names(4, 3):
-        coords = sorted(set(alpha))
-        for i in coords:
-            rest = list(alpha)
-            rest.remove(i)
-            beta = tuple(rest)
-            num, den = multiplicity(alpha), len(coords) * multiplicity(beta)
-            g = math.gcd(num, den)
-            rows.append((name, i, beta, float(num // g), float(den // g)))
+    for i, (key, beta) in itertools.product((1, 2, 3), _names(3, 3)):
+        alpha = tuple(sorted((i, *beta)))
+        num, den = multiplicity(alpha), len(set(alpha)) * multiplicity(beta)
+        g = math.gcd(num, den)
+        rows.append(("a" + "".join(map(str, alpha)), i, key, float(num // g), float(den // g)))
     return tuple(rows)
 
 
 _SPLIT = _split_rows()
+
+
+def _components(tensor: SymmetricTensor) -> tuple[dict[str, float], ...]:
+    """G_1, G_2, G_3 of the x_i-split, keyed and ordered as ``_read`` reads them."""
+    a = _read(tensor, "remark")
+    parts: tuple[dict[str, float], ...] = ({}, {}, {})
+    for name, i, key, num, den in _SPLIT:
+        parts[i - 1][key] = num * a[name] / den
+    return parts
+
+
 _REMARK_TEXTS = tuple(tuple(f"component {i} passes thm3.{k}" for k in (4, 5)) for i in (1, 2, 3))
 
 
@@ -448,11 +454,8 @@ def thm4remark_decompose(tensor: SymmetricTensor) -> tuple[SymmetricTensor, ...]
     split distributes every monomial of A over the coordinate factors it
     contains, so the identity holds for all x (not just x >= 0).
     """
-    a = _read(tensor, 4, 3, "thm4remark_decompose")
-    parts: tuple[dict[Index, float], ...] = ({}, {}, {})
-    for name, i, beta, num, den in _SPLIT:
-        parts[i - 1][beta] = num * a[name] / den
-    return tuple(SymmetricTensor(3, 3, part) for part in parts)
+    return tuple(SymmetricTensor(3, 3, {idx: g[key] for key, idx in _names(3, 3)})
+                 for g in _components(tensor))
 
 
 def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
@@ -462,10 +465,8 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
     Copositivity of every G_i makes each x_i * (G_i x^3) nonnegative on the
     orthant, hence the sum.
     """
-    conds = []
-    fired: list[str] = []
-    for texts, comp in zip(_REMARK_TEXTS, thm4remark_decompose(tensor)):
-        g = _read(comp, 3, 3, "remark")
+    conds, fired = [], []
+    for texts, g in zip(_REMARK_TEXTS, _components(tensor)):
         for text, values in zip(texts, (_thm34_values(g), _thm35_values(g))):
             held = True  # the rows are non-strict: each value must lie in [0, inf)
             for v in values:
@@ -513,7 +514,7 @@ def qi_strict_generic(tensor: SymmetricTensor) -> Certificate:
         for v in map(get, keys, itertools.repeat(0.0)):
             value += 0.0 if v > 0.0 else v  # min(v, 0.0), -0.0 included
         conds.append(_ge(qi_text, value, strict=True))
-    return _verdict(conds, [(None, conds)], "qi", Verdict.UNKNOWN)
+    return _verdict("qi", conds)
 
 
 def songqi_strict_generic(tensor: SymmetricTensor) -> Certificate:
@@ -532,7 +533,7 @@ def songqi_strict_generic(tensor: SymmetricTensor) -> Certificate:
         conds.append(_ge(sum_text, total, strict=True))
         if keys:  # order 1 and dim 1 have no off-diagonal entries to exceed
             conds.append(_ge(mean_text, total / count - worst, strict=True))
-    return _verdict(conds, [(None, conds)], "songqi", Verdict.UNKNOWN)
+    return _verdict("songqi", conds)
 
 
 # ---------------------------------------------------------------------------

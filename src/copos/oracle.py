@@ -101,6 +101,8 @@ def default_config(dim: int) -> OracleConfig:
 
 
 _BLOCK = 8192  # points per block, so the terms-by-points scratch stays a few MB
+# product-grid plus sampled points one call may hold; dim 4 at N = 120 is 1,771,561
+_MAX_POINTS = 2 ** 24
 
 
 class _Form(NamedTuple):
@@ -340,6 +342,10 @@ def min_on_simplex(tensor: SymmetricTensor, config: Optional[OracleConfig] = Non
     """
     cfg = config if config is not None else default_config(tensor.dim)
     dim, order = tensor.dim, tensor.order
+    points = (cfg.resolution + 1) ** (dim - 1) + cfg.samples  # each pass spans the product grid
+    if points > _MAX_POINTS:
+        raise ValueError(f"the oracle grid has {points} points, above the limit of {_MAX_POINTS};"
+                         " lower the resolution (--grid)")
     form = _prepare(tensor)
     samples = None
     if cfg.samples > 0 and dim > 1:

@@ -185,7 +185,7 @@ _BLOCK = 1024  # rho points per block: the rows of a block take about 200 KB
 
 def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityReport:
     # read at the largest rho: a1122 overflows there if anywhere on the grid (endpoint lemma)
-    a = _read(_coupling_at(p, rhos[-1]), 4, 3, "thm4.5")
+    a = _read(_coupling_at(p, rhos[-1]), "thm4.5")
     theorem_rows, printed_rows = _THM45_ROWS[bool(strict)], _PRINTED_ROWS[bool(strict)]
     n = len(theorem_rows)
     theorem_ok, printed_ok, worst, worst_margin = True, True, None, math.inf

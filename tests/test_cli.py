@@ -1,11 +1,15 @@
-"""CLI subcommands run in process through main(argv)."""
+"""CLI subcommands run in process through main(argv), except where a run
+needs a memory cap of its own."""
 
 import argparse
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -339,6 +343,28 @@ def test_report_on_non_finite_form_is_one_error_line(capsys, tmp_path):
     doc = write_doc(tmp_path, "inf.json", 2, 2, {"11": 1e308, "12": 1e308, "22": 1e308})
     assert run(capsys, ["report", doc]) == (
         3, "", "copos: error: the form is not finite on the grid (minimum nan)\n")
+
+
+# a copos child under a 1 GiB address-space cap; one BLAS thread, since BLAS
+# thread buffers count against the cap
+CAPPED = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
+          " from copos.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("dim, grid, code", [(5, None, 3), (6, None, 3), (5, 20, 0), (6, 12, 0)])
+def test_oracle_grid_is_bounded_before_it_allocates(tmp_path, dim, grid, code):
+    # the default N = 120 needs 121^4 product-grid points at dim 5: refused up
+    # front with a hint, not left to fail (or succeed) in numpy's allocator
+    doc = write_doc(tmp_path, "diag.json", 3, dim, {str(i) * 3: 1.0 for i in range(1, dim + 1)})
+    argv = ["report", doc] + ([] if grid is None else ["--grid", str(grid)])
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CAPPED, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code == 3:
+        assert "--grid" in proc.stderr, proc.stderr
 
 
 # argv of every transcript run, from the golden directory; regenerate

@@ -9,11 +9,13 @@ import hashlib
 import itertools
 import math
 import pathlib
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from copos import criteria
 from copos import (Certificate, Condition, SymmetricTensor, Verdict, aggregate,
                    all_indices, applicable_criteria, build, certify_all, diag_necessity,
                    min_on_simplex, parse_document, qi_strict_generic, run_criterion,
@@ -522,11 +524,19 @@ def test_run_criterion_unknown_id():
         run_criterion("thm9.9", zero(3, 2))
 
 
-def test_criteria_reject_wrong_shape():
-    with pytest.raises(ValueError, match="order-3 dim-2"):
-        thm31_exact_c3d2(zero(3, 3))
-    with pytest.raises(ValueError, match="order-4 dim-3"):
-        thm45_sos_c4d3(zero(3, 3))
+# every registered criterion with a shape, and the public split, which reads as the remark
+SHAPED = {cid: (cid, shape, fn) for cid, (shape, fn, _) in criteria._REGISTRY.items() if shape}
+SHAPED["thm4remark_decompose"] = ("remark", (4, 3), thm4remark_decompose)
+
+
+@pytest.mark.parametrize("name", SHAPED)
+def test_criteria_reject_wrong_shape(name):
+    cid, (order, dim), fn = SHAPED[name]
+    for wrong in (zero(order, 5 - dim), zero(7 - order, dim)):  # the other dim, the other order
+        message = (f"{cid} applies to order-{order} dim-{dim} tensors, "
+                   f"got order-{wrong.order} dim-{wrong.dim}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fn(wrong)
 
 
 def test_certify_all_order_and_aggregate():

@@ -496,6 +496,12 @@ def observed_stages():
     return {name: [list(stage) for stage in stages] for name, stages in out.items()}
 
 
-def test_stages_match_frozen_table():
+def stages_json():
+    """The exact text of the frozen table, one document per line."""
     import json
-    assert observed_stages() == json.loads(FROZEN_STAGES.read_text(encoding="utf-8"))
+    return "{\n" + ",\n".join(f"  {json.dumps(name)}: {json.dumps(stages)}"
+                               for name, stages in observed_stages().items()) + "\n}\n"
+
+
+def test_stages_match_frozen_table():
+    assert stages_json() == FROZEN_STAGES.read_text(encoding="utf-8")

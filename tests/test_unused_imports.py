@@ -1,4 +1,4 @@
-"""No module of the package or of its tests imports a name it never reads.
+"""No module of the package, its tests or its demos imports a name it never reads.
 
 A top-level import counts as used if the module reads the name it binds
 anywhere (as a name or as the root of an attribute chain) or lists it in
@@ -12,7 +12,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "copos").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+MODULES = sorted([*(ROOT / "src" / "copos").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

@@ -459,7 +459,7 @@ def test_rows_are_monotone_in_rho():
     for _ in range(200):
         p = Z3Params(**{name: rng.uniform(-1.0, 1.0) for name in COUPLINGS},
                      abs_lam_s12=rng.uniform(0.0, 1.2))
-        a = _read(coupling_tensor(p), 4, 3, "thm4.5")
+        a = _read(coupling_tensor(p), "thm4.5")
         columns = []
         for k in range(1001):
             rho = k / 1000
@@ -479,7 +479,7 @@ def test_column_rows_equal_scalar_rows():
     # raises in coupling_tensor itself
     pool = coupling_mix(rng, 40) + edge_couplings(rng)[:4]
     for p in pool:
-        a = _read(coupling_tensor(p), 4, 3, "thm4.5")
+        a = _read(coupling_tensor(p), "thm4.5")
         for steps in (41, 100, 157, 217):
             rhos = [k / steps for k in range(steps + 1)]
             scalar = []
