@@ -485,11 +485,17 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
 # ---------------------------------------------------------------------------
 # generic strict tests (any order, any dimension)
 
+_MAX_TAILS = 2 ** 16  # ordered tails per slice: order 11 at dim 3 and order 17 at dim 2 pass
+
+
 @functools.lru_cache(maxsize=32)
 def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple[str, ...]], ...]:
     # for slice i: the diagonal key, the canonical keys of (i, tail) over
     # ordered tails != (i,..,i), and the texts of the slice's diag, qi,
-    # songqi sum and songqi mean rows
+    # songqi sum and songqi mean rows.  Any dim >= 2 passes the limit by exponent 17: cap there.
+    if dim ** min(order - 1, _MAX_TAILS.bit_length()) > _MAX_TAILS:
+        raise ValueError(f"a slice of an order-{order} dim-{dim} tensor has {dim}**{order - 1}"
+                         f" ordered tails, above the limit of {_MAX_TAILS}")
     out = []
     for i in range(1, dim + 1):
         diag = (i,) * order
@@ -522,8 +528,9 @@ def songqi_strict_generic(tensor: SymmetricTensor) -> Certificate:
     mean strictly exceeds every off-diagonal entry of the slice."""
     get = tensor.entries.get
     conds = []
+    slices = _slices(tensor.order, tensor.dim)  # refuses a shape before its count overflows
     count = float(tensor.dim ** (tensor.order - 1))
-    for diag, keys, (_, _, sum_text, mean_text) in _slices(tensor.order, tensor.dim):
+    for diag, keys, (_, _, sum_text, mean_text) in slices:
         total = get(diag, 0.0)
         worst = -math.inf
         for v in map(get, keys, itertools.repeat(0.0)):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 
-from .tensors import Index, SymmetricTensor, _entry_value, _index_table, build
+from .tensors import Index, SymmetricTensor, _count, _entry_value, _index_table, build
 
 _TOP_KEYS = ("order", "dim", "entries")
 
@@ -31,15 +31,6 @@ def _pairs_rejecting_duplicates(pairs: list[tuple[str, object]]) -> dict:
             raise KeyError(f"duplicate key {key!r} in document")
         out[key] = value
     return out
-
-
-def _int_field(obj: dict, name: str) -> int:
-    v = obj[name]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    if v < 1:
-        raise ValueError(f"{name} must be >= 1, got {v}")
-    return v
 
 
 def parse_document(text: str) -> SymmetricTensor:
@@ -59,8 +50,8 @@ def parse_document(text: str) -> SymmetricTensor:
     extra = set(obj) - set(_TOP_KEYS)
     if extra:
         raise ValueError(f"unexpected document key {sorted(extra)[0]!r}")
-    order = _int_field(obj, "order")
-    dim = _int_field(obj, "dim")
+    order = _count("order", obj["order"], 1)
+    dim = _count("dim", obj["dim"], 1)
     if dim > 9:
         raise ValueError(f"digit-string keys support dim <= 9, got {dim}")
     raw = obj["entries"]

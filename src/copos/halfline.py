@@ -18,6 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .tensors import _count, _entry_value
+
 
 class CubicCoeffs(NamedTuple):
     """Coefficients of ``P(t) = a t^3 + b t^2 + c t + d``."""
@@ -46,13 +48,11 @@ class GridMin(NamedTuple):
     negative_at_infinity: bool
 
 
-def _coeffs(cc, n: int) -> tuple[float, ...]:
-    out = tuple(float(v) for v in cc)
-    if len(out) != n:
-        raise ValueError(f"expected {n} coefficients, got {len(out)}")
-    if not all(math.isfinite(v) for v in out):
-        raise ValueError(f"coefficients must be finite, got {out}")
-    return out
+def _coeffs(cc, kind: type) -> tuple[float, ...]:  # kind names them: CubicCoeffs or QuadCoeffs
+    cc = tuple(cc)
+    if len(cc) != len(kind._fields):
+        raise ValueError(f"expected {len(kind._fields)} coefficients, got {len(cc)}")
+    return tuple(_entry_value(name, v, "coefficient {}") for name, v in zip(kind._fields, cc))
 
 
 def cubic_disc(a: float, b: float, c: float, d: float) -> float:
@@ -97,7 +97,7 @@ def cubic_nonneg_exact(cc) -> bool:
           4ac^3 + 4b^3d + 27a^2d^2 - 18abcd - b^2c^2 >= 0,
           its sign made exact by :func:`cubic_disc_checked`.
     """
-    a, b, c, d = _coeffs(cc, 4)
+    a, b, c, d = _coeffs(cc, CubicCoeffs)
     if min(a, b, c, d) >= 0:
         return True
     return max(a, d) > 0 and a >= 0 and d >= 0 and cubic_disc_checked(a, b, c, d) >= 0
@@ -118,7 +118,7 @@ def quad_bound(alpha: float, gamma: float) -> float:
 
 def cubic_nonneg_sufficient(cc) -> bool:
     """Sufficient test: a >= 0, d >= 0 and (b, c) >= :func:`cubic_bounds`."""
-    a, b, c, d = _coeffs(cc, 4)
+    a, b, c, d = _coeffs(cc, CubicCoeffs)
     if a < 0 or d < 0:
         return False
     lo_b, lo_c = cubic_bounds(a, d)
@@ -128,7 +128,7 @@ def cubic_nonneg_sufficient(cc) -> bool:
 def quad_nonneg(qc) -> bool:
     """Exact test of alpha t^2 + beta t + gamma >= 0 on t >= 0: alpha >= 0,
     gamma >= 0 and beta >= :func:`quad_bound`."""
-    alpha, beta, gamma = _coeffs(qc, 3)
+    alpha, beta, gamma = _coeffs(qc, QuadCoeffs)
     if alpha < 0 or gamma < 0:
         return False
     return beta >= quad_bound(alpha, gamma)
@@ -137,8 +137,7 @@ def quad_nonneg(qc) -> bool:
 def _grid_min(coeffs: tuple[float, ...], grid_points: int) -> GridMin:
     # Cauchy-style bound: all real roots lie in [0, B], so the sign pattern
     # past B is the leading coefficient's.
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    _count("grid_points", grid_points, 2)
     if all(v == 0.0 for v in coeffs):
         return GridMin(0.0, 0.0, False)
     lead = next(v for v in coeffs if v != 0.0)
@@ -154,9 +153,9 @@ def _grid_min(coeffs: tuple[float, ...], grid_points: int) -> GridMin:
 
 def cubic_min_bruteforce(cc, grid_points: int = 10_000) -> GridMin:
     """Grid minimum of the cubic on [0, B] with B a root bound."""
-    return _grid_min(_coeffs(cc, 4), grid_points)
+    return _grid_min(_coeffs(cc, CubicCoeffs), grid_points)
 
 
 def quad_min_bruteforce(qc, grid_points: int = 10_000) -> GridMin:
     """Grid minimum of the quadratic on [0, B] with B a root bound."""
-    return _grid_min(_coeffs(qc, 3), grid_points)
+    return _grid_min(_coeffs(qc, QuadCoeffs), grid_points)

@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .tensors import SymmetricTensor, Vector, all_indices
+from .tensors import SymmetricTensor, Vector, _count, _entry_value, all_indices
 
 
 class Classification(enum.Enum):
@@ -68,15 +68,13 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("resolution", "refine_rounds", "samples", "seed"):
-            if type(getattr(self, name)) is not int:  # bool and 2.5 are not counts
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.resolution < 1:
-            raise ValueError(f"resolution must be >= 1, got {self.resolution}")
-        if self.refine_rounds < 0 or self.samples < 0:
-            raise ValueError("refine_rounds and samples must be >= 0")
-        if type(self.band) is bool or not (math.isfinite(self.band) and self.band >= 0):
-            raise ValueError(f"band must be a finite number >= 0, got {self.band}")
+        _count("resolution", self.resolution, 1)
+        for name in ("refine_rounds", "samples", "seed"):
+            _count(name, getattr(self, name), 0)
+        band = _entry_value("band", self.band, "{}")
+        if band < 0:
+            raise ValueError(f"band must be >= 0, got {band}")
+        object.__setattr__(self, "band", band)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,10 @@ the shape's canonical indices, built on first use, and call
 :func:`canonicalize`, with its checks and messages, only on a miss (a
 permutation, a list, a float such as 1.5, a component out of range).
 
+Every public entry point checks its reals with :func:`_entry_value` (a
+finite float, or a number read as the equal float; never a bool or a
+string) and its counts with :func:`_count` (an ``int`` no smaller than a least value).
+
 Tensors are immutable after construction; ``scale`` and ``add`` return new
 objects.  Dimensions above 3 are supported generically (the closed-form
 criteria in :mod:`copos.criteria` restrict shape themselves).
@@ -152,18 +156,27 @@ class SymmetricTensor:
         return f"SymmetricTensor(order={self.order}, dim={self.dim}, {len(self.entries)} entries)"
 
 
-def _entry_value(key: object, value: object) -> float:
-    """The value of entry ``key`` as a finite float, or ValueError naming it."""
+def _entry_value(key: object, value: object, label: str = "entry {!r}") -> float:
+    """``value`` as a finite float, or a ValueError naming it ``label.format(key)``."""
     if isinstance(value, (bool, str)):  # float() would read True as 1.0 and '1.5' as 1.5
-        raise ValueError(f"entry {key!r} must be a number, got {value!r}")
+        raise ValueError(f"{label.format(key)} must be a number, got {value!r}")
     try:
         value = float(value)
     except TypeError:  # None, a list
-        raise ValueError(f"entry {key!r} must be a number, got {value!r}") from None
+        raise ValueError(f"{label.format(key)} must be a number, got {value!r}") from None
     except OverflowError:  # an int beyond the float range
-        raise ValueError(f"entry {key!r} is too large for a float") from None
+        raise ValueError(f"{label.format(key)} is too large for a float") from None
     if not math.isfinite(value):
-        raise ValueError(f"entry {key!r} is not finite: {value}")
+        raise ValueError(f"{label.format(key)} is not finite: {value}")
+    return value
+
+
+def _count(name: str, value: object, least: int) -> int:
+    """``value`` if it is an int no smaller than ``least``, or a ValueError naming it."""
+    if type(value) is not int:  # True, 2.0, '3' and numpy ints are not counts
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
 
 
@@ -175,10 +188,8 @@ def build(order: int, dim: int,
     Indices are canonicalized; two pairs may name the same permutation
     class only if their values are exactly equal.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    _count("order", order, 1)
+    _count("dim", dim, 1)
     items = entries.items() if isinstance(entries, Mapping) else entries
     out: dict[Index, float] = {}
     for idx, value in items:

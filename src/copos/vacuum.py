@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,7 @@ import numpy as np
 from .criteria import (_THM45_ROWS, Certificate, Verdict, _read, _row_certificate, _thm45_values,
                        thm45_sos_c4d3)
 from .halfline import quad_bound
-from .tensors import SymmetricTensor, build
+from .tensors import SymmetricTensor, _count, _entry_value, build
 
 
 @dataclass(frozen=True)
@@ -79,11 +78,8 @@ class Z3Params:
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
-            v = getattr(self, field.name)
-            real = isinstance(v, (int, float)) and not isinstance(v, bool)
-            if not (real and abs(v) <= sys.float_info.max):  # 10**400 fails too
-                raise ValueError(f"{field.name} must be a finite real, got {v!r}")
-            object.__setattr__(self, field.name, float(v))
+            object.__setattr__(self, field.name,
+                               _entry_value(field.name, getattr(self, field.name), "{}"))
         if self.abs_lam_s12 < 0:
             raise ValueError(f"abs_lam_s12 must be >= 0, got {self.abs_lam_s12}")
         if not 0.0 <= self.rho <= 1.0:
@@ -232,9 +228,6 @@ def scan_rho(p: Z3Params, steps: int, strict: bool = False) -> StabilityReport:
     largest rho so the reported point sits where the rho-dependent
     conditions are tightest.
     """
-    if type(steps) is not int:  # True and 2.0 are not step counts
-        raise ValueError(f"steps must be an int, got {steps!r}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    _count("steps", steps, 1)
     rhos = tuple(k / steps for k in range(steps + 1))
     return _report(p, rhos, strict)

@@ -367,6 +367,21 @@ def test_oracle_grid_is_bounded_before_it_allocates(tmp_path, dim, grid, code):
         assert "--grid" in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_slice_plan_is_bounded_before_it_enumerates(tmp_path, command):
+    # an order-20 dim-3 slice has 3**19 ordered tails: diag, qi and songqi
+    # refuse the shape before the plan enumerates them, within seconds
+    doc = write_doc(tmp_path, "long.json", 20, 3, {"1" * 20: 1.0})
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", CAPPED, command, doc], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "copos: error: a slice of an order-20 dim-3 tensor has 3**19 ordered tails,"
+               " above the limit of 65536\n")
+
+
 # argv of every transcript run, from the golden directory; regenerate
 # tests/data/cli_transcript.txt with the command in README "Tests" after an
 # intended change to the output

@@ -492,6 +492,21 @@ def test_songqi_zero_tensor_unknown():
     assert songqi_strict_generic(zero(3, 2)).outcome is U
 
 
+@pytest.mark.parametrize("order, dim", [(12, 3), (18, 2), (10**6, 2)])
+def test_slice_criteria_refuse_too_many_tails(order, dim):
+    # refused before enumerating, and before songqi forms its float count
+    for cid in ("diag", "qi", "songqi"):
+        with pytest.raises(ValueError, match=rf"^a slice of an order-{order} dim-{dim} tensor"
+                                             rf" has {dim}\*\*{order - 1} ordered tails,"
+                                             r" above the limit of 65536$"):
+            run_criterion(cid, zero(order, dim))
+
+
+def test_slice_plan_admits_the_limit():
+    # 2**16 tails at order 17, dim 2; unwrapped, so the large plan is not cached
+    assert len(criteria._slices.__wrapped__(17, 2)[0][1]) == 2**16 - 1
+
+
 def test_generic_tests_certify_order_one():
     # a slice of a linear form has no off-diagonal tail: qi's row and songqi's
     # sum row are both g_i > 0, which is exactly strict copositivity

@@ -55,7 +55,7 @@ def test_config_validation():
         OracleConfig(resolution=10, samples=-1)
     # bool is an int subclass, so True passed the finite >= 0 test as 1.0
     for flag in (True, False):
-        with pytest.raises(ValueError, match="band must be a finite number"):
+        with pytest.raises(ValueError, match="band must be a number"):
             OracleConfig(resolution=10, band=flag)
 
 

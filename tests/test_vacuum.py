@@ -52,7 +52,7 @@ def test_params_validation():
         Z3Params(lam2=True)
     # an int too large for a float is not a finite real either; 10**308 fits
     for big in (10**400, -10**400, 2**1024):
-        with pytest.raises(ValueError, match="lam1 must be a finite real"):
+        with pytest.raises(ValueError, match="lam1 is too large for a float"):
             Z3Params(lam1=big)
     # every field is stored as the equal float
     p = Z3Params(lam1=10**308, rho=1)
@@ -266,7 +266,7 @@ def test_scan_rejects_bad_steps():
         scan_rho(unit(), steps=0)
     # True would scan (0.0, 1.0) and 2.0 would fail inside range()
     for steps in (True, False, 2.0, 100.0):
-        with pytest.raises(ValueError, match=f"steps must be an int, got {steps!r}"):
+        with pytest.raises(ValueError, match=f"steps must be an integer, got {steps!r}"):
             scan_rho(unit(), steps)
 
 
