@@ -15,17 +15,25 @@ scan and writes ``config.oracle``.
 
 Exit codes: 0 certified / copositive up to band, 1 refuted / not
 copositive, 2 unknown / indeterminate, 3 any failure: malformed input, a
-usage error, overflow or running out of memory.
+usage error, overflow, running out of memory or a failed write.
+
+The ``copos`` command and ``python -m copos.cli`` both end in :func:`run`,
+which flushes the output and leaves through ``os._exit``, so no report waits
+for the interpreter's teardown (clearing modules, the final garbage
+collections over numpy's objects).  :func:`main` returns the exit code and
+is what in-process callers use.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import re
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import __version__
 from .criteria import (Certificate, Verdict, aggregate, applicable_criteria, certify_all,
@@ -297,14 +305,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(exc: BaseException) -> None:
+    print(f"copos: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except Exception as exc:
-        print(f"copos: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        _print_error(exc)
         return 3
 
 
+def run() -> NoReturn:
+    """Run :func:`main` on the command line and end the process.
+
+    Output is flushed first; a write that fails exits 3 with one error
+    line.  The process then ends through ``os._exit``, without the
+    interpreter's teardown, so ``atexit`` hooks do not run.
+    """
+    code = None
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse: --help, --version, usage errors
+            code = exc.code or 0
+        for stream in (sys.stdout, sys.stderr):  # None where the descriptor was closed
+            if stream is not None:
+                stream.flush()
+    except OSError as exc:  # the output, argparse's text or an error line
+        with contextlib.suppress(OSError):  # stderr may be what failed
+            if code != 3:  # every exit 3 has printed its error line already
+                _print_error(exc)
+            if sys.stderr is not None:
+                sys.stderr.flush()
+        code = 3
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -21,8 +21,9 @@ finite float, or a number read as the equal float; never a bool or a
 string) and its counts with :func:`_count` (an ``int`` no smaller than a least value).
 
 Tensors are immutable after construction; ``scale`` and ``add`` return new
-objects.  Dimensions above 3 are supported generically (the closed-form
-criteria in :mod:`copos.criteria` restrict shape themselves).
+objects, made by :func:`build` and so held to its entry rule.  Dimensions
+above 3 are supported generically (the closed-form criteria in
+:mod:`copos.criteria` restrict shape themselves).
 """
 
 from __future__ import annotations
@@ -125,16 +126,20 @@ class SymmetricTensor:
         return acc
 
     def scale(self, c: float) -> "SymmetricTensor":
-        return SymmetricTensor(self.order, self.dim, {k: c * v for k, v in self.entries.items()})
+        """``c`` times this tensor; a factor or a product that is not a
+        finite real raises ValueError, as :func:`build` does."""
+        c = _entry_value(None, c, "scale factor")
+        return build(self.order, self.dim, {k: c * v for k, v in self.entries.items()})
 
     def add(self, other: "SymmetricTensor") -> "SymmetricTensor":
+        """The entrywise sum; a sum that overflows raises ValueError."""
         if (self.order, self.dim) != (other.order, other.dim):
             raise ValueError("shape mismatch: cannot add "
                              f"({self.order},{self.dim}) and ({other.order},{other.dim})")
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out.get(k, 0.0) + v
-        return SymmetricTensor(self.order, self.dim, out)
+        return build(self.order, self.dim, out)
 
     def max_abs_entry(self) -> float:
         return max((abs(v) for v in self.entries.values()), default=0.0)

@@ -1,5 +1,5 @@
 """CLI subcommands run in process through main(argv), except where a run
-needs a memory cap of its own."""
+needs a memory cap of its own or tests the process exit path, run()."""
 
 import argparse
 import contextlib
@@ -345,6 +345,20 @@ def test_report_on_non_finite_form_is_one_error_line(capsys, tmp_path):
         3, "", "copos: error: the form is not finite on the grid (minimum nan)\n")
 
 
+def child_env():
+    """The environment of a copos child: src/ first on the path, one BLAS thread."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_child(argv, env=None, stdout=subprocess.PIPE):
+    """``python -m copos.cli argv`` from the golden directory, through run()."""
+    return subprocess.run([sys.executable, "-m", "copos.cli", *argv], cwd=GOLDEN_DIR,
+                          env=env or child_env(), stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=60)
+
+
 # a copos child under a 1 GiB address-space cap; one BLAS thread, since BLAS
 # thread buffers count against the cap
 CAPPED = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30));"
@@ -357,11 +371,8 @@ def test_oracle_grid_is_bounded_before_it_allocates(tmp_path, dim, grid, code):
     # front with a hint, not left to fail (or succeed) in numpy's allocator
     doc = write_doc(tmp_path, "diag.json", 3, dim, {str(i) * 3: 1.0 for i in range(1, dim + 1)})
     argv = ["report", doc] + ([] if grid is None else ["--grid", str(grid)])
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", CAPPED, *argv], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", CAPPED, *argv], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == code, proc.stderr
     if code == 3:
         assert "--grid" in proc.stderr, proc.stderr
@@ -372,14 +383,54 @@ def test_slice_plan_is_bounded_before_it_enumerates(tmp_path, command):
     # an order-20 dim-3 slice has 3**19 ordered tails: diag, qi and songqi
     # refuse the shape before the plan enumerates them, within seconds
     doc = write_doc(tmp_path, "long.json", 20, 3, {"1" * 20: 1.0})
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", CAPPED, command, doc], env=env,
+    proc = subprocess.run([sys.executable, "-c", CAPPED, command, doc], env=child_env(),
                           capture_output=True, text=True, timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         3, "", "copos: error: a slice of an order-20 dim-3 tensor has 3**19 ordered tails,"
                " above the limit of 65536\n")
+
+
+# one golden document per shape: (3,2), (3,3), (4,2) and (4,3)
+CHILD_GOLDEN = ["refuted-mixed.json", "pairs-sixth.json", "quartic-negative-pair.json",
+                "diag-refuted.json"]
+
+
+@pytest.mark.parametrize("name", CHILD_GOLDEN)
+def test_child_report_matches_frozen_golden(capsys, monkeypatch, name):
+    # the process path, run() and os._exit, loses no byte and keeps main's code
+    proc = run_child(["report", name])
+    monkeypatch.chdir(GOLDEN_DIR)
+    code = main(["report", name])
+    capsys.readouterr()
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert proc.stdout == (GOLDEN_DIR / "expected" / name).read_bytes()
+
+
+def test_child_help_and_usage_error_exit_as_in_process(capsys):
+    proc = run_child(["--help"])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(b"usage: copos")
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    err = capsys.readouterr().err
+    proc = run_child(["frobnicate"])
+    assert (exc.value.code, proc.returncode) == (3, 3)
+    assert proc.stderr.decode() == err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", ["check cubics-quarter.json", "vacuum --l1 1 --l2 1 --ls 1",
+                                  "report disc-zero.json", "--version"])
+def test_failed_final_write_exits_3_with_one_error_line(argv):
+    # with stdout buffered the write happens at the final flush, after main
+    # has returned; it must not end in the interpreter's "Exception ignored"
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = run_child(argv.split(), env=env, stdout=full)
+    err = proc.stderr.decode()
+    assert proc.returncode == 3, err
+    assert re.fullmatch(r"copos: error: [^\n]*\n", err), err
 
 
 # argv of every transcript run, from the golden directory; regenerate

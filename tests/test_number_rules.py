@@ -29,6 +29,8 @@ def document(order, dim, entries):
 REALS = {
     "build": (lambda x: build(2, 2, {(1, 2): x}), "entry (1, 2)"),
     "parse_document": (lambda x: document(2, 2, {"12": x}), "entry '12'"),
+    "SymmetricTensor.scale": (lambda x: build(2, 2, {(1, 2): 1.0}).scale(x).entries,
+                              "scale factor"),
     "Z3Params": (lambda x: Z3Params(lam3=x), "lam3"),
     "OracleConfig.band": (lambda x: OracleConfig(resolution=10, band=x), "band"),
     "cubic_nonneg_exact": (lambda x: cubic_nonneg_exact((1, x, -3, 1)), "coefficient b"),

@@ -209,6 +209,15 @@ def test_scale_zero_and_additive_inverse(rng):
     assert t.add(t.scale(-1.0)) == zero(3, 3)
 
 
+def test_scale_and_add_refuse_an_overflowing_entry():
+    # an inf entry would reach the criteria as a verdict; the factor itself
+    # goes through the real rule (tests/test_number_rules.py)
+    big = build(3, 2, {(1, 1, 1): 1.7e308})
+    for overflow in (lambda: big.add(big), lambda: big.scale(2.0)):
+        with pytest.raises(ValueError, match=r"^entry \(1, 1, 1\) is not finite: inf$"):
+            overflow()
+
+
 def test_add_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         zero(3, 2).add(zero(4, 2))
