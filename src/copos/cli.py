@@ -73,6 +73,12 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(3)
 
+    # argparse ignores a failed write of --help or --version text; run() owns it
+    def _print_message(self, message: str, file=None) -> None:
+        file = file or sys.stderr
+        if message and file is not None:  # argparse's tolerance of a closed stream
+            file.write(message)
+
 
 def _oracle_config(dim: int, args: argparse.Namespace) -> OracleConfig:
     """The default scan for dim, with the oracle flags given in args."""

@@ -18,11 +18,11 @@ value (float overflow on huge entries) proves nothing: it neither fires a
 branch nor refutes, so such a criterion reports ``UNKNOWN``.
 
 Shared algebra.  Every row is built from the half-line primitives of
-:mod:`copos.halfline`, the only code that takes a square root.  Each
-discriminant row (thm3.1, thm3.4, thm4.1, thm4.3, thm4.5) is a positive
-multiple of :func:`copos.halfline.cubic_disc`, and each square-root row is
-``lhs - rhs`` against :func:`copos.halfline.cubic_bounds` or
-:func:`copos.halfline.quad_bound`, at scaled coefficients.  Square roots
+:mod:`copos.halfline`.  Each discriminant row (thm3.1, thm3.4, thm4.1,
+thm4.3, thm4.5) is a positive multiple of :func:`copos.halfline.cubic_disc`,
+and each square-root row is ``lhs - rhs`` against
+:func:`copos.halfline.cubic_bounds` or :func:`copos.halfline.quad_bound`, at
+scaled coefficients; ``quad_bound`` is the only code that takes a root.  Roots
 appear only over products whose signs are pinned by companion conditions in
 the same system; radicands that come out negative (failed sign conditions,
 or -0.0 style rounding) give a zero root, so every row is computable.
@@ -486,6 +486,14 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
 # generic strict tests (any order, any dimension)
 
 _MAX_TAILS = 2 ** 16  # ordered tails per slice: order 11 at dim 3 and order 17 at dim 2 pass
+_MAX_ORDER = 2 ** 16  # an index, its digit key and a slice's row texts are each `order` long
+
+
+def _check_order(order: int) -> int:
+    """``order`` if at most _MAX_ORDER, else ValueError; documents check it before any key."""
+    if order > _MAX_ORDER:
+        raise ValueError(f"an order-{order} tensor is above the order limit of {_MAX_ORDER}")
+    return order
 
 
 @functools.lru_cache(maxsize=32)
@@ -496,6 +504,7 @@ def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple
     if dim ** min(order - 1, _MAX_TAILS.bit_length()) > _MAX_TAILS:
         raise ValueError(f"a slice of an order-{order} dim-{dim} tensor has {dim}**{order - 1}"
                          f" ordered tails, above the limit of {_MAX_TAILS}")
+    _check_order(order)  # binds at dim 1, with one tail per slice
     out = []
     for i in range(1, dim + 1):
         diag = (i,) * order

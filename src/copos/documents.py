@@ -9,6 +9,8 @@ format only covers dimensions up to 9 (plenty here).  Keys must arrive
 canonical: a key like "121" is rejected, not normalized, because silently
 sorting it would hide conflicting values for the same permutation class.
 Missing entries are zero; explicit zeros are kept and serialized back.
+An order above 2**16 (``criteria._MAX_ORDER``) is refused before any key
+is built, since an index, its key and a slice's row texts are order long.
 
 serialize_document emits the fields in a fixed order with keys sorted and
 numbers in shortest round-trip decimal form, so equal tensors produce
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 
+from .criteria import _check_order
 from .tensors import Index, SymmetricTensor, _count, _entry_value, _index_table, build
 
 _TOP_KEYS = ("order", "dim", "entries")
@@ -50,7 +53,7 @@ def parse_document(text: str) -> SymmetricTensor:
     extra = set(obj) - set(_TOP_KEYS)
     if extra:
         raise ValueError(f"unexpected document key {sorted(extra)[0]!r}")
-    order = _count("order", obj["order"], 1)
+    order = _check_order(_count("order", obj["order"], 1))
     dim = _count("dim", obj["dim"], 1)
     if dim > 9:
         raise ValueError(f"digit-string keys support dim <= 9, got {dim}")

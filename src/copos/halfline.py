@@ -2,13 +2,15 @@
 
 The scalar building blocks of every closed-form test in :mod:`copos.criteria`
 and :mod:`copos.vacuum`, plus a brute-force grid minimiser used as an oracle.
-Only this module takes square roots.  :func:`cubic_bounds` (the sufficient
-cubic test) feeds thm3.2, thm3.5, thm4.2 and thm4.4's max-arms, and
-:func:`quad_bound` (the exact quadratic test) thm3.3, the pairwise rows of
-thm4.3/4.4, thm4.5's q rows and the printed vacuum rows; both call
-``math.sqrt`` inline.  The rho scan passes float64 columns of grid points
-to :func:`quad_bound` (same rule, elementwise) and :func:`cubic_disc`.
-The exact cubic test and thm3.1 share :func:`cubic_disc_checked`.
+Only :func:`quad_bound` (the exact quadratic test) takes a square root,
+clamped to 0 where the radicand is not positive.  It feeds thm3.3, the
+pairwise rows of thm4.3/4.4, thm4.5's q rows and the printed vacuum rows;
+:func:`cubic_bounds` (the sufficient cubic test: thm3.2, thm3.5, thm4.2 and
+thm4.4's max-arms) takes its shift from it.  The rho scan passes float64
+columns of grid points to :func:`quad_bound` (same rule, elementwise) and
+:func:`cubic_disc`.  The exact cubic test and thm3.1 share
+:func:`cubic_disc_checked`, whose error bound, like the oracle's screen
+window, rests on this module's rounding model: ``_U``, ``_UNDERFLOW``, ``_gamma``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .tensors import _count, _entry_value
+
+
+_U = 2.0 ** -53            # unit roundoff of binary64
+_UNDERFLOW = 2.0 ** -1000  # absolute error of gradual underflow anywhere in the products
+
+
+def _gamma(n: int) -> float:
+    return n * _U / (1.0 - n * _U)
 
 
 class CubicCoeffs(NamedTuple):
@@ -80,7 +90,7 @@ def cubic_disc_checked(a: float, b: float, c: float, d: float, k: int = 1) -> fl
     m = max(abs(a), abs(kb), abs(kc), abs(d))
     # five terms of at most 54*m**4 in all, within 11 roundings each: 1728u*m**4
     # bounds 54*gamma_11*m**4 and the rounding of m**4, 2**-1000 gradual underflow
-    if abs(disc) <= 1728 / k**3 * 2.0**-53 * (m * m * m * m) + 2.0**-1000 and not math.isinf(disc):
+    if abs(disc) <= 1728 / k**3 * _U * (m * m * m * m) + _UNDERFLOW and not math.isinf(disc):
         from fractions import Fraction
         exact = cubic_disc(Fraction(a), k * Fraction(b), k * Fraction(c), Fraction(d)) / k**3
         if (exact >= 0) != (disc >= 0):  # an exact negative stays below -0.0
@@ -105,7 +115,7 @@ def cubic_nonneg_exact(cc) -> bool:
 
 def cubic_bounds(a: float, d: float) -> tuple[float, float]:
     """(a - 2*sqrt(ad), d - 2*sqrt(ad)), the least b and c the sufficient test accepts."""
-    s = 2.0 * math.sqrt(ad) if (ad := a * d) > 0 else 0.0
+    s = -quad_bound(a, d)  # negation is exact and turns the clamp's -0.0 into 0.0
     return a - s, d - s
 
 

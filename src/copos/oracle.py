@@ -11,18 +11,19 @@ validated against this module.
 Screen, then exact survivors: the lattice and each refine box are product
 grids over the free coordinates ``x_1..x_{d-1}``, with ``x_d = 1 - sum``.
 In dimension 3 the form on that plane is expanded about a centre and
-evaluated on the whole grid as one small Vandermonde product.  With
-its constant term dropped, that approximation differs from the exact value
-minus one common constant by at most a bound E, built from the forward
+evaluated on the whole grid as one small product of ``np.vander`` columns.
+With its constant term dropped, that approximation differs from the exact
+value minus one common constant by at most a bound E, built from the forward
 error bounds ``gamma_n = n*u/(1 - n*u)`` for sums of products (Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2nd ed., sec. 3.1) and
-the rounding of ``x_d``.  Only points whose approximation lies within 2E
-of the smallest one are evaluated exactly, so every exact minimiser is
-among them and the result is the one that evaluating every point exactly
-would give.  Where the bound cannot be formed (another dimension, a
-clipped ``x_d``, a non-finite value) the points are evaluated exactly;
-in dimension 2 that is also cheaper than the screen.  A call prepares the
-form once, and the lattice is cached with its screen tables per shape and N.
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., sec. 3.1; the
+rounding model of :mod:`copos.halfline`) and the rounding of ``x_d``.  Only
+points whose approximation lies within 2E of the smallest one are evaluated
+exactly, so every exact minimiser is among them and the result is the one
+that evaluating every point exactly would give.  Where the bound cannot be
+formed (another dimension, a clipped ``x_d``, a non-finite value) the points
+are evaluated exactly; in dimension 2 that is also cheaper than the screen.
+A call prepares the form once, and the lattice is cached with its screen
+tables per shape and N.
 
 Determinism: every exact value follows the rounding sequence of
 :meth:`SymmetricTensor.evaluate`, ties in the argmin are broken by the
@@ -42,6 +43,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .halfline import _U, _UNDERFLOW, _gamma
 from .tensors import SymmetricTensor, Vector, _count, _entry_value, all_indices
 
 
@@ -218,23 +220,6 @@ def _box_grid(centre: Vector, radius: float, resolution: int, order: int) -> _Gr
                  screen=_expansion(axes, centre[:-1], order))
 
 
-_U = 2.0 ** -53            # unit roundoff of binary64
-_UNDERFLOW = 2.0 ** -1000  # absolute error of gradual underflow anywhere in the products
-
-
-def _gamma(n: int) -> float:
-    return n * _U / (1.0 - n * _U)
-
-
-def _powers(x: np.ndarray, degree: int) -> np.ndarray:
-    # columns x**0 .. x**degree by repeated multiplication
-    out = np.empty((len(x), degree + 1))
-    out[:, 0] = 1.0
-    for s in range(1, degree + 1):
-        np.multiply(out[:, s - 1], x, out=out[:, s])
-    return out
-
-
 @functools.lru_cache(maxsize=4)
 def _reduction(order: int) -> tuple:
     """Tables for the screen of an order-``order``, dim-3 form.
@@ -272,11 +257,12 @@ def _expansion(axes: tuple[np.ndarray, ...], centre: Vector,
     comb, exps, sums = _reduction(order)[3:]
     (a, b), (ca, cb) = axes, centre
     # about the centre: a = ca + u, b = cb + v and a**i = sum_s ta[i, s] * u**s;
-    # accumulate multiplies in sequence, as _powers does
+    # accumulate multiplies in sequence, as np.vander fills its columns
     ta, tb = (comb * np.multiply.accumulate([1.0] + [c] * order)[exps] for c in (ca, cb))
     # rounding is monotone, so |a - ca| is largest at an end of the axis
     radius = max(abs(a[0] - ca), abs(a[-1] - ca), abs(b[0] - cb), abs(b[-1] - cb))
-    return (ta, tb, np.abs(ta), np.abs(tb), _powers(a - ca, order), _powers(b - cb, order),
+    return (ta, tb, np.abs(ta), np.abs(tb), np.vander(a - ca, order + 1, increasing=True),
+            np.vander(b - cb, order + 1, increasing=True),
             np.multiply.accumulate([1.0] + [radius] * (2 * order))[sums])
 
 

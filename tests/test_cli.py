@@ -390,6 +390,17 @@ def test_slice_plan_is_bounded_before_it_enumerates(tmp_path, command):
                " above the limit of 65536\n")
 
 
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_order_is_bounded_before_any_key_is_built(tmp_path, command):
+    # a dim-1 slice has one tail, so the tail limit never binds there; the
+    # order-long index, key and row texts are refused at parse instead
+    doc = write_doc(tmp_path, "long.json", 4_000_000, 1, {})
+    proc = subprocess.run([sys.executable, "-c", CAPPED, command, doc], env=child_env(),
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "copos: error: an order-4000000 tensor is above the order limit of 65536\n")
+
+
 # one golden document per shape: (3,2), (3,3), (4,2) and (4,3)
 CHILD_GOLDEN = ["refuted-mixed.json", "pairs-sixth.json", "quartic-negative-pair.json",
                 "diag-refuted.json"]
@@ -420,17 +431,21 @@ def test_child_help_and_usage_error_exit_as_in_process(capsys):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", ["check cubics-quarter.json", "vacuum --l1 1 --l2 1 --ls 1",
-                                  "report disc-zero.json", "--version"])
+                                  "report disc-zero.json", "--version", "--help"])
 def test_failed_final_write_exits_3_with_one_error_line(argv):
-    # with stdout buffered the write happens at the final flush, after main
-    # has returned; it must not end in the interpreter's "Exception ignored"
-    env = child_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    with open("/dev/full", "w") as full:
-        proc = run_child(argv.split(), env=env, stdout=full)
-    err = proc.stderr.decode()
-    assert proc.returncode == 3, err
-    assert re.fullmatch(r"copos: error: [^\n]*\n", err), err
+    # buffered, the write happens at the final flush, after main has returned,
+    # and must not end in the interpreter's "Exception ignored"; unbuffered,
+    # argparse's own write of --help or --version must not swallow the error
+    for unbuffered in (False, True):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = run_child(argv.split(), env=env, stdout=full)
+        err = proc.stderr.decode()
+        assert proc.returncode == 3, (unbuffered, err)
+        assert re.fullmatch(r"copos: error: [^\n]*\n", err), (unbuffered, err)
 
 
 # argv of every transcript run, from the golden directory; regenerate

@@ -502,6 +502,15 @@ def test_slice_criteria_refuse_too_many_tails(order, dim):
             run_criterion(cid, zero(order, dim))
 
 
+def test_slice_criteria_refuse_an_order_above_the_limit():
+    # a dim-1 slice has one tail, so only the order limit binds there
+    assert run_criterion("diag", zero(2**16, 1)).outcome is Verdict.UNKNOWN
+    for cid in ("diag", "qi", "songqi"):
+        with pytest.raises(ValueError, match=r"^an order-65537 tensor is above the order"
+                                             r" limit of 65536$"):
+            run_criterion(cid, zero(2**16 + 1, 1))
+
+
 def test_slice_plan_admits_the_limit():
     # 2**16 tails at order 17, dim 2; unwrapped, so the large plan is not cached
     assert len(criteria._slices.__wrapped__(17, 2)[0][1]) == 2**16 - 1

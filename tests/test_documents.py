@@ -118,6 +118,13 @@ def test_rejects_bad_order_and_dim():
         parse_document('{"order": 3, "dim": 10, "entries": {}}')
 
 
+@pytest.mark.parametrize("order, dim", [(2**16, 1), (17, 2), (11, 3)])
+def test_parse_admits_the_order_and_tail_limits(order, dim):
+    key = "1" * order
+    t = parse_document(doc(order, dim, {key: 2.0}))
+    assert (t.order, t.dim, entries_as_strings(t)) == (order, dim, {key: 2.0})
+
+
 def test_rejects_bad_entries_container():
     with pytest.raises(ValueError, match="entries must be an object"):
         parse_document('{"order": 3, "dim": 2, "entries": []}')
@@ -207,6 +214,8 @@ PARSE_REJECTIONS = [
     ("int past the digit limit", '{"order": 3, "dim": 2, "entries": {"111": 1%s}}' % ("0" * 5000),
      ValueError, "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion:"
      " value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ("order above the limit", doc(2**16 + 1, 1, {}), ValueError,
+     "an order-65537 tensor is above the order limit of 65536"),
     ("duplicate entry", '{"order": 3, "dim": 2, "entries": {"111": 1, "111": 2}}',
      ValueError, "duplicate key '111' in document"),
     ("duplicate top key", '{"order": 3, "order": 3, "dim": 2, "entries": {}}',

@@ -1,0 +1,85 @@
+"""Each numeric primitive of the package has one owner.
+
+``halfline.quad_bound`` is the only function of ``src/copos`` that takes a
+square root (``math.sqrt`` or ``np.sqrt``, however imported), and
+``halfline`` is the only module that writes the unit roundoff ``2.0 ** -53``
+or the underflow slack ``2.0 ** -1000``; every other module imports
+``_U``, ``_UNDERFLOW`` and ``_gamma`` from it.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "copos").glob("*.py"))
+
+SQRT_OWNER = "halfline.quad_bound"
+ROUNDING_OWNER = "halfline"
+ROUNDING_EXPONENTS = {53, 1000}
+
+
+def _is_sqrt(func: ast.expr, aliases: set[str]) -> bool:
+    if isinstance(func, ast.Attribute):
+        return (func.attr == "sqrt" and isinstance(func.value, ast.Name)
+                and func.value.id in {"math", "np", "numpy"})
+    return isinstance(func, ast.Name) and func.id in aliases
+
+
+def _is_rounding_constant(node: ast.AST) -> bool:
+    # 2 ** -53 or 2.0 ** -1000, in any spelling of the two numbers
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Constant) and node.left.value == 2
+            and isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub)
+            and isinstance(node.right.operand, ast.Constant)
+            and node.right.operand.value in ROUNDING_EXPONENTS)
+
+
+def owner_violations(sources: dict[str, str]) -> list[str]:
+    """Square roots outside SQRT_OWNER and rounding constants outside ROUNDING_OWNER."""
+    out = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        # from math import sqrt (as root) binds a name that calls the root directly
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module in {"math", "numpy"}
+                   for alias in node.names if alias.name == "sqrt"}
+
+        def visit(node: ast.AST, scope: str) -> None:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = f"{module}.{node.name}"
+            if (isinstance(node, ast.Call) and _is_sqrt(node.func, aliases)
+                    and scope != SQRT_OWNER):
+                out.append(f"{scope}: line {node.lineno}: square root")
+            if _is_rounding_constant(node) and module != ROUNDING_OWNER:
+                out.append(f"{scope}: line {node.lineno}: rounding constant")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, module)
+    return out
+
+
+def test_numeric_primitives_have_one_owner():
+    assert owner_violations({p.stem: p.read_text(encoding="utf-8") for p in SRC}) == []
+
+
+def test_owner_rules():
+    sources = {"halfline": ("import math\n"
+                            "import numpy as np\n"
+                            "_U = 2.0 ** -53\n"
+                            "def quad_bound(ag):\n"
+                            "    return -2.0 * math.sqrt(ag), np.sqrt(ag)\n"
+                            "def cubic_bounds(ad):\n"
+                            "    return 2.0 * math.sqrt(ad)\n"),
+               "oracle": ("from math import sqrt as root\n"
+                          "import numpy as np\n"
+                          "_UNDERFLOW = 2 ** -1000\n"
+                          "_HALF = 2.0 ** -1\n"
+                          "def screen(x):\n"
+                          "    return np.sqrt(x) + root(x)\n")}
+    assert owner_violations(sources) == [
+        "halfline.cubic_bounds: line 7: square root",
+        "oracle: line 3: rounding constant",
+        "oracle.screen: line 6: square root",
+        "oracle.screen: line 6: square root",
+    ]

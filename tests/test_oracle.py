@@ -460,6 +460,29 @@ def test_screen_window_is_sound():
     assert checked > 10000
 
 
+def reference_powers(x, degree):
+    # columns x**0 .. x**degree by repeated multiplication: the products the
+    # screen's error window assumes of its power columns
+    out = np.empty((len(x), degree + 1))
+    out[:, 0] = 1.0
+    for s in range(1, degree + 1):
+        np.multiply(out[:, s - 1], x, out=out[:, s])
+    return out
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_vander_columns_are_repeated_products(degree):
+    # byte for byte, through signed zeros, subnormals, underflow and overflow
+    x = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.3, 2.0 / 3.0, -7.25e-2, 5e-324, -5e-324,
+                  2.2e-308, -1e-100, 1e80, -1e80, 1e200, -1.7e308, np.inf])
+    x = np.concatenate([x, np.random.default_rng(19).uniform(-1.0, 1.0, 64)])
+    with np.errstate(over="ignore", under="ignore"):
+        got = np.vander(x, degree + 1, increasing=True)
+        want = reference_powers(x, degree)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_stages_count_screened_and_exact_points():
     rng = np.random.default_rng(7)
     r3 = min_on_simplex(random_tensor(rng, 4, 3))
