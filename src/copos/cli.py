@@ -30,6 +30,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -97,9 +98,14 @@ def _params(args: argparse.Namespace) -> Z3Params:
 # ---------------------------------------------------------------------------
 # JSON shaping.  Field order is fixed; do not sort keys.
 
+def _number(x: float) -> float | str:
+    # JSON has no nan or inf: such a value is written as the repr the human output prints
+    return x if math.isfinite(x) else repr(x)
+
+
 def _certificate_json(c: Certificate) -> dict:
     return {"id": c.criterion_id, "outcome": c.outcome.value, "branch": c.branch,
-            "conditions": [{"description": row.description, "value": row.value,
+            "conditions": [{"description": row.description, "value": _number(row.value),
                             "satisfied": row.satisfied} for row in c.conditions]}
 
 
@@ -128,12 +134,12 @@ def _emit(command: str, input_section: dict, config_section: dict,
                          "theorem_verdict": stability.theorem_verdict.value,
                          "printed_verdict": stability.printed_verdict.value}
     if oracle_result is not None:
-        doc["oracle"] = {"min_value": oracle_result.min_value,
+        doc["oracle"] = {"min_value": _number(oracle_result.min_value),
                          "argmin": list(oracle_result.argmin),
                          "resolution_used": oracle_result.resolution_used,
                          "classification": oracle_result.classification.value}
     doc["aggregate"] = agg
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ import math
 from typing import Callable, NamedTuple, Optional
 
 from .halfline import cubic_bounds, cubic_disc, cubic_disc_checked, quad_bound
-from .tensors import Index, SymmetricTensor, all_indices, multiplicity
+from .tensors import Index, SymmetricTensor, all_indices, build, multiplicity
 
 
 class Verdict(enum.Enum):
@@ -454,7 +454,7 @@ def thm4remark_decompose(tensor: SymmetricTensor) -> tuple[SymmetricTensor, ...]
     split distributes every monomial of A over the coordinate factors it
     contains, so the identity holds for all x (not just x >= 0).
     """
-    return tuple(SymmetricTensor(3, 3, {idx: g[key] for key, idx in _names(3, 3)})
+    return tuple(build(3, 3, {idx: g[key] for key, idx in _names(3, 3)})
                  for g in _components(tensor))
 
 
@@ -486,14 +486,6 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
 # generic strict tests (any order, any dimension)
 
 _MAX_TAILS = 2 ** 16  # ordered tails per slice: order 11 at dim 3 and order 17 at dim 2 pass
-_MAX_ORDER = 2 ** 16  # an index, its digit key and a slice's row texts are each `order` long
-
-
-def _check_order(order: int) -> int:
-    """``order`` if at most _MAX_ORDER, else ValueError; documents check it before any key."""
-    if order > _MAX_ORDER:
-        raise ValueError(f"an order-{order} tensor is above the order limit of {_MAX_ORDER}")
-    return order
 
 
 @functools.lru_cache(maxsize=32)
@@ -504,7 +496,6 @@ def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple
     if dim ** min(order - 1, _MAX_TAILS.bit_length()) > _MAX_TAILS:
         raise ValueError(f"a slice of an order-{order} dim-{dim} tensor has {dim}**{order - 1}"
                          f" ordered tails, above the limit of {_MAX_TAILS}")
-    _check_order(order)  # binds at dim 1, with one tail per slice
     out = []
     for i in range(1, dim + 1):
         diag = (i,) * order

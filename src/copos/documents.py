@@ -9,7 +9,7 @@ format only covers dimensions up to 9 (plenty here).  Keys must arrive
 canonical: a key like "121" is rejected, not normalized, because silently
 sorting it would hide conflicting values for the same permutation class.
 Missing entries are zero; explicit zeros are kept and serialized back.
-An order above 2**16 (``criteria._MAX_ORDER``) is refused before any key
+An order above 2**16 (``tensors._MAX_ORDER``) is refused before any key
 is built, since an index, its key and a slice's row texts are order long.
 
 serialize_document emits the fields in a fixed order with keys sorted and
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 
-from .criteria import _check_order
 from .tensors import Index, SymmetricTensor, _count, _entry_value, _index_table, build
 
 _TOP_KEYS = ("order", "dim", "entries")
@@ -53,14 +52,13 @@ def parse_document(text: str) -> SymmetricTensor:
     extra = set(obj) - set(_TOP_KEYS)
     if extra:
         raise ValueError(f"unexpected document key {sorted(extra)[0]!r}")
-    order = _check_order(_count("order", obj["order"], 1))
+    order = _count("order", obj["order"], 1)
     dim = _count("dim", obj["dim"], 1)
-    if dim > 9:
-        raise ValueError(f"digit-string keys support dim <= 9, got {dim}")
+    keys = _index_table(order, dim)  # refuses the order; only a key missing here is checked
+    _digit_dim(dim)
     raw = obj["entries"]
     if not isinstance(raw, dict):
         raise ValueError(f"entries must be an object, got {type(raw).__name__}")
-    keys = _index_table(order, dim)  # only a key missing here goes through the checks
     entries: dict[Index, float] = {}
     for key, value in raw.items():
         idx = keys.get(key)
@@ -82,8 +80,14 @@ def load_document(path: str) -> SymmetricTensor:
         return parse_document(fh.read())
 
 
+def _digit_dim(dim: int) -> None:
+    if dim > 9:  # index (1, 1, 10) would be key "1110"
+        raise ValueError(f"digit-string keys support dim <= 9, got {dim}")
+
+
 def entries_as_strings(tensor: SymmetricTensor) -> dict[str, float]:
     """Stored entries keyed by digit string, sorted, zeros included."""
+    _digit_dim(tensor.dim)
     return {"".join(str(i) for i in idx): value
             for idx, value in sorted(tensor.entries.items())}
 
@@ -93,8 +97,6 @@ def serialize_document(tensor: SymmetricTensor) -> str:
 
     parse(serialize(t)) == t, and serialize is a fixpoint on its output.
     """
-    if tensor.dim > 9:
-        raise ValueError(f"digit-string keys support dim <= 9, got {tensor.dim}")
     doc = {"order": tensor.order, "dim": tensor.dim,
            "entries": entries_as_strings(tensor)}
     return json.dumps(doc, indent=2)

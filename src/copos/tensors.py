@@ -11,17 +11,20 @@ the number of distinct permutations of its index, which makes
 
 without ever materialising the full ``n**m`` array.
 
-:func:`build` and :meth:`SymmetricTensor.get` look indices up in a table of
-the shape's canonical indices, built on first use, and call
-:func:`canonicalize`, with its checks and messages, only on a miss (a
-permutation, a list, a float such as 1.5, a component out of range).
+:func:`build`, the one door into a tensor, and :meth:`SymmetricTensor.get`
+look indices up in a table of the shape's canonical indices, built on first
+use, and call :func:`canonicalize`, with its checks and messages, only on a
+miss (a permutation, a list, 1.0 for 1; a string index, or a component such
+as 1.5 or "1" that is not an integer, raises).  The lookup refuses an order
+above ``_MAX_ORDER = 2**16`` before any index is made: an index, its digit
+key and a slice's row texts are each order long.
 
 Every public entry point checks its reals with :func:`_entry_value` (a
 finite float, or a number read as the equal float; never a bool or a
 string) and its counts with :func:`_count` (an ``int`` no smaller than a least value).
 
 Tensors are immutable after construction; ``scale`` and ``add`` return new
-objects, made by :func:`build` and so held to its entry rule.  Dimensions
+objects, made by :func:`build` and so held to its rules.  Dimensions
 above 3 are supported generically (the closed-form criteria in
 :mod:`copos.criteria` restrict shape themselves).
 """
@@ -37,16 +40,27 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 Index = tuple[int, ...]
 Vector = tuple[float, ...]
+_MAX_ORDER = 2 ** 16  # an index, its digit key and a slice's row texts are each `order` long
 
 
 def canonicalize(idx: Sequence[int], dim: int) -> Index:
     """Sorted (non-decreasing) form of a 1-based multi-index.
 
-    Raises ValueError if any component falls outside ``1..dim``.
+    Raises ValueError if ``idx`` is a string, or if a component is not equal
+    to an integer or falls outside ``1..dim``.
     """
-    out = tuple(sorted(int(i) for i in idx))
+    if isinstance(idx, str):
+        raise ValueError(f"index {idx!r} is a string, not a sequence of integers")
+    given = tuple(idx)
+    try:
+        ints = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError):  # None, a list, nan, inf
+        ints = None
+    if ints != given:  # int() truncates 1.5 and reads "1"
+        raise ValueError(f"index {given} has a component that is not an integer")
+    out = tuple(sorted(ints))
     if out and (out[0] < 1 or out[-1] > dim):
-        raise ValueError(f"index {tuple(idx)} has components outside 1..{dim}")
+        raise ValueError(f"index {given} has components outside 1..{dim}")
     return out
 
 
@@ -72,10 +86,13 @@ def all_indices(order: int, dim: int) -> Iterator[Index]:
 
 @functools.lru_cache(maxsize=32)
 def _index_table(order: int, dim: int) -> dict[Index | str, Index]:
-    # canonical indices and, for dim <= 9, their digit strings (document keys);
-    # a shape with more canonical indices than this gets an empty table, so
-    # every lookup misses: the table would cost more to hold than it saves
-    if math.comb(dim + order - 1, order) > 4096:
+    # canonical indices and, for dim <= 9, their digit strings (document keys)
+    if order > _MAX_ORDER:  # checked here, by build and parse_document alike
+        raise ValueError(f"an order-{order} tensor is above the order limit of {_MAX_ORDER}")
+    # a shape whose indices hold more than 2**14 components in all gets an empty
+    # table: it would cost more to hold than it saves.  Above dim 1 there are at
+    # least order + dim - 1 indices, so comb only sees small shapes
+    if dim > 1 and (order + dim > 2**14 or math.comb(dim + order - 1, order) * order > 2**14):
         return {}
     table: dict[Index | str, Index] = {idx: idx for idx in all_indices(order, dim)}
     if dim <= 9:
@@ -83,12 +100,13 @@ def _index_table(order: int, dim: int) -> dict[Index | str, Index]:
     return table
 
 
-def _canonical(idx: Sequence[int], order: int, dim: int) -> Index:
+def _canonical(table: Mapping[object, Index], idx: Sequence[int], order: int, dim: int) -> Index:
     """Canonical form of an index with ``order`` components, or ValueError."""
-    try:
-        return _index_table(order, dim)[idx]
-    except (KeyError, TypeError):  # not canonical, or unhashable such as a list
-        pass
+    if not isinstance(idx, str):  # a digit string is a document key, not an index
+        try:
+            return table[idx]
+        except (KeyError, TypeError):  # not canonical, or unhashable such as a list
+            pass
     key = canonicalize(idx, dim)
     if len(key) != order:
         raise ValueError(f"index {tuple(idx)} has {len(key)} components, expected {order}")
@@ -111,7 +129,8 @@ class SymmetricTensor:
     def get(self, idx: Sequence[int]) -> float:
         """Entry at ``idx`` (any permutation); absent entries are 0.  An
         index :func:`build` would reject raises the same ValueError."""
-        return self.entries.get(_canonical(idx, self.order, self.dim), 0.0)
+        table = _index_table(self.order, self.dim)
+        return self.entries.get(_canonical(table, idx, self.order, self.dim), 0.0)
 
     def evaluate(self, x: Sequence[float]) -> float:
         """The homogeneous form ``T x^m`` at a point with ``dim`` components."""
@@ -191,14 +210,14 @@ def build(order: int, dim: int,
     """Construct a tensor from (index, value) pairs in any index order.
 
     Indices are canonicalized; two pairs may name the same permutation
-    class only if their values are exactly equal.
+    class only if their values are exactly equal.  An order above
+    ``_MAX_ORDER`` raises ValueError before any entry is read.
     """
-    _count("order", order, 1)
-    _count("dim", dim, 1)
+    table = _index_table(_count("order", order, 1), _count("dim", dim, 1))
     items = entries.items() if isinstance(entries, Mapping) else entries
     out: dict[Index, float] = {}
     for idx, value in items:
-        key = _canonical(idx, order, dim)
+        key = _canonical(table, idx, order, dim)
         if type(value) is not float or not math.isfinite(value):  # a finite float needs no checks
             value = _entry_value(key, value)
         if key in out and out[key] != value:

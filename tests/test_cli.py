@@ -270,6 +270,27 @@ def test_vacuum_json_shape(capsys):
                                             "ls1", "ls2", "ls12", "rho"]
 
 
+def refuse_constant(token):
+    raise AssertionError(f"{token} is not standard JSON")
+
+
+def test_json_output_has_no_bare_nan_or_infinity(capsys, tmp_path):
+    # huge entries overflow condition values to inf and nan; RFC 8259 has no
+    # token for either, so each is written as the string of its repr
+    doc = write_doc(tmp_path, "huge.json", 3, 2,
+                    {"111": 1e200, "112": -1.0, "122": 1e200, "222": 1.0})
+    huge = ["--l1", "1e154", "--l2", "1e154", "--ls", "1e154", "--ls12", "4e153"]
+    for argv, code, strings in [(["report", doc], 2, ["nan", "inf"]),
+                                (["check", "--json", doc], 2, ["nan", "inf"]),
+                                (["vacuum", *huge, "--rho-scan", "4", "--json"], 2,
+                                 ["nan", "nan", "nan", "inf"])]:
+        got, out, err = run(capsys, argv)
+        assert (got, err) == (code, "")
+        obj = json.loads(out, parse_constant=refuse_constant)
+        values = [row["value"] for c in obj["certificates"] for row in c["conditions"]]
+        assert [v for v in values if isinstance(v, str)] == strings
+
+
 # ---------------------------------------------------------------------------
 # report
 

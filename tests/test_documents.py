@@ -52,8 +52,8 @@ def test_serialize_is_fixpoint(rng):
 
 
 def test_parse_and_round_trip_without_key_table():
-    # order 7, dim 9 has 6,435 canonical keys, more than the index table holds,
-    # so every key goes through the per-key checks
+    # order 7, dim 9 has 6,435 canonical keys of 7 digits, more than the index
+    # table holds, so every key goes through the per-key checks
     t = parse_document(doc(7, 9, {"1125579": 1.5, "3333333": -2, "3456789": 0.25}))
     assert t.entries == {(1, 1, 2, 5, 5, 7, 9): 1.5, (3,) * 7: -2.0,
                          (3, 4, 5, 6, 7, 8, 9): 0.25}
@@ -80,6 +80,12 @@ def test_load_document(tmp_path):
 def test_serialize_rejects_wide_tensor():
     with pytest.raises(ValueError, match="dim <= 9"):
         serialize_document(zero(3, 10))
+
+
+def test_digit_keys_refuse_a_wide_tensor():
+    # index (1, 1, 10) would be written as the key "1110"
+    with pytest.raises(ValueError, match=r"^digit-string keys support dim <= 9, got 10$"):
+        entries_as_strings(build(3, 10, {(1, 1, 10): 1.0}))
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +270,8 @@ BUILD_REJECTIONS = [
      "entry (1, 1, 1) is too large for a float"),
     ("huge negative int on a permutation", (3, 2, {(2, 2, 1): -10**400}), ValueError,
      "entry (1, 2, 2) is too large for a float"),
-    ("list component", (3, 2, [((1, [1], 1), 1.0)]), TypeError,
-     "int() argument must be a string, a bytes-like object or a real number, not 'list'"),
+    ("list component", (3, 2, [((1, [1], 1), 1.0)]), ValueError,
+     "index (1, [1], 1) has a component that is not an integer"),
     ("order 0", (0, 2, {}), ValueError, "order must be >= 1, got 0"),
     ("dim 0", (3, 0, {}), ValueError, "dim must be >= 1, got 0"),
 ]

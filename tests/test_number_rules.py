@@ -6,11 +6,16 @@ equal float; a bool, a string, None, nan, an infinity and an int beyond the
 float range raise ValueError.  A count is an ``int`` no smaller than the
 entry point's least value; True, 2.0 and "3" raise ValueError.  Each message
 starts with the name of what it refuses.
+
+Every tensor comes through ``build``, which refuses an order above 2**16
+(``tensors._MAX_ORDER``) before it makes an index; ``zero`` and
+``parse_document`` meet the limit there.
 """
 
 import json
 import math
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +23,7 @@ import pytest
 
 from copos import (OracleConfig, Z3Params, build, cubic_min_bruteforce, cubic_nonneg_exact,
                    cubic_nonneg_sufficient, parse_document, quad_min_bruteforce, quad_nonneg,
-                   scan_rho)
+                   scan_rho, zero)
 
 
 def document(order, dim, entries):
@@ -98,3 +103,37 @@ def test_count_rule_takes_the_least_value_only(entry):
     call(least)
     with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
         call(least - 1)
+
+
+# entry point -> a call that makes an empty tensor of the given order and dim
+DOORS = {
+    "build": lambda order, dim: build(order, dim, {}),
+    "zero": zero,
+    "parse_document": lambda order, dim: document(order, dim, {}),
+}
+
+
+@pytest.mark.parametrize("entry", DOORS)
+@pytest.mark.parametrize("order, dim", [(2**16 + 1, 1), (2**16 + 1, 3), (10**6, 2)])
+def test_order_limit_refuses_at_the_door(entry, order, dim):
+    # order 10**6 at dim 2 never reaches the slice plan and its tail limit
+    message = f"an order-{order} tensor is above the order limit of 65536"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DOORS[entry](order, dim)
+
+
+@pytest.mark.parametrize("entry", DOORS)
+@pytest.mark.parametrize("order, dim", [(2**16, 1), (17, 2), (11, 3)])
+def test_order_limit_admits_the_limit(entry, order, dim):
+    t = DOORS[entry](order, dim)
+    assert (t.order, t.dim, t.entries) == (order, dim, {})
+
+
+def test_order_limit_refuses_before_an_entry_is_read():
+    # weighted_terms() of this one entry would take seconds (two factorials
+    # of 10**6); build refuses the shape before it reads the index
+    idx = (1,) * 10**6
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^an order-1000000 tensor is above the order limit"):
+        build(10**6, 1, {idx: 1.0})
+    assert time.perf_counter() - start < 1.0

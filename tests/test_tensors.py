@@ -1,6 +1,7 @@
 """Canonical storage, symmetry, and evaluation of symmetric tensors."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,15 +107,44 @@ def test_index_table_agrees_with_canonicalize():
     # build and get look indices up in a per-shape table and fall back to
     # canonicalize on a miss; every accepted form must read the same entry
     t = build(3, 2, {(1, 1, 1): 1.0, (1, 1, 2): 2.0, (1, 2, 2): 3.0})
-    for idx in [(1, 1, 2), (2, 1, 1), [1, 2, 1], (1.0, 1, 2), (1.5, 1, 2), (True, 2, 2),
-                tuple(np.array([2, 2, 1])), "112", (2, 2, 2)]:
+    for idx in [(1, 1, 2), (2, 1, 1), [1, 2, 1], (1.0, 1, 2), (True, 2, 2),
+                tuple(np.array([2, 2, 1])), (2, 2, 2)]:
         assert t.get(idx) == t.entries.get(canonicalize(idx, 2), 0.0)
         assert build(3, 2, [(idx, 5.0)]).entries == {canonicalize(idx, 2): 5.0}
 
 
+@pytest.mark.parametrize("idx, message", [
+    ((1.5, 1, 2), "index (1.5, 1, 2) has a component that is not an integer"),
+    ((2.9, 1, 1), "index (2.9, 1, 1) has a component that is not an integer"),
+    (("1", 1, 2), "index ('1', 1, 2) has a component that is not an integer"),
+    ((float("nan"), 1, 2), "index (nan, 1, 2) has a component that is not an integer"),
+    ((None, 1, 2), "index (None, 1, 2) has a component that is not an integer"),
+    ("112", "index '112' is a string, not a sequence of integers"),
+    ("121", "index '121' is a string, not a sequence of integers"),
+], ids=["1.5", "2.9", "str-component", "nan", "None", "str-112", "str-121"])
+@pytest.mark.parametrize("shape", [(3, 2), (3, 40)], ids=["table", "no-table"])
+def test_index_component_is_never_truncated(idx, message, shape):
+    # int() would read 1.5 and 2.9 as 1 and "121" as (1, 2, 1); (3, 40) has
+    # no index table, so every index goes through canonicalize
+    order, dim = shape
+    t = build(order, dim, {(1, 1, 2): 2.0})
+    for call in (t.get, lambda i: build(order, dim, {i: 1.0}), lambda i: canonicalize(i, dim)):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call(idx)
+
+
+def test_index_table_is_bounded_by_its_components():
+    # order 4095 at dim 2 has only 4,096 canonical indices but 16.8 million
+    # components; every shape build accepts, zero included, looks its table up
+    assert _index_table(4095, 2) == {}
+    assert _index_table(3, 40) == {}
+    assert len(_index_table(2**16, 1)) == 2  # one index and its digit key
+    assert len(_index_table(4, 3)) == 2 * 15
+
+
 def test_shape_without_index_table():
-    # order 7, dim 9 has C(15, 7) = 6,435 canonical indices, more than the
-    # table holds, so build and get canonicalize every index themselves
+    # order 7, dim 9 has C(15, 7) = 6,435 canonical indices of 7 components,
+    # more than the table holds, so build and get canonicalize every index
     assert _index_table(7, 9) == {}
     t = build(7, 9, [((9, 1, 5, 5, 2, 7, 1), 1.5), ((3,) * 7, -2.0),
                      ([9, 8, 7, 6, 5, 4, 3], 0.25), ((1, 1, 2, 5, 5, 7, 9), 1.5)])
