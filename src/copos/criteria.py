@@ -12,10 +12,10 @@ copositive (strictly copositive for the two generic tests).  ``REFUTED``
 is emitted only by the exact tests (the order-3 dimension-2
 characterisation and diagonal necessity); for every other criterion a
 failed condition list means ``UNKNOWN`` -- the test is sufficient, not
-necessary.  Certified-with-failed-branch never happens: the fired branch's
-conditions are all satisfied by construction.  A non-finite condition
-value (float overflow on huge entries) proves nothing: it neither fires a
-branch nor refutes, so such a criterion reports ``UNKNOWN``.
+necessary.  A branch fires iff all its conditions are satisfied, that is
+finite and meeting their bound (:func:`copos.halfline.row_holds`).  An inf
+or nan value (float overflow on huge entries) is never satisfied, and a
+failed list holding one proves nothing: it reports ``UNKNOWN``.
 
 Shared algebra.  Every row is built from the half-line primitives of
 :mod:`copos.halfline`.  Each discriminant row (thm3.1, thm3.4, thm4.1,
@@ -28,9 +28,9 @@ the same system; radicands that come out negative (failed sign conditions,
 or -0.0 style rounding) give a zero root, so every row is computable.
 
 Work done once.  Texts that do not depend on entry values are constants:
-the row tables of thm3.4, thm3.5 and thm4.5 (per ``strict`` flag) and the
-cached per-shape slice plan, which also holds each slice's keys; the ids
-that apply to a shape are cached too.  The remark splits its tensor once into
+the row tables of thm3.4, thm3.5 and thm4.5 (per ``strict`` flag), and the
+cached per-shape diagonal rows and slice plan, which also hold their keys;
+the ids that apply to a shape are cached too.  The remark splits its tensor once into
 three name-keyed components and reads its six rows off their thm3.4/thm3.5
 value lists, so a row costs its arithmetic and one tuple.
 
@@ -46,9 +46,10 @@ import enum
 import functools
 import itertools
 import math
+import operator
 from typing import Callable, NamedTuple, Optional
 
-from .halfline import cubic_bounds, cubic_disc, cubic_disc_checked, quad_bound
+from .halfline import cubic_bounds, cubic_disc, cubic_disc_checked, quad_bound, row_holds
 from .tensors import Index, SymmetricTensor, all_indices, build, multiplicity
 
 
@@ -61,9 +62,9 @@ class Verdict(enum.Enum):
 class Condition(NamedTuple):
     """One checked inequality: its text, the computed margin, and the outcome.
 
-    ``value`` is the left-hand side brought to ``>= 0`` (or ``> 0``) form,
-    so a satisfied condition has nonnegative (positive) value up to the
-    literal float comparison actually performed.
+    ``value`` is the left-hand side brought to ``>= 0`` (or ``> 0``) form; it is
+    ``satisfied`` iff finite and meeting that bound (:func:`copos.halfline.row_holds`).
+    A remark row shows a component test's least value and holds iff all its rows do.
     """
 
     description: str
@@ -87,9 +88,12 @@ class Certificate(NamedTuple):
         return min(c.value for c in self.conditions)
 
 
+_SATISFIED = operator.itemgetter(2)  # a Condition's flag
+
+
 def _ge(desc: str, value: float, strict: bool = False) -> Condition:
     # tuple.__new__ skips the generated NamedTuple constructor's overhead
-    return tuple.__new__(Condition, (desc, value, value > 0 if strict else value >= 0))
+    return tuple.__new__(Condition, (desc, value, row_holds(value, strict)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -105,7 +109,8 @@ def _read(tensor: SymmetricTensor, criterion_id: str) -> dict[str, float]:
     if (tensor.order, tensor.dim) != (order, dim):
         raise ValueError(f"{criterion_id} applies to order-{order} dim-{dim} tensors, "
                          f"got order-{tensor.order} dim-{tensor.dim}")
-    return {key: tensor.entries.get(idx, 0.0) for key, idx in _names(order, dim)}
+    get = tensor.entries.get
+    return {key: get(idx, 0.0) for key, idx in _names(order, dim)}
 
 
 def _verdict(criterion_id: str, conditions: list[Condition],
@@ -113,14 +118,10 @@ def _verdict(criterion_id: str, conditions: list[Condition],
              on_fail: Verdict = Verdict.UNKNOWN) -> Certificate:
     # without branches, all conditions form one sufficient test
     for name, conds in branches or ((None, conditions),):
-        for _, value, satisfied in conds:
-            if not (satisfied and math.isfinite(value)):
-                break
-        else:  # every condition satisfied with a finite value: the branch fires
+        if all(map(_SATISFIED, conds)):  # every condition satisfied: the branch fires
             return Certificate(criterion_id, Verdict.CERTIFIED, tuple(conditions), name)
-    for _, value, _ in conditions:
-        if not math.isfinite(value):  # a failed list with a non-finite value proves nothing
-            return Certificate(criterion_id, Verdict.UNKNOWN, tuple(conditions), None)
+    if on_fail is Verdict.REFUTED and not all(s or row_holds(abs(v)) for _, v, s in conditions):
+        on_fail = Verdict.UNKNOWN  # a failed list with an inf or nan value proves nothing
     return Certificate(criterion_id, on_fail, tuple(conditions), None)
 
 
@@ -134,14 +135,26 @@ def _row_certificate(values: list[float], rows: tuple[tuple[str, bool], ...],
 # ---------------------------------------------------------------------------
 # diagonal necessity (any shape)
 
+_MAX_DIAGONAL = 2 ** 17  # dim * order: diag's dim rows each hold an order-long key and text
+
+
+@functools.lru_cache(maxsize=32)
+def _diagonals(order: int, dim: int) -> tuple[tuple[Index, str], ...]:
+    # the key (i,)*order and the row text of each diagonal entry
+    if dim * order > _MAX_DIAGONAL:
+        raise ValueError(f"the diagonal of an order-{order} dim-{dim} tensor has {dim * order}"
+                         f" index components, above the limit of {_MAX_DIAGONAL}")
+    return tuple(((i,) * order, f"g[{str(i) * order}] >= 0") for i in range(1, dim + 1))
+
+
 def diag_necessity(tensor: SymmetricTensor) -> Certificate:
     """Necessary condition: every diagonal entry T[i,...,i] must be >= 0.
 
     A negative diagonal refutes copositivity outright (take x = e_i);
     otherwise the test says nothing.
     """
-    conds = [_ge(diag_text, tensor.entries.get(diag, 0.0))
-             for diag, _, (diag_text, _, _, _) in _slices(tensor.order, tensor.dim)]
+    get = tensor.entries.get
+    conds = [_ge(text, get(diag, 0.0)) for diag, text in _diagonals(tensor.order, tensor.dim)]
     outcome = Verdict.REFUTED if not all(c.satisfied for c in conds) else Verdict.UNKNOWN
     return Certificate("diag", outcome, tuple(conds))
 
@@ -468,12 +481,9 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
     conds, fired = [], []
     for texts, g in zip(_REMARK_TEXTS, _components(tensor)):
         for text, values in zip(texts, (_thm34_values(g), _thm35_values(g))):
-            held = True  # the rows are non-strict: each value must lie in [0, inf)
-            for v in values:
-                if not 0.0 <= v < math.inf:
-                    held = False
-                    break
-            conds.append(tuple.__new__(Condition, (text, min(values), held)))
+            low = min(values)  # hides an inf, and a nan past the first value: check them all
+            held = row_holds(low) and all(map(row_holds, values))  # the rows are non-strict
+            conds.append(tuple.__new__(Condition, (text, low, held)))
         if conds[-2].satisfied or conds[-1].satisfied:
             fired.append("thm3.4" if conds[-2].satisfied else "thm3.5")
     ok = len(fired) == 3
@@ -491,8 +501,8 @@ _MAX_TAILS = 2 ** 16  # ordered tails per slice: order 11 at dim 3 and order 17 
 @functools.lru_cache(maxsize=32)
 def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple[str, ...]], ...]:
     # for slice i: the diagonal key, the canonical keys of (i, tail) over
-    # ordered tails != (i,..,i), and the texts of the slice's diag, qi,
-    # songqi sum and songqi mean rows.  Any dim >= 2 passes the limit by exponent 17: cap there.
+    # ordered tails != (i,..,i), and the texts of the slice's qi, songqi sum
+    # and songqi mean rows.  Any dim >= 2 passes the limit by exponent 17: cap there.
     if dim ** min(order - 1, _MAX_TAILS.bit_length()) > _MAX_TAILS:
         raise ValueError(f"a slice of an order-{order} dim-{dim} tensor has {dim}**{order - 1}"
                          f" ordered tails, above the limit of {_MAX_TAILS}")
@@ -502,8 +512,7 @@ def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple
         keys = tuple(tuple(sorted((i, *tail)))
                      for tail in itertools.product(range(1, dim + 1), repeat=order - 1)
                      if tail != diag[1:])
-        texts = (f"g[{str(i) * order}] >= 0",
-                 f"slice {i}: diagonal + sum of negative off-diagonal entries (ordered count) > 0",
+        texts = (f"slice {i}: diagonal + sum of negative off-diagonal entries (ordered count) > 0",
                  f"slice {i}: ordered sum > 0",
                  f"slice {i}: mean of ordered sum exceeds every off-diagonal entry")
         out.append((diag, keys, texts))
@@ -515,7 +524,7 @@ def qi_strict_generic(tensor: SymmetricTensor) -> Certificate:
     mass of its slice, counted over ordered index tuples."""
     get = tensor.entries.get
     conds = []
-    for diag, keys, (_, qi_text, _, _) in _slices(tensor.order, tensor.dim):
+    for diag, keys, (qi_text, _, _) in _slices(tensor.order, tensor.dim):
         value = get(diag, 0.0)
         for v in map(get, keys, itertools.repeat(0.0)):
             value += 0.0 if v > 0.0 else v  # min(v, 0.0), -0.0 included
@@ -530,7 +539,7 @@ def songqi_strict_generic(tensor: SymmetricTensor) -> Certificate:
     conds = []
     slices = _slices(tensor.order, tensor.dim)  # refuses a shape before its count overflows
     count = float(tensor.dim ** (tensor.order - 1))
-    for diag, keys, (_, _, sum_text, mean_text) in slices:
+    for diag, keys, (_, sum_text, mean_text) in slices:
         total = get(diag, 0.0)
         worst = -math.inf
         for v in map(get, keys, itertools.repeat(0.0)):

@@ -6,11 +6,12 @@ Only :func:`quad_bound` (the exact quadratic test) takes a square root,
 clamped to 0 where the radicand is not positive.  It feeds thm3.3, the
 pairwise rows of thm4.3/4.4, thm4.5's q rows and the printed vacuum rows;
 :func:`cubic_bounds` (the sufficient cubic test: thm3.2, thm3.5, thm4.2 and
-thm4.4's max-arms) takes its shift from it.  The rho scan passes float64
-columns of grid points to :func:`quad_bound` (same rule, elementwise) and
-:func:`cubic_disc`.  The exact cubic test and thm3.1 share
-:func:`cubic_disc_checked`, whose error bound, like the oracle's screen
-window, rests on this module's rounding model: ``_U``, ``_UNDERFLOW``, ``_gamma``.
+thm4.4's max-arms) takes its shift from it.  :func:`row_holds` sets every row flag
+of copos.  The rho scan passes float64 columns of grid points to these three (same
+rules, elementwise) and :func:`cubic_disc`.  The exact cubic test and thm3.1 share
+:func:`cubic_disc_checked`, whose error bound, like the oracle's screen window, rests
+on this module's rounding model: ``_U``, ``_UNDERFLOW``, ``_gamma``.  The exact tests
+recheck in Fraction where a float product leaves the float range (:func:`_beyond_range`).
 """
 
 from __future__ import annotations
@@ -25,10 +26,30 @@ from .tensors import _count, _entry_value
 
 _U = 2.0 ** -53            # unit roundoff of binary64
 _UNDERFLOW = 2.0 ** -1000  # absolute error of gradual underflow anywhere in the products
+_NORMAL = 2.0 ** -1022     # the least normal binary64: a product below it has lost digits
 
 
 def _gamma(n: int) -> float:
     return n * _U / (1.0 - n * _U)
+
+
+def row_holds(value, strict: bool = False):
+    """Whether ``value`` proves its row: finite and >= 0 (> 0 when strict)."""
+    if isinstance(value, float):  # numpy's float64 scalar too
+        return 0.0 < value < math.inf if strict else 0.0 <= value < math.inf
+    return np.where(strict, value > 0, value >= 0) & (value < math.inf)  # strict: a column too
+
+
+def _exact(*xs: float) -> list:
+    """The floats as Fractions; fractions is imported on first use (~3 ms of start-up)."""
+    from fractions import Fraction
+    return [Fraction(x) for x in xs]
+
+
+def _beyond_range(x: float) -> bool:
+    """Whether a float product (or sum of products) may have overflowed or
+    underflowed: x is inf, nan or below the least normal in magnitude, 0 included."""
+    return not _NORMAL <= abs(x) < math.inf
 
 
 class CubicCoeffs(NamedTuple):
@@ -91,8 +112,8 @@ def cubic_disc_checked(a: float, b: float, c: float, d: float, k: int = 1) -> fl
     # five terms of at most 54*m**4 in all, within 11 roundings each: 1728u*m**4
     # bounds 54*gamma_11*m**4 and the rounding of m**4, 2**-1000 gradual underflow
     if abs(disc) <= 1728 / k**3 * _U * (m * m * m * m) + _UNDERFLOW and not math.isinf(disc):
-        from fractions import Fraction
-        exact = cubic_disc(Fraction(a), k * Fraction(b), k * Fraction(c), Fraction(d)) / k**3
+        fa, fb, fc, fd = _exact(a, b, c, d)
+        exact = cubic_disc(fa, k * fb, k * fc, fd) / k**3
         if (exact >= 0) != (disc >= 0):  # an exact negative stays below -0.0
             disc = float(exact) if exact >= 0 else min(float(exact), -math.ulp(0.0))
     return disc
@@ -105,12 +126,18 @@ def cubic_nonneg_exact(cc) -> bool:
       (1) a, b, c, d all >= 0;
       (2) max(a, d) > 0, a >= 0, d >= 0, and
           4ac^3 + 4b^3d + 27a^2d^2 - 18abcd - b^2c^2 >= 0,
-          its sign made exact by :func:`cubic_disc_checked`.
+          its sign made exact by :func:`cubic_disc_checked` near 0, and
+          recomputed in exact rationals where it overflows.
     """
     a, b, c, d = _coeffs(cc, CubicCoeffs)
     if min(a, b, c, d) >= 0:
         return True
-    return max(a, d) > 0 and a >= 0 and d >= 0 and cubic_disc_checked(a, b, c, d) >= 0
+    if not (max(a, d) > 0 and a >= 0 and d >= 0):
+        return False
+    disc = cubic_disc_checked(a, b, c, d)
+    if _beyond_range(disc):
+        disc = cubic_disc(*_exact(a, b, c, d))
+    return disc >= 0
 
 
 def cubic_bounds(a: float, d: float) -> tuple[float, float]:
@@ -127,20 +154,22 @@ def quad_bound(alpha: float, gamma: float) -> float:
 
 
 def cubic_nonneg_sufficient(cc) -> bool:
-    """Sufficient test: a >= 0, d >= 0 and (b, c) >= :func:`cubic_bounds`."""
+    """Sufficient test, thm3.2's rows: a, d, b - lo_b, c - lo_c by :func:`cubic_bounds`."""
     a, b, c, d = _coeffs(cc, CubicCoeffs)
-    if a < 0 or d < 0:
-        return False
     lo_b, lo_c = cubic_bounds(a, d)
-    return b >= lo_b and c >= lo_c
+    return all(map(row_holds, (a, d, b - lo_b, c - lo_c)))
 
 
 def quad_nonneg(qc) -> bool:
     """Exact test of alpha t^2 + beta t + gamma >= 0 on t >= 0: alpha >= 0,
-    gamma >= 0 and beta >= :func:`quad_bound`."""
+    gamma >= 0 and beta >= :func:`quad_bound`; where alpha*gamma over- or
+    underflows, beta >= 0 or beta^2 <= 4*alpha*gamma in exact rationals."""
     alpha, beta, gamma = _coeffs(qc, QuadCoeffs)
     if alpha < 0 or gamma < 0:
         return False
+    if beta < 0 and _beyond_range(alpha * gamma):
+        fa, fb, fg = _exact(alpha, beta, gamma)
+        return fb * fb <= 4 * fa * fg
     return beta >= quad_bound(alpha, gamma)
 
 

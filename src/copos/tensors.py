@@ -23,8 +23,10 @@ Every public entry point checks its reals with :func:`_entry_value` (a
 finite float, or a number read as the equal float; never a bool or a
 string) and its counts with :func:`_count` (an ``int`` no smaller than a least value).
 
-Tensors are immutable after construction; ``scale`` and ``add`` return new
-objects, made by :func:`build` and so held to its rules.  Dimensions
+Tensors are immutable after construction: the raw ``SymmetricTensor(...)``
+constructor raises TypeError unless :func:`build` calls it, and the stored
+entries refuse every write.  ``scale`` and ``add`` return new objects, made
+by :func:`build` and so held to its rules.  Dimensions
 above 3 are supported generically (the closed-form criteria in
 :mod:`copos.criteria` restrict shape themselves).
 """
@@ -35,7 +37,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Index = tuple[int, ...]
@@ -113,18 +115,43 @@ def _canonical(table: Mapping[object, Index], idx: Sequence[int], order: int, di
     return key
 
 
+class _Entries(dict):
+    """A tensor's entries: a dict whose mutators raise, so that a built
+    tensor keeps the values :func:`build` checked."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a tensor's entries are read-only; make a new tensor with copos.build")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # copy and pickle rebuild it without the blocked mutators
+        return _Entries, (dict(self),)
+
+
+_DOOR = object()  # build's key to the constructor
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetricTensor:
     """Immutable symmetric tensor in canonical-entry storage.
 
-    ``entries`` maps canonical indices to floats and is treated as frozen;
-    use :func:`build` (which validates and canonicalizes) rather than the
-    raw constructor.
+    ``entries`` maps canonical indices to floats and is read-only.  Only
+    :func:`build` (which validates and canonicalizes) makes one: the raw
+    constructor raises TypeError.
     """
 
     order: int
     dim: int
-    entries: Mapping[Index, float] = field(default_factory=dict)
+    entries: Mapping[Index, float]
+    door: InitVar[object] = None
+
+    def __post_init__(self, door: object) -> None:
+        if door is not _DOOR:
+            raise TypeError("SymmetricTensor(...) is not a constructor to call: make a tensor"
+                            " with copos.build(order, dim, entries), which checks them")
 
     def get(self, idx: Sequence[int]) -> float:
         """Entry at ``idx`` (any permutation); absent entries are 0.  An
@@ -223,7 +250,7 @@ def build(order: int, dim: int,
         if key in out and out[key] != value:
             raise ValueError(f"conflicting values for entry {key}: {out[key]} vs {value}")
         out[key] = value
-    return SymmetricTensor(order, dim, out)
+    return SymmetricTensor(order, dim, _Entries(out), _DOOR)
 
 
 def zero(order: int, dim: int) -> SymmetricTensor:

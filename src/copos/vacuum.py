@@ -54,7 +54,7 @@ import numpy as np
 
 from .criteria import (_THM45_ROWS, Certificate, Verdict, _read, _row_certificate, _thm45_values,
                        thm45_sos_c4d3)
-from .halfline import quad_bound
+from .halfline import quad_bound, row_holds
 from .tensors import SymmetricTensor, _count, _entry_value, build
 
 
@@ -177,6 +177,10 @@ class StabilityReport:
 
 
 _BLOCK = 1024  # rho points per block: the rows of a block take about 200 KB
+# rho grid steps one scan may take: the report keeps every grid point (the
+# JSON output lists them), so memory and time grow linearly with the steps;
+# 2**20 steps add about 40 MB and take about 0.3 s
+_MAX_RHO_STEPS = 2 ** 20
 
 
 def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityReport:
@@ -193,8 +197,7 @@ def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityRepo
             rows = np.empty((len(values), len(block)))
             for i, v in enumerate(values):
                 rows[i] = v  # a rho-independent row broadcasts
-            # the rule of criteria._ge and _verdict: a row holds if it passes with a finite value
-            held = np.where(_STRICT[bool(strict)], rows > 0, rows >= 0) & np.isfinite(rows)
+            held = row_holds(rows, _STRICT[bool(strict)])  # the certificates' row rule
             theorem_ok = theorem_ok and bool(held[:n].all())
             printed_ok = printed_ok and bool(held[n:].all())
             # fmin skips nan rows as min does after a finite first row (a1111)
@@ -228,6 +231,8 @@ def scan_rho(p: Z3Params, steps: int, strict: bool = False) -> StabilityReport:
     largest rho so the reported point sits where the rho-dependent
     conditions are tightest.
     """
-    _count("steps", steps, 1)
+    if _count("steps", steps, 1) > _MAX_RHO_STEPS:
+        raise ValueError(f"a rho scan of {steps} steps is above the limit of {_MAX_RHO_STEPS};"
+                         " lower the step count (--rho-scan)")
     rhos = tuple(k / steps for k in range(steps + 1))
     return _report(p, rhos, strict)

@@ -1,5 +1,5 @@
 """Shared helpers: an independent naive evaluator, random generators and
-the criteria's row rule as first written.
+the criteria's row rule, written out apart from src.
 
 The naive evaluator sums over all n**m ordered index tuples, so it shares
 no code with SymmetricTensor.evaluate beyond entry lookup; tests use it as
@@ -40,11 +40,12 @@ def rel_err(got, want):
     return abs(got - want) / max(1.0, abs(want))
 
 
-# the criteria helpers _ge and _verdict as first written, kept verbatim: the
-# per-point references of the cached criteria and of the rho scan call them
+# the criteria helpers _ge and _verdict written out: the per-point references
+# of the cached criteria and of the rho scan call them.  A row is satisfied
+# only when its value is finite and meets its bound
 
 def ge_reference(desc, value, strict=False):
-    return Condition(desc, value, value > 0 if strict else value >= 0)
+    return Condition(desc, value, math.isfinite(value) and (value > 0 if strict else value >= 0))
 
 
 def verdict_reference(conditions, branches, criterion_id, on_fail):

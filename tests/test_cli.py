@@ -74,6 +74,26 @@ def test_check_criterion_filter(capsys, pair_doc):
     assert heads == ["diag", "thm3.2"]
 
 
+def test_check_flags_an_infinite_row_as_failed(capsys, tmp_path):
+    # 1e200 * 1e200 overflows inside branch (1)'s radicand: the inf row proves
+    # nothing, so it fails and the outcome stays unknown
+    doc = write_doc(tmp_path, "huge.json", 3, 2,
+                    {"111": 1e200, "112": -1.0, "122": 1e200, "222": 1.0})
+    code, out, _ = run(capsys, ["check", doc, "--criterion", "thm3.3"])
+    assert code == 2
+    assert "thm3.3: unknown" in out
+    assert "  [FAIL] (1) g112 >= -(2/3)*sqrt(3*g122*g111)  value=inf\n" in out
+
+
+def test_check_diag_reads_no_slice_plan(capsys, tmp_path):
+    # an order-20 dim-2 slice has 2**19 ordered tails, above qi's and
+    # songqi's limit; diag reads its two diagonal entries and refutes
+    doc = write_doc(tmp_path, "long.json", 20, 2, {"1" * 20: -1.0})
+    code, out, err = run(capsys, ["check", doc, "--criterion", "diag"])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[:2] == ["diag: refuted", f"  [FAIL] g[{'1' * 20}] >= 0  value=-1.0"]
+
+
 def test_check_rejects_inapplicable_criterion(capsys, pair_doc):
     code, _, err = run(capsys, ["check", pair_doc, "--criterion", "thm4.5"])
     assert code == 3
@@ -397,6 +417,18 @@ def test_oracle_grid_is_bounded_before_it_allocates(tmp_path, dim, grid, code):
     assert proc.returncode == code, proc.stderr
     if code == 3:
         assert "--grid" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("steps", [2**20 + 1, 10**9])
+def test_rho_grid_is_bounded_before_it_is_built(steps):
+    # 10**9 steps would need tens of GB: refused, naming the flag, before the
+    # grid exists (the child's address space is capped at 1 GiB)
+    argv = ["vacuum", *UNIT, "--rho-scan", str(steps)]
+    proc = subprocess.run([sys.executable, "-c", CAPPED, *argv], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", f"copos: error: a rho scan of {steps} steps is above the limit of 1048576;"
+               " lower the step count (--rho-scan)\n")
 
 
 @pytest.mark.parametrize("command", ["check", "report"])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from copos import criteria
-from copos import (Certificate, Condition, SymmetricTensor, Verdict, aggregate,
+from copos import (Certificate, Condition, Verdict, aggregate,
                    all_indices, applicable_criteria, build, certify_all, diag_necessity,
                    min_on_simplex, parse_document, qi_strict_generic, run_criterion,
                    songqi_strict_generic, thm31_exact_c3d2, thm32_sqrt_c3d2,
@@ -363,7 +363,7 @@ def decompose_reference(tensor):
     a1333, a2333 = a((1, 3, 3, 3)), a((2, 3, 3, 3))
     a1122, a1133, a2233 = a((1, 1, 2, 2)), a((1, 1, 3, 3)), a((2, 2, 3, 3))
     a1123, a1223, a1233 = a((1, 1, 2, 3)), a((1, 2, 2, 3)), a((1, 2, 3, 3))
-    g1 = SymmetricTensor(3, 3, {
+    g1 = build(3, 3, {
         (1, 1, 1): a1111,
         (1, 1, 2): 2.0 * a1112 / 3.0,
         (1, 2, 2): a1122,
@@ -375,7 +375,7 @@ def decompose_reference(tensor):
         (2, 2, 3): 4.0 * a1223 / 3.0,
         (2, 3, 3): 4.0 * a1233 / 3.0,
     })
-    g2 = SymmetricTensor(3, 3, {
+    g2 = build(3, 3, {
         (1, 1, 1): 2.0 * a1112,
         (1, 1, 2): a1122,
         (1, 2, 2): 2.0 * a1222 / 3.0,
@@ -387,7 +387,7 @@ def decompose_reference(tensor):
         (2, 2, 3): 2.0 * a2223 / 3.0,
         (2, 3, 3): a2233,
     })
-    g3 = SymmetricTensor(3, 3, {
+    g3 = build(3, 3, {
         (1, 1, 1): 2.0 * a1113,
         (1, 1, 2): 4.0 * a1123 / 3.0,
         (1, 2, 2): 4.0 * a1223 / 3.0,
@@ -503,12 +503,29 @@ def test_songqi_zero_tensor_unknown():
 @pytest.mark.parametrize("order, dim", [(12, 3), (18, 2)])
 def test_slice_criteria_refuse_too_many_tails(order, dim):
     # refused before enumerating, and before songqi forms its float count;
-    # an order above 2**16 never gets here (tests/test_number_rules.py)
-    for cid in ("diag", "qi", "songqi"):
+    # an order above 2**16 never gets here (tests/test_number_rules.py).
+    # diag reads no slice, so the tail limit does not bind it
+    for cid in ("qi", "songqi"):
         with pytest.raises(ValueError, match=rf"^a slice of an order-{order} dim-{dim} tensor"
                                              rf" has {dim}\*\*{order - 1} ordered tails,"
                                              r" above the limit of 65536$"):
             run_criterion(cid, zero(order, dim))
+    assert run_criterion("diag", zero(order, dim)).outcome is U
+
+
+def test_diag_reads_its_diagonal_directly():
+    # the diagonal entries (i,)*order, whatever the slice plan would cost:
+    # order 20 at dim 2 has 2**19 tails per slice, but two diagonal rows
+    t = build(20, 2, {(1,) * 20: -1.0, (1,) * 19 + (2,): 5.0})
+    cert = diag_necessity(t)
+    assert (cert.outcome, cert.conditions) == (R, (
+        Condition("g[" + "1" * 20 + "] >= 0", -1.0, False),
+        Condition("g[" + "2" * 20 + "] >= 0", 0.0, True)))
+    # the rows are dim keys and texts of order components each: bounded in all
+    assert len(diag_necessity(zero(2**16, 2)).conditions) == 2
+    with pytest.raises(ValueError, match=r"^the diagonal of an order-2 dim-65537 tensor has"
+                                         r" 131074 index components, above the limit of 131072$"):
+        diag_necessity(zero(2, 2**16 + 1))
 
 
 def test_slice_criteria_refuse_an_order_above_the_limit():
@@ -802,10 +819,13 @@ def test_exact_cubic_test_agrees_with_thm31_at_every_scale():
 
 
 def test_non_finite_value_never_fires_a_branch():
-    # 1e200 * 1e200 overflows to inf inside thm3.3's radicand: the threshold
-    # is "satisfied" but infinite, so the branch must not certify
+    # 1e200 * 1e200 overflows to inf inside thm3.3's radicand: the row's
+    # value is inf, which proves nothing, so the row is unsatisfied and the
+    # branch does not certify
     cert = thm33_mixed_c3d2(t32(1e200, -1.0, 1e200, 1.0))
-    assert any(c.satisfied and not math.isfinite(c.value) for c in cert.conditions)
+    inf_rows = [c for c in cert.conditions if not math.isfinite(c.value)]
+    assert [(c.description, c.value, c.satisfied) for c in inf_rows] == [
+        ("(1) g112 >= -(2/3)*sqrt(3*g122*g111)", math.inf, False)]
     assert cert.outcome is U
 
 

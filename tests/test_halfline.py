@@ -13,7 +13,7 @@ import pytest
 from copos import (CubicCoeffs, QuadCoeffs, cubic_disc, cubic_min_bruteforce,
                    cubic_nonneg_exact, cubic_nonneg_sufficient,
                    quad_min_bruteforce, quad_nonneg)
-from copos.halfline import quad_bound
+from copos.halfline import quad_bound, row_holds
 
 POWERS_OF_TWO = (0.03125, 0.25, 0.5, 2.0, 8.0, 128.0)
 
@@ -129,6 +129,45 @@ def test_quad_bound_columns_follow_the_scalar_rule():
             assert reprs(quad_bound(x, column)) == [repr(quad_bound(x, g)) for g in values]
             assert reprs(quad_bound(column, np.full(len(values), x))) == [
                 repr(quad_bound(a, x)) for a in values]
+
+
+# ---------------------------------------------------------------------------
+# the row rule
+
+def test_row_holds_is_finite_and_meets_the_bound():
+    values = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1.7e308, math.inf, -math.inf, math.nan)
+    want = {False: [True, True, True, False, True, False, True, False, False, False],
+            True: [False, False, True, False, True, False, True, False, False, False]}
+    for strict in (False, True):
+        assert [row_holds(v, strict) for v in values] == want[strict]
+        assert [row_holds(np.float64(v), strict) for v in values] == want[strict]
+        # a column, with strict a flag or a column of flags, is the scalar rule elementwise
+        column = np.array(values)
+        assert row_holds(column, strict).tolist() == want[strict]
+        assert row_holds(column, np.full((len(values),), strict)).tolist() == want[strict]
+    mixed = np.array([True, False] * (len(values) // 2))
+    assert row_holds(np.array(values), mixed).tolist() == [
+        row_holds(v, s) for v, s in zip(values, mixed.tolist())]
+
+
+# ---------------------------------------------------------------------------
+# every scale
+
+def test_exact_halfline_tests_hold_at_every_power_of_two():
+    # s = 2**k over the whole binary64 exponent range, subnormals included.
+    # The float products over- or underflow at its ends, where the exact
+    # fallback decides.  s(t^2 - 1.9t + 1) has no real root (among the
+    # subnormals -1.9s rounds to -2s, and s(t - 1)^2 holds too); s(t - 1)^2
+    # (t + 1) has a double root at t = 1; s(t^2 - 3t + 1) and
+    # s(t^3 - 2t^2 - t + 1) are negative at t = 1
+    for k in range(-1074, 1024):
+        s = math.ldexp(1.0, k)
+        assert quad_nonneg((s, -1.9 * s, s)), k
+        assert cubic_nonneg_exact((s, -s, -s, s)), k
+        if k < 1023:  # 2s and 3s are finite
+            assert not quad_nonneg((s, -3 * s, s)), k
+            assert not cubic_nonneg_exact((s, -2 * s, -s, s)), k
+            assert not cubic_nonneg_sufficient((s, -3 * s, -3 * s, s)), k
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,13 @@ square root (``math.sqrt`` or ``np.sqrt``, however imported), and
 ``halfline`` is the only module that writes the unit roundoff ``2.0 ** -53``
 or the underflow slack ``2.0 ** -1000``; every other module imports
 ``_U``, ``_UNDERFLOW`` and ``_gamma`` from it.
+
+Within ``criteria``, ``vacuum`` and ``halfline`` only three functions test
+finiteness (an ``isfinite``, ``isinf`` or ``isnan`` call, or a comparison
+with ``math.inf`` or ``np.inf``): the row rule ``halfline.row_holds``, the
+recheck window of ``halfline.cubic_disc_checked`` and the range test
+``halfline._beyond_range`` of the exact half-line fallbacks.  Every other
+row flag and every other non-finite check goes through them.
 """
 
 import ast
@@ -16,6 +23,10 @@ SRC = sorted((ROOT / "src" / "copos").glob("*.py"))
 SQRT_OWNER = "halfline.quad_bound"
 ROUNDING_OWNER = "halfline"
 ROUNDING_EXPONENTS = {53, 1000}
+FINITENESS_MODULES = {"criteria", "vacuum", "halfline"}
+FINITENESS_OWNERS = {"halfline.row_holds", "halfline.cubic_disc_checked", "halfline._beyond_range"}
+FINITENESS_CALLS = {"isfinite", "isinf", "isnan"}
+NUMERIC_MODULES = {"math", "np", "numpy"}
 
 
 def _is_sqrt(func: ast.expr, aliases: set[str]) -> bool:
@@ -23,6 +34,27 @@ def _is_sqrt(func: ast.expr, aliases: set[str]) -> bool:
         return (func.attr == "sqrt" and isinstance(func.value, ast.Name)
                 and func.value.id in {"math", "np", "numpy"})
     return isinstance(func, ast.Name) and func.id in aliases
+
+
+def _is_finiteness_test(node: ast.AST, aliases: set[str]) -> bool:
+    # isfinite(x), math.isinf(x), np.isnan(x), or x < math.inf, np.inf == x
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            return (func.attr in FINITENESS_CALLS and isinstance(func.value, ast.Name)
+                    and func.value.id in NUMERIC_MODULES)
+        return isinstance(func, ast.Name) and func.id in aliases
+    if isinstance(node, ast.Compare):
+        for operand in (node.left, *node.comparators):
+            if isinstance(operand, ast.UnaryOp):  # -math.inf
+                operand = operand.operand
+            if (isinstance(operand, ast.Attribute) and operand.attr == "inf"
+                    and isinstance(operand.value, ast.Name)
+                    and operand.value.id in NUMERIC_MODULES):
+                return True
+            if isinstance(operand, ast.Name) and operand.id in aliases:
+                return True
+    return False
 
 
 def _is_rounding_constant(node: ast.AST) -> bool:
@@ -35,14 +67,18 @@ def _is_rounding_constant(node: ast.AST) -> bool:
 
 
 def owner_violations(sources: dict[str, str]) -> list[str]:
-    """Square roots outside SQRT_OWNER and rounding constants outside ROUNDING_OWNER."""
+    """Square roots outside SQRT_OWNER, rounding constants outside ROUNDING_OWNER,
+    and finiteness tests in FINITENESS_MODULES outside FINITENESS_OWNERS."""
     out = []
     for module, source in sources.items():
         tree = ast.parse(source)
         # from math import sqrt (as root) binds a name that calls the root directly
-        aliases = {alias.asname or alias.name for node in ast.walk(tree)
-                   if isinstance(node, ast.ImportFrom) and node.module in {"math", "numpy"}
-                   for alias in node.names if alias.name == "sqrt"}
+        imported = [alias for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module in {"math", "numpy"}
+                    for alias in node.names]
+        aliases = {alias.asname or alias.name for alias in imported if alias.name == "sqrt"}
+        finite_aliases = {alias.asname or alias.name for alias in imported
+                          if alias.name in FINITENESS_CALLS | {"inf"}}
 
         def visit(node: ast.AST, scope: str) -> None:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -52,6 +88,9 @@ def owner_violations(sources: dict[str, str]) -> list[str]:
                 out.append(f"{scope}: line {node.lineno}: square root")
             if _is_rounding_constant(node) and module != ROUNDING_OWNER:
                 out.append(f"{scope}: line {node.lineno}: rounding constant")
+            if (module in FINITENESS_MODULES and scope not in FINITENESS_OWNERS
+                    and _is_finiteness_test(node, finite_aliases)):
+                out.append(f"{scope}: line {node.lineno}: finiteness test")
             for child in ast.iter_child_nodes(node):
                 visit(child, scope)
 
@@ -82,4 +121,34 @@ def test_owner_rules():
         "oracle: line 3: rounding constant",
         "oracle.screen: line 6: square root",
         "oracle.screen: line 6: square root",
+    ]
+
+
+def test_finiteness_rules():
+    sources = {"halfline": ("import math\n"
+                            "import numpy as np\n"
+                            "def row_holds(v):\n"
+                            "    return 0.0 <= v < math.inf\n"
+                            "def _beyond_range(x):\n"
+                            "    return not abs(x) < np.inf\n"
+                            "def cubic_nonneg_sufficient(b, lo):\n"
+                            "    return b - lo < math.inf and not math.isnan(b)\n"),
+               "criteria": ("from math import isfinite as fin, inf\n"
+                            "import numpy as np\n"
+                            "worst = -inf\n"
+                            "def _verdict(v):\n"
+                            "    return fin(v) or np.isinf(v) or v == -inf\n"),
+               "vacuum": ("import numpy as np\n"
+                          "def _report(rows, margin=np.inf):\n"
+                          "    return np.isfinite(rows) & (rows > margin)\n"),
+               "oracle": ("import math\n"
+                          "def screen(w):\n"
+                          "    return math.isfinite(w) and w < math.inf\n")}
+    assert owner_violations(sources) == [
+        "halfline.cubic_nonneg_sufficient: line 8: finiteness test",
+        "halfline.cubic_nonneg_sufficient: line 8: finiteness test",
+        "criteria._verdict: line 5: finiteness test",
+        "criteria._verdict: line 5: finiteness test",
+        "criteria._verdict: line 5: finiteness test",
+        "vacuum._report: line 3: finiteness test",
     ]

@@ -1,6 +1,8 @@
 """Canonical storage, symmetry, and evaluation of symmetric tensors."""
 
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import copos
 from copos import all_indices, build, canonicalize, multiplicity, zero
 from copos.tensors import _index_table
 from conftest import SHAPES, naive_evaluate, random_point, random_tensor, rel_err
@@ -165,6 +168,35 @@ def test_build_rejects_nonfinite():
         build(3, 2, {(1, 1, 1): float("nan")})
     with pytest.raises(ValueError, match="finite"):
         build(3, 2, {(1, 1, 1): float("inf")})
+
+
+def test_raw_constructor_and_entry_writes_raise():
+    # both once gave a tensor whose criteria certify while its form is
+    # -6.375 at (1, 0.5): the one door is build, and a built tensor's
+    # entries keep what build checked
+    entries = {(2, 1, 1): -5.0, (1, 1, 1): 1.0, (2, 2, 2): 1.0}
+    with pytest.raises(TypeError, match=r"copos\.build\(order, dim, entries\)"):
+        copos.SymmetricTensor(3, 2, entries)
+    t = build(3, 2, {(1, 1, 1): 1.0, (2, 2, 2): 1.0})
+    writes = [lambda e: e.__setitem__((2, 1, 1), -5.0),
+              lambda e: e.__setitem__((1, 1, 1), math.nan),
+              lambda e: e.__delitem__((1, 1, 1)),
+              lambda e: e.update({(1, 1, 2): -5.0}),
+              lambda e: e.setdefault((1, 1, 2), -5.0),
+              lambda e: e.pop((1, 1, 1)),
+              lambda e: e.popitem(),
+              lambda e: e.clear(),
+              lambda e: e.__ior__({(1, 1, 2): -5.0})]
+    for write in writes:
+        with pytest.raises(TypeError, match="read-only"):
+            write(t.entries)
+    assert dict(t.entries) == {(1, 1, 1): 1.0, (2, 2, 2): 1.0}
+    assert t.evaluate((1.0, 0.5)) == 1.125
+    # a copy or a pickled round trip is a tensor with read-only entries too
+    for twin in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert twin == t
+        with pytest.raises(TypeError, match="read-only"):
+            twin.entries[(2, 1, 1)] = -5.0
 
 
 def test_build_rejects_bad_shape():

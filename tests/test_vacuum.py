@@ -270,6 +270,16 @@ def test_scan_rejects_bad_steps():
             scan_rho(unit(), steps)
 
 
+def test_scan_refuses_too_many_steps_before_the_grid():
+    # one step past the limit is refused; the limit itself is admitted.  A
+    # huge count is refused before its grid exists in tests/test_cli.py, in a
+    # child with its address space capped
+    with pytest.raises(ValueError, match=r"^a rho scan of 1048577 steps is above the limit"
+                                         r" of 1048576; lower the step count \(--rho-scan\)$"):
+        scan_rho(unit(), 2**20 + 1)
+    assert len(scan_rho(unit(), 2**20).rho_values) == 2**20 + 1
+
+
 def test_check_stability_single_point():
     rep = check_stability(unit(abs_lam_s12=1.0, rho=1.0))
     assert rep.rho_values == (1.0,)
