@@ -47,7 +47,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .halfline import cubic_bounds, cubic_disc, cubic_disc_checked, quad_bound, row_holds
 from .tensors import Index, SymmetricTensor, all_indices, build, multiplicity
@@ -64,7 +64,8 @@ class Condition(NamedTuple):
 
     ``value`` is the left-hand side brought to ``>= 0`` (or ``> 0``) form; it is
     ``satisfied`` iff finite and meeting that bound (:func:`copos.halfline.row_holds`).
-    A remark row shows a component test's least value and holds iff all its rows do.
+    A remark row holds iff all rows of its component test do; it shows their least
+    value, or the first failing one where the least value holds.
     """
 
     description: str
@@ -102,15 +103,21 @@ def _names(order: int, dim: int) -> tuple[tuple[str, Index], ...]:
     return tuple((prefix + "".join(map(str, idx)), idx) for idx in all_indices(order, dim))
 
 
+def _named(entries: Mapping[Index, float], criterion_id: str) -> dict[str, float]:
+    """Every canonical entry of ``criterion_id``'s shape (absent ones 0.0), keyed by the
+    name the condition text uses (``g112``, ``a1123``), in ``all_indices`` order."""
+    get = entries.get
+    return {key: get(idx, 0.0) for key, idx in _names(*_REGISTRY[criterion_id][0])}
+
+
 def _read(tensor: SymmetricTensor, criterion_id: str) -> dict[str, float]:
-    """Every canonical entry of the shape registered for ``criterion_id``, keyed
-    by the name the condition text uses (``g112``, ``a1123``), in ``all_indices`` order."""
+    """The tensor's entries, named by :func:`_named`, once its shape is the one
+    registered for ``criterion_id``."""
     order, dim = _REGISTRY[criterion_id][0]
     if (tensor.order, tensor.dim) != (order, dim):
         raise ValueError(f"{criterion_id} applies to order-{order} dim-{dim} tensors, "
                          f"got order-{tensor.order} dim-{tensor.dim}")
-    get = tensor.entries.get
-    return {key: get(idx, 0.0) for key, idx in _names(order, dim)}
+    return _named(tensor.entries, criterion_id)
 
 
 def _verdict(criterion_id: str, conditions: list[Condition],
@@ -481,8 +488,10 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
     conds, fired = [], []
     for texts, g in zip(_REMARK_TEXTS, _components(tensor)):
         for text, values in zip(texts, (_thm34_values(g), _thm35_values(g))):
-            low = min(values)  # hides an inf, and a nan past the first value: check them all
-            held = row_holds(low) and all(map(row_holds, values))  # the rows are non-strict
+            low = min(values)  # the rows are non-strict
+            held = row_holds(low)
+            if held and not all(map(row_holds, values)):  # min hid an inf or a later nan
+                held, low = False, next(v for v in values if not row_holds(v))
             conds.append(tuple.__new__(Condition, (text, low, held)))
         if conds[-2].satisfied or conds[-1].satisfied:
             fired.append("thm3.4" if conds[-2].satisfied else "thm3.5")

@@ -26,12 +26,16 @@ route is the sound-by-construction default and the printed route is
 opt-in.  Neither list is necessary, so failure means Unknown, never
 Refuted.
 
-Scans.  Z3Params stores floats and rows square rho as rho*rho (correctly
-rounded), so a row on a float64 column of rho points is the scalar row point
-by point.  A scan reads the rho-independent entries once and evaluates
-a1122, a1233 and both routes' rows (the certificates' value functions) once
-per block of _BLOCK points, as columns; the verdicts and the margin come
-from those, and the two certificates are read off the column at worst_rho.
+Scans.  The rho grid is one float64 column (k/steps in scan_rho, one
+correctly rounded division as in Python; [rho] in check_stability), and its
+tolist() is rho_values.  Z3Params stores floats and rows square rho as
+rho*rho (correctly rounded), so a row on that column is the scalar row
+point by point.  A scan builds no tensor: it names the coupling entries as
+criteria._read does, checks them with build's rule at the largest rho (see
+the endpoint lemma) and evaluates a1122, a1233 and both routes' rows once
+per block of _BLOCK points, a view of the grid; the verdicts, the margin and
+the two certificates (at worst_rho) come from those columns.  coupling_tensor
+is built only where a tensor is used: by copos report and vacuum --oracle.
 
 Endpoint lemma.  On [0, 1] every row of both routes is monotone in rho:
 q12 = 9*a1122 + sqrt(a1111*a2222) is affine in rho^2; sqrt(q12*q13),
@@ -52,10 +56,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import (_THM45_ROWS, Certificate, Verdict, _read, _row_certificate, _thm45_values,
+from .criteria import (_THM45_ROWS, Certificate, Verdict, _named, _row_certificate, _thm45_values,
                        thm45_sos_c4d3)
 from .halfline import quad_bound, row_holds
-from .tensors import SymmetricTensor, _count, _entry_value, build
+from .tensors import Index, SymmetricTensor, _count, _entry_value, build
 
 
 @dataclass(frozen=True)
@@ -93,12 +97,13 @@ def coupling_tensor(p: Z3Params) -> SymmetricTensor:
     """Order-4 dim-3 tensor G with G (h1,h2,s)^4 equal to the quartic
     potential; entries carry 1/multiplicity so that evaluation reproduces
     the polynomial coefficients exactly."""
-    return _coupling_at(p, p.rho)
+    return build(4, 3, _coupling_entries(p, p.rho))
 
 
-def _coupling_at(p: Z3Params, rho: float) -> SymmetricTensor:  # at rho, with no Z3Params copy
+def _coupling_entries(p: Z3Params, rho: float) -> dict[Index, float]:
+    """The coupling tensor's entries at rho (a float or a column), by canonical index."""
     a1122, a1233 = _rho_entries(p, rho)
-    return build(4, 3, {
+    return {
         (1, 1, 1, 1): p.lam1,
         (2, 2, 2, 2): p.lam2,
         (3, 3, 3, 3): p.lam_s,
@@ -106,7 +111,7 @@ def _coupling_at(p: Z3Params, rho: float) -> SymmetricTensor:  # at rho, with no
         (1, 1, 3, 3): p.lam_s1 / 6.0,
         (2, 2, 3, 3): p.lam_s2 / 6.0,
         (1, 2, 3, 3): a1233,
-    })
+    }
 
 
 def _rho_entries(p: Z3Params, rho: float) -> tuple[float, float]:
@@ -183,15 +188,17 @@ _BLOCK = 1024  # rho points per block: the rows of a block take about 200 KB
 _MAX_RHO_STEPS = 2 ** 20
 
 
-def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityReport:
-    # read at the largest rho: a1122 overflows there if anywhere on the grid (endpoint lemma)
-    a = _read(_coupling_at(p, rhos[-1]), "thm4.5")
+def _report(p: Z3Params, grid: np.ndarray, strict: bool) -> StabilityReport:
+    rhos = tuple(grid.tolist())  # the grid points as floats, for the report
+    # build's rule at the largest rho: a1122 overflows there if anywhere (endpoint lemma)
+    a = _named({idx: _entry_value(idx, v) for idx, v in _coupling_entries(p, rhos[-1]).items()},
+               "thm4.5")
     theorem_rows, printed_rows = _THM45_ROWS[bool(strict)], _PRINTED_ROWS[bool(strict)]
     n = len(theorem_rows)
     theorem_ok, printed_ok, worst, worst_margin = True, True, None, math.inf
     with np.errstate(all="ignore"):  # inf and nan are row values, as with floats
         for start in range(0, len(rhos), _BLOCK):
-            block = np.array(rhos[start:start + _BLOCK])
+            block = grid[start:start + _BLOCK]
             a["a1122"], a["a1233"] = _rho_entries(p, block)
             values = _thm45_values(a) + _printed_values(p, block)
             rows = np.empty((len(values), len(block)))
@@ -219,7 +226,7 @@ def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityRepo
 
 def check_stability(p: Z3Params, strict: bool = False) -> StabilityReport:
     """Both routes at the single rho carried by the parameters."""
-    return _report(p, (p.rho,), strict)
+    return _report(p, np.array([p.rho]), strict)
 
 
 def scan_rho(p: Z3Params, steps: int, strict: bool = False) -> StabilityReport:
@@ -234,5 +241,5 @@ def scan_rho(p: Z3Params, steps: int, strict: bool = False) -> StabilityReport:
     if _count("steps", steps, 1) > _MAX_RHO_STEPS:
         raise ValueError(f"a rho scan of {steps} steps is above the limit of {_MAX_RHO_STEPS};"
                          " lower the step count (--rho-scan)")
-    rhos = tuple(k / steps for k in range(steps + 1))
-    return _report(p, rhos, strict)
+    # one correctly rounded division per point, as k / steps
+    return _report(p, np.arange(steps + 1) / steps, strict)

@@ -14,6 +14,7 @@ import pathlib
 import numpy as np
 
 from copos import Verdict, Z3Params, certify_all, parse_document, scan_rho
+from copos.halfline import row_holds
 from conftest import SHAPES, random_tensor
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
@@ -37,6 +38,8 @@ def check(cert):
     assert not any(c.satisfied and not math.isfinite(c.value) for c in cert.conditions), cert
     fires = any(all(c.satisfied for c in rows) for rows in branches(cert))
     assert cert.certified == fires, cert
+    if cert.criterion_id == "remark":  # non-strict rows whose value shows why one fails
+        assert all(c.satisfied == row_holds(c.value) for c in cert.conditions), cert
 
 
 def scaled(tensor):

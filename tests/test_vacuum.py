@@ -280,6 +280,26 @@ def test_scan_refuses_too_many_steps_before_the_grid():
     assert len(scan_rho(unit(), 2**20).rho_values) == 2**20 + 1
 
 
+@pytest.mark.parametrize("steps", [1, 3, 7, 100, 999_983, 2**20])
+def test_scan_grid_is_k_over_steps(steps):
+    # the scan divides a float64 column k = 0..steps by steps: one correctly
+    # rounded division per point, so the grid is Python's k / steps bit for bit
+    rhos = scan_rho(unit(abs_lam_s12=0.4), steps).rho_values
+    assert repr(rhos) == repr(tuple(k / steps for k in range(steps + 1)))
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+@pytest.mark.parametrize("strict", [False, True])
+def test_scan_refuses_an_entry_that_overflows_only_at_rho_1(steps, strict):
+    # lam3 + lam4*rho^2 stays finite below rho = 1 (1.5625e308 at rho = 3/4) and
+    # overflows at rho = 1, so only there is a1122 inf: the scan checks the
+    # entries with build's rule at the largest rho
+    p = unit(lam3=1e308, lam4=1e308)
+    with pytest.raises(ValueError, match=r"^entry \(1, 1, 2, 2\) is not finite: inf$"):
+        scan_rho(p, steps, strict)
+    assert check_stability(p.with_rho(0.75), strict).rho_values == (0.75,)
+
+
 def test_check_stability_single_point():
     rep = check_stability(unit(abs_lam_s12=1.0, rho=1.0))
     assert rep.rho_values == (1.0,)
