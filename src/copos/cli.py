@@ -37,8 +37,8 @@ import sys
 from typing import NoReturn, Optional
 
 from . import __version__
-from .criteria import (Certificate, Verdict, aggregate, applicable_criteria, certify_all,
-                       run_criterion)
+from .criteria import (Certificate, Verdict, _registered, aggregate, applicable_criteria,
+                       certify_all, run_criterion)
 from .documents import entries_as_strings, load_document
 from .oracle import (Classification, OracleConfig, OracleResult, default_config,
                      min_on_simplex)
@@ -167,11 +167,13 @@ def _print_oracle(result: OracleResult) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     tensor = load_document(args.file)
     ids = applicable_criteria(tensor.order, tensor.dim)
-    for cid in args.criterion or ():
-        if cid not in ids:
-            raise ValueError(f"criterion {cid!r} does not apply to order-{tensor.order}"
-                             f" dim-{tensor.dim} tensors; applicable: {', '.join(ids)}")
-    ids = [cid for cid in ids if not args.criterion or cid in args.criterion]
+    if args.criterion:  # a named criterion runs where it is registered, and may refuse there
+        registered = _registered(tensor.order, tensor.dim)
+        for cid in args.criterion:
+            if cid not in registered:
+                raise ValueError(f"criterion {cid!r} does not apply to order-{tensor.order}"
+                                 f" dim-{tensor.dim} tensors; applicable: {', '.join(registered)}")
+        ids = [cid for cid in registered if cid in args.criterion]
     certs = [run_criterion(cid, tensor, strict=args.strict) for cid in ids]
     agg = aggregate(certs)
     if args.json:

@@ -38,6 +38,8 @@ Dispatch.  One registry maps each criterion id to its shape (or any shape),
 its function and whether it takes the ``strict`` flag, and is the only place
 a shape is written: ``_read`` takes the id, and :func:`applicable_criteria`,
 :func:`run_criterion` and :func:`certify_all` read it in its order.
+``applicable_criteria`` leaves qi and songqi out of a shape whose slice plan
+they refuse, so one refusal does not take the other verdicts down with it.
 """
 
 from __future__ import annotations
@@ -507,12 +509,17 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
 _MAX_TAILS = 2 ** 16  # ordered tails per slice: order 11 at dim 3 and order 17 at dim 2 pass
 
 
+def _tails_within_limit(order: int, dim: int) -> bool:
+    # dim**(order - 1) <= _MAX_TAILS; any dim >= 2 passes the limit by exponent 17: cap there
+    return dim ** min(order - 1, _MAX_TAILS.bit_length()) <= _MAX_TAILS
+
+
 @functools.lru_cache(maxsize=32)
 def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple[str, ...]], ...]:
     # for slice i: the diagonal key, the canonical keys of (i, tail) over
     # ordered tails != (i,..,i), and the texts of the slice's qi, songqi sum
-    # and songqi mean rows.  Any dim >= 2 passes the limit by exponent 17: cap there.
-    if dim ** min(order - 1, _MAX_TAILS.bit_length()) > _MAX_TAILS:
+    # and songqi mean rows
+    if not _tails_within_limit(order, dim):
         raise ValueError(f"a slice of an order-{order} dim-{dim} tensor has {dim}**{order - 1}"
                          f" ordered tails, above the limit of {_MAX_TAILS}")
     out = []
@@ -584,10 +591,19 @@ _REGISTRY: dict[str, tuple[Optional[tuple[int, int]], Callable[..., Certificate]
 
 
 @functools.lru_cache(maxsize=32)
-def applicable_criteria(order: int, dim: int) -> tuple[str, ...]:
-    """Criterion identifiers certify_all runs for this shape, in order."""
+def _registered(order: int, dim: int) -> tuple[str, ...]:
+    """Criterion identifiers registered for this shape, in order."""
     return tuple(cid for cid, (shape, _, _) in _REGISTRY.items()
                  if shape is None or shape == (order, dim))
+
+
+@functools.lru_cache(maxsize=32)
+def applicable_criteria(order: int, dim: int) -> tuple[str, ...]:
+    """Criterion identifiers certify_all runs for this shape, in order: those
+    registered for it, less qi and songqi where they refuse its slice plan
+    (:func:`run_criterion` still runs them there, and raises)."""
+    sliced = _tails_within_limit(order, dim)
+    return tuple(cid for cid in _registered(order, dim) if sliced or cid not in ("qi", "songqi"))
 
 
 def run_criterion(criterion_id: str, tensor: SymmetricTensor, strict: bool = False) -> Certificate:

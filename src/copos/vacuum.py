@@ -31,11 +31,22 @@ correctly rounded division as in Python; [rho] in check_stability), and its
 tolist() is rho_values.  Z3Params stores floats and rows square rho as
 rho*rho (correctly rounded), so a row on that column is the scalar row
 point by point.  A scan builds no tensor: it names the coupling entries as
-criteria._read does, checks them with build's rule at the largest rho (see
-the endpoint lemma) and evaluates a1122, a1233 and both routes' rows once
-per block of _BLOCK points, a view of the grid; the verdicts, the margin and
-the two certificates (at worst_rho) come from those columns.  coupling_tensor
-is built only where a tensor is used: by copos report and vacuum --oracle.
+criteria._read does and checks them with build's rule at the largest rho,
+where a1122 overflows if anywhere.  It then evaluates both routes' rows as
+floats at the first and the last grid point; a one-point grid evaluates them
+once.  Where every row is finite at both ends, the endpoint lemma decides the
+whole grid from those two columns: a route holds iff each of its rows holds
+at both ends, and the margin (the least row) is least at an end.  If it is
+least at the last point, that is worst_rho (ties go to the largest rho).
+Otherwise the points where the margin equals its value at rho = 0 form a
+prefix of the grid (each row reaching that value at rho = 0 and at a later
+point is constant between them, being monotone and never below it), and a
+bisection of scalar probes finds its last point.  The two certificates are
+built from the rows at worst_rho.  Where a row is inf or nan at an end, the
+lemma says nothing of the points between, and the scan evaluates a1122,
+a1233 and every row at every grid point, as float64 columns of up to _BLOCK
+points, a view of the grid each.  coupling_tensor is built only where a
+tensor is used: by copos report and vacuum --oracle.
 
 Endpoint lemma.  On [0, 1] every row of both routes is monotone in rho:
 q12 = 9*a1122 + sqrt(a1111*a2222) is affine in rho^2; sqrt(q12*q13),
@@ -43,9 +54,12 @@ sqrt(q12*q23) and the cofactor row 2*a1111*q12^3 (a1112 = a1222 = 0 here)
 are monotone maps of q12; 27*a1233 + sqrt(q13*q23) and the printed mixed
 row are affine in rho; the printed c12 is affine in rho^2; every other row
 is constant.  IEEE-rounded +, *, / and sqrt are monotone, so the float rows
-are monotone too, and each row's minimum over [0, 1] lies at rho = 0 or
-rho = 1.  Scans use it only to check a1122 for overflow once, at the
-largest rho; verdicts still visit every grid point.
+are monotone too, and each row's minimum over the grid lies at its first or
+its last point.  A row monotone on the grid and finite at both ends lies
+between two finite values, so it is finite at every point: no row meets an
+inf or nan between two ends where it is finite.  test_rows_are_monotone_in_rho
+checks both claims at scales 10^k, |k| <= 300, with lam4 or abs_lam_s12 near
+0, on random grids.
 """
 
 from __future__ import annotations
@@ -133,9 +147,10 @@ def _printed_rows(strict: bool) -> tuple[tuple[str, bool], ...]:
 
 
 _PRINTED_ROWS = {strict: _printed_rows(strict) for strict in (False, True)}
-# per strict flag, whether each scan row (thm4.5's, then the printed) is strict, as a column
-_STRICT = {strict: np.array([s for _, s in _THM45_ROWS[strict] + _PRINTED_ROWS[strict]])[:, None]
-           for strict in (False, True)}
+# per strict flag, whether each scan row (thm4.5's, then the printed) is strict; as a column
+_STRICTS = {strict: tuple(s for _, s in _THM45_ROWS[strict] + _PRINTED_ROWS[strict])
+            for strict in (False, True)}
+_STRICT = {strict: np.array(stricts)[:, None] for strict, stricts in _STRICTS.items()}
 
 
 def _printed_values(p: Z3Params, rho: float) -> list:
@@ -184,8 +199,15 @@ class StabilityReport:
 _BLOCK = 1024  # rho points per block: the rows of a block take about 200 KB
 # rho grid steps one scan may take: the report keeps every grid point (the
 # JSON output lists them), so memory and time grow linearly with the steps;
-# 2**20 steps add about 40 MB and take about 0.3 s
+# 2**20 steps add about 48 MB (the grid and rho_values) and take about 45 ms
+# where every row is finite at both ends, about 0.2 s where one is not
 _MAX_RHO_STEPS = 2 ** 20
+
+
+def _values_at(p: Z3Params, a: dict[str, float], rho: float) -> list[float]:
+    """Every scan row at rho, thm4.5's then the printed, with a's rho entries set to rho."""
+    a["a1122"], a["a1233"] = _rho_entries(p, rho)
+    return _thm45_values(a) + _printed_values(p, rho)
 
 
 def _report(p: Z3Params, grid: np.ndarray, strict: bool) -> StabilityReport:
@@ -195,23 +217,45 @@ def _report(p: Z3Params, grid: np.ndarray, strict: bool) -> StabilityReport:
                "thm4.5")
     theorem_rows, printed_rows = _THM45_ROWS[bool(strict)], _PRINTED_ROWS[bool(strict)]
     n = len(theorem_rows)
-    theorem_ok, printed_ok, worst, worst_margin = True, True, None, math.inf
-    with np.errstate(all="ignore"):  # inf and nan are row values, as with floats
-        for start in range(0, len(rhos), _BLOCK):
-            block = grid[start:start + _BLOCK]
-            a["a1122"], a["a1233"] = _rho_entries(p, block)
-            values = _thm45_values(a) + _printed_values(p, block)
-            rows = np.empty((len(values), len(block)))
-            for i, v in enumerate(values):
-                rows[i] = v  # a rho-independent row broadcasts
-            held = row_holds(rows, _STRICT[bool(strict)])  # the certificates' row rule
-            theorem_ok = theorem_ok and bool(held[:n].all())
-            printed_ok = printed_ok and bool(held[n:].all())
-            # fmin skips nan rows as min does after a finite first row (a1111)
-            margins = np.fmin.reduce(rows)
-            k = len(block) - 1 - int(np.argmin(margins[::-1]))  # ties go to the largest rho
-            if margins[k] <= worst_margin:
-                worst, worst_margin, column = rhos[start + k], margins[k], rows[:, k].tolist()
+    last = _values_at(p, a, rhos[-1])
+    first = _values_at(p, a, rhos[0]) if len(rhos) > 1 else last
+    if first is last or all(row_holds(abs(v)) for v in first + last):
+        # one point, or every row finite and so monotone on the grid (endpoint
+        # lemma): a row holds everywhere iff at both ends, the least margin is at an end
+        held = [row_holds(u, s) and row_holds(v, s)
+                for u, v, s in zip(first, last, _STRICTS[bool(strict)])]
+        theorem_ok, printed_ok = all(held[:n]), all(held[n:])
+        worst, column, least = len(rhos) - 1, last, min(first)
+        if min(last) > least:
+            # the points where the margin is least form a prefix: bisect for its last point
+            worst, column, above = 0, first, len(rhos) - 1
+            while above - worst > 1:
+                mid = (worst + above) // 2
+                values = _values_at(p, a, rhos[mid])
+                if min(values) > least:
+                    above = mid
+                else:
+                    worst, column = mid, values
+        worst = rhos[worst]
+    else:
+        # an inf or nan row at an end: evaluate every point, a block at a time
+        theorem_ok, printed_ok, worst, worst_margin = True, True, None, math.inf
+        with np.errstate(all="ignore"):  # inf and nan are row values, as with floats
+            for start in range(0, len(rhos), _BLOCK):
+                block = grid[start:start + _BLOCK]
+                a["a1122"], a["a1233"] = _rho_entries(p, block)
+                values = _thm45_values(a) + _printed_values(p, block)
+                rows = np.empty((len(values), len(block)))
+                for i, v in enumerate(values):
+                    rows[i] = v  # a rho-independent row broadcasts
+                held = row_holds(rows, _STRICT[bool(strict)])  # the certificates' row rule
+                theorem_ok = theorem_ok and bool(held[:n].all())
+                printed_ok = printed_ok and bool(held[n:].all())
+                # fmin skips nan rows as min does after a finite first row (a1111)
+                margins = np.fmin.reduce(rows)
+                k = len(block) - 1 - int(np.argmin(margins[::-1]))  # ties go to the largest rho
+                if margins[k] <= worst_margin:
+                    worst, worst_margin, column = rhos[start + k], margins[k], rows[:, k].tolist()
     # a column row is the scalar row bit for bit: these are the scalar routes' certificates
     return StabilityReport(
         params=p,

@@ -94,6 +94,23 @@ def test_check_diag_reads_no_slice_plan(capsys, tmp_path):
     assert out.splitlines()[:2] == ["diag: refuted", f"  [FAIL] g[{'1' * 20}] >= 0  value=-1.0"]
 
 
+@pytest.mark.parametrize("criteria, code", [((), 1), (("diag",), 1), (("qi",), 3),
+                                             (("diag", "songqi"), 3)])
+def test_check_leaves_out_a_refused_slice_plan(capsys, tmp_path, criteria, code):
+    # qi and songqi refuse the order-20 dim-2 slice plan (2**19 tails), so
+    # check leaves them out and diag refutes; named, each still refuses
+    doc = write_doc(tmp_path, "long.json", 20, 2, {"1" * 20: -1.0, "2" * 20: 1.0})
+    argv = ["check", doc] + [arg for cid in criteria for arg in ("--criterion", cid)]
+    got, out, err = run(capsys, argv)
+    assert got == code
+    if code == 1:
+        assert (out.splitlines()[0], out.splitlines()[-1], err) == (
+            "diag: refuted", "aggregate: refuted", "")
+    else:
+        assert (out, err) == ("", "copos: error: a slice of an order-20 dim-2 tensor has"
+                                  " 2**19 ordered tails, above the limit of 65536\n")
+
+
 def test_check_rejects_inapplicable_criterion(capsys, pair_doc):
     code, _, err = run(capsys, ["check", pair_doc, "--criterion", "thm4.5"])
     assert code == 3
@@ -433,11 +450,16 @@ def test_rho_grid_is_bounded_before_it_is_built(steps):
 
 @pytest.mark.parametrize("command", ["check", "report"])
 def test_slice_plan_is_bounded_before_it_enumerates(tmp_path, command):
-    # an order-20 dim-3 slice has 3**19 ordered tails: diag, qi and songqi
-    # refuse the shape before the plan enumerates them, within seconds
+    # an order-20 dim-3 slice has 3**19 ordered tails: qi and songqi refuse
+    # the shape before the plan enumerates them, within seconds.  check and
+    # report leave them out there and end on diag's unknown; named, qi refuses
     doc = write_doc(tmp_path, "long.json", 20, 3, {"1" * 20: 1.0})
     proc = subprocess.run([sys.executable, "-c", CAPPED, command, doc], env=child_env(),
                           capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert "qi" not in proc.stdout
+    proc = subprocess.run([sys.executable, "-c", CAPPED, "check", doc, "--criterion", "qi"],
+                          env=child_env(), capture_output=True, text=True, timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         3, "", "copos: error: a slice of an order-20 dim-3 tensor has 3**19 ordered tails,"
                " above the limit of 65536\n")
@@ -527,6 +549,11 @@ TRANSCRIPT_CASES = [
     "vacuum --l1 2 --l2 3 --l3 -1 --l4 0.5 --ls 1 --ls1 -0.5 --ls2 0.25 --ls12 0.3"
     " --rho 0.5 --strict --json",
     "vacuum --l1 -0.0 --l2 1 --ls 1 --json",
+    # the least margin holds from rho = 0 up to an interior point, found by
+    # bisection; then a cofactor row that is nan at rho = 1 and -inf before
+    # it, so every point is evaluated and the worst rho lies between the ends
+    "vacuum --l1 1 --l2 1 --ls 1 --l3 -1 --l4 1e-16 --rho-scan 10",
+    "vacuum --l1 1 --l2 1 --ls 1 --l4 -3.3e307 --rho-scan 4",
     "report --l1 1 --l2 1 --ls 1 --ls12 0.8 --rho 1",
     "report --l1 -0.0 --l2 1 --ls 1 --strict",
     "report quartic-single.json --strict --grid 40 --refine 1 --band 1e-6 --samples 8"

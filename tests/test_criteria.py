@@ -569,6 +569,19 @@ def test_applicable_criteria_by_shape():
                                          "remark", "qi", "songqi")
     # shapes without closed-form theorems still get the generic tests
     assert applicable_criteria(2, 2) == ("diag", "qi", "songqi")
+    # up to the tail limit (2**16 at order 17, dim 2; 3**10 at order 11, dim 3)
+    assert applicable_criteria(17, 2) == applicable_criteria(11, 3) == ("diag", "qi", "songqi")
+
+
+@pytest.mark.parametrize("order, dim", [(12, 3), (18, 2), (20, 2)])
+def test_certify_all_leaves_out_a_refused_slice_plan(order, dim):
+    # qi and songqi refuse a slice plan above the tail limit; certify_all
+    # leaves them out there, so diag's refutation still stands
+    t = build(order, dim, {(1,) * order: -1.0, (2,) * order: 1.0})
+    assert applicable_criteria(order, dim) == ("diag",)
+    certs = certify_all(t)
+    assert [c.criterion_id for c in certs] == ["diag"]
+    assert aggregate(certs) is R
 
 
 def test_run_criterion_unknown_id():

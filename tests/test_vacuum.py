@@ -10,7 +10,8 @@ from copos import (Classification, OracleConfig, StabilityReport, Verdict, Z3Par
                    check_stability, coupling_tensor, diag_necessity, min_on_simplex,
                    printed_certificate, scan_rho, theorem_certificate, thm45_sos_c4d3, zero)
 from copos.criteria import _read, _thm45_values
-from copos.vacuum import _BLOCK, _printed_values, _rho_entries
+from copos.halfline import row_holds
+from copos.vacuum import _BLOCK, _printed_values, _rho_entries, _values_at
 from conftest import ge_reference, verdict_reference
 
 C = Verdict.CERTIFIED
@@ -424,7 +425,11 @@ def edge_couplings(rng):
            Z3Params(lam1=1, lam2=1, lam_s=1, lam3=10**308, lam4=10**308, rho=1),
            # both routes hold only for rho above ~0.55: the verdict of a long
            # scan must remember the blocks that failed
-           Z3Params(lam1=1.0, lam2=1.0, lam_s=1.0, lam3=-2.5, lam4=6.0)]
+           Z3Params(lam1=1.0, lam2=1.0, lam_s=1.0, lam3=-2.5, lam4=6.0),
+           # the a1111 cofactor row is nan at rho = 1 (6*q12 overflows) and
+           # -inf before it (its cube does), so the least margin lies between
+           # the ends: only a scan of every point finds it
+           Z3Params(lam1=1.0, lam2=1.0, lam_s=1.0, lam4=-3.3e307)]
     for _ in range(24):
         out.append(Z3Params(**{name: rng.randint(-3, 3) for name in COUPLINGS},
                             abs_lam_s12=rng.randint(0, 3), rho=rng.choice((0, 1))))
@@ -483,21 +488,70 @@ def test_edge_scans_match_per_point_reference():
     assert any(isinstance(o, str) and "inf" in o for o in seen)
 
 
+def lemma_couplings(rng):
+    """(couplings, steps): couplings in [-1, 1] on the grid k/1000, then
+    couplings scaled by 10^k, |k| <= 300, a third of them with lam4 and a
+    third with abs_lam_s12 near 0 (down to subnormals), on random grids."""
+    out = [(Z3Params(**{name: rng.uniform(-1.0, 1.0) for name in COUPLINGS},
+                     abs_lam_s12=rng.uniform(0.0, 1.2)), 1000) for _ in range(200)]
+    for i in range(600):
+        scale = 10.0 ** rng.randint(-300, 300)
+        kw = {name: rng.uniform(-1.0, 1.0) * scale for name in COUPLINGS}
+        s12 = rng.uniform(0.0, 1.2) * scale
+        tiny = scale * 10.0 ** -rng.uniform(8.0, 24.0)
+        if i % 3 == 1:
+            kw["lam4"] = rng.choice((-1.0, 1.0)) * tiny
+        elif i % 3 == 2:
+            s12 = tiny
+        out.append((Z3Params(**kw, abs_lam_s12=s12), rng.randint(1, 300)))
+    return out
+
+
 def test_rows_are_monotone_in_rho():
-    # the endpoint lemma of the vacuum module, on the float grid k/1000
-    rng = random.Random(8)
-    for _ in range(200):
-        p = Z3Params(**{name: rng.uniform(-1.0, 1.0) for name in COUPLINGS},
-                     abs_lam_s12=rng.uniform(0.0, 1.2))
+    # the endpoint lemma of the vacuum module: a row finite at both ends of
+    # the grid k/steps is finite at every grid point, which is what lets the
+    # scan decide from the two ends, and monotone in rho
+    finite_ends = infinite_ends = 0
+    for p, steps in lemma_couplings(random.Random(8)):
         a = _read(coupling_tensor(p), "thm4.5")
-        columns = []
-        for k in range(1001):
-            rho = k / 1000
-            a["a1122"], a["a1233"] = _rho_entries(p, rho)
-            columns.append(_thm45_values(a) + _printed_values(p, rho))
+        columns = [_values_at(p, a, k / steps) for k in range(steps + 1)]
         for row in zip(*columns):
-            steps = [hi - lo for lo, hi in zip(row, row[1:])]
-            assert all(s >= 0 for s in steps) or all(s <= 0 for s in steps), (p, row)
+            if not (row_holds(abs(row[0])) and row_holds(abs(row[-1]))):
+                infinite_ends += 1
+                continue
+            assert all(row_holds(abs(v)) for v in row), (p, steps, row)
+            diffs = [hi - lo for lo, hi in zip(row, row[1:])]
+            assert all(d >= 0 for d in diffs) or all(d <= 0 for d in diffs), (p, steps, row)
+        finite_ends += all(row_holds(abs(v)) for v in columns[0] + columns[-1])
+    # both of the scan's paths are reached: all rows finite at the ends, or not
+    assert 400 < finite_ends < 800 and infinite_ends > 100
+
+
+# couplings whose lam4 moves their least row by a few ulps only, so that on
+# the grid k/1000 the least margin holds from rho = 0 up to an interior
+# point, then rises (the unit coupling's printed c12 row rises past rho ~ 0.86)
+def interior_couplings(rng, count):
+    """lam4 = ±10^-16…10^-8 and the other couplings in [-1, 1]."""
+    out = [unit(lam3=-1.0, lam4=1e-16)]
+    for _ in range(count):
+        out.append(Z3Params(**{name: rng.uniform(-1.0, 1.0) for name in COUPLINGS
+                               if name != "lam4"},
+                            lam4=rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16.0, -8.0),
+                            abs_lam_s12=rng.uniform(0.0, 1.0)))
+    return out
+
+
+def test_interior_worst_rho_matches_per_point_reference():
+    # the scan finds the last point of the least margin's prefix by bisection;
+    # the first (rho = 0) or the last point of the grid would differ here
+    interior = set()
+    for p in interior_couplings(random.Random(4), 120):
+        worst = scan_rho(p, 1000).worst_rho
+        if 0.0 < worst < 1.0:
+            for strict in (False, True):
+                assert_matches_reference(p, 1000, strict)
+            interior.add(worst)
+    assert len(interior) >= 10 and max(interior) > 0.5
 
 
 def test_column_rows_equal_scalar_rows():
