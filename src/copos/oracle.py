@@ -23,7 +23,11 @@ that evaluating every point exactly would give.  Where the bound cannot be
 formed (another dimension, a clipped ``x_d``, a non-finite value) the points
 are evaluated exactly; in dimension 2 that is also cheaper than the screen.
 A call prepares the form once, and the lattice is cached with its screen
-tables per shape and N.
+tables per shape and N.  Each refine box is built anew, and allocates over
+its whole grid only ``x_d`` (summed, subtracted from 1 and clipped in place),
+the distance to the centre's ``x_d`` with its mask (plus the mask
+``x_d >= -1e-12`` where the far corner lies below it), the kept indices and,
+in dimension 3, the screen's approximation and its gather at those indices.
 
 Determinism: every exact value follows the rounding sequence of
 :meth:`SymmetricTensor.evaluate`, ties in the argmin are broken by the
@@ -203,20 +207,40 @@ def _lattice_grid(dim: int, resolution: int, order: int) -> _Grid:
     return grid
 
 
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    # np.linspace(lo, hi, n + 1) in its own arithmetic, without its per-call overhead;
+    # like it, this scales by the span where the step underflows to 0
+    step = (hi - lo) / n
+    axis = np.arange(n + 1.0) * step if step else np.arange(n + 1.0) / n * (hi - lo)
+    axis += lo
+    axis[-1] = hi
+    return axis
+
+
 def _box_grid(centre: Vector, radius: float, resolution: int, order: int) -> _Grid:
     # l_inf box around the incumbent intersected with the simplex,
     # re-gridded at `resolution` points per free coordinate.
-    axes = tuple(np.linspace(max(0.0, c - radius), min(1.0, c + radius), resolution + 1)
+    axes = tuple(_axis(max(0.0, c - radius), min(1.0, c + radius), resolution)
                  for c in centre[:-1])
-    # x_d = 1 - (x_1 + ... + x_{d-1}), summed left to right
-    last = 1.0 - functools.reduce(np.add.outer, axes).ravel()
+    # x_d = 1 - (x_1 + ... + x_{d-1}), summed left to right into a fresh array
+    # (the zero start keeps a single axis from being its own sum)
+    last = functools.reduce(np.add.outer, axes, np.zeros(())).ravel()
+    np.subtract(1.0, last, out=last)
     # x_d falls along every axis: the first and the far corner hold its extremes
     top, low, c, r = last[0], last[-1], centre[-1], radius + 1e-12
-    all_kept = len(axes) == 1 and low >= -1e-12 and abs(top - c) <= r and abs(low - c) <= r
-    kept = slice(None) if all_kept else np.flatnonzero((last >= -1e-12) & (np.abs(last - c) <= r))
-    clipped = (last < 0.0)[kept] if low < 0.0 else None
-    return _Grid(axes=axes, kept=kept, last=last if clipped is None else np.clip(last, 0.0, None),
-                 clipped=clipped, centre=tuple(centre[:-1]),
+    if len(axes) == 1 and low >= -1e-12 and abs(top - c) <= r and abs(low - c) <= r:
+        kept = slice(None)
+    else:
+        dist = last - c
+        near = np.abs(dist, out=dist) <= r
+        if low < -1e-12:
+            near &= last >= -1e-12
+        kept = np.flatnonzero(near)
+    clipped = None
+    if low < 0.0:
+        clipped = (last < 0.0)[kept]
+        np.clip(last, 0.0, None, out=last)
+    return _Grid(axes=axes, kept=kept, last=last, clipped=clipped, centre=tuple(centre[:-1]),
                  screen=_expansion(axes, centre[:-1], order))
 
 
@@ -305,8 +329,9 @@ def _grid_minimum(form: _Form, grid: _Grid, extra: Optional[np.ndarray] = None
         low = unclipped.min() if unclipped.size else math.nan
         # every point survives unless the bound holds: finite approximations and window
         if math.isfinite(window) and math.isfinite(low) and math.isfinite(unclipped.max()):
-            # rounding is monotone, so approx - low <= 2E holds in floats if it does in reals
-            survive = near - low <= 2.0 * window
+            # rounding is monotone, so approx - low <= 2E holds in floats if it does in reals;
+            # near is this call's own gather of approx, so it takes the difference in place
+            survive = np.subtract(near, low, out=near) <= 2.0 * window
             kept = kept[survive if grid.clipped is None else survive | grid.clipped]
     coords = grid.points(kept)
     screened = len(grid.last) if isinstance(grid.kept, slice) else len(grid.kept)

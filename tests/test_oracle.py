@@ -324,6 +324,44 @@ def test_other_configs_match_reference(config, count):
             assert_matches_reference(mixed_tensor(rng, order, dim, i % 4), config)
 
 
+@pytest.mark.parametrize("config", [OracleConfig(resolution=12),
+                                    OracleConfig(resolution=9, refine_rounds=5)],
+                         ids=["N12", "N9-refine5"])
+@pytest.mark.parametrize("shape", [(3, 4), (4, 4)])
+def test_dim4_matches_reference(shape, config):
+    # only boxes over three free coordinates sum more than two axes into x_d
+    rng = np.random.default_rng(44)
+    for i in range(24):
+        assert_matches_reference(mixed_tensor(rng, *shape, i % 4), config)
+
+
+@functools.lru_cache(maxsize=1)
+def _one_survivor_tensor():
+    # the (3,3) tensor at i = 457 of test_default_config_matches_reference: its
+    # lattice pass evaluates one point, where a pairwise term sum is an ulp off
+    rng = np.random.default_rng(20261018)
+    for i in range(458):
+        t = mixed_tensor(rng, 3, 3, i % 4)
+    return t
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 60, 2001, 8193])
+def test_evaluate_many_sums_terms_in_sequence(count):
+    # np.add.reduce and sum over the terms of a one-point block sum pairwise,
+    # so they differ from evaluate(); 8193 points end in a one-point block
+    from copos.oracle import _evaluate_many, _prepare
+    rng = np.random.default_rng(count)
+    tensors = [_one_survivor_tensor()] + [mixed_tensor(rng, order, 3, family)
+                                          for order in (3, 4) for family in (0, 1, 2)]
+    for t in tensors:
+        assert len(t.weighted_terms()) >= 8
+        pts = rng.dirichlet(np.ones(3), count)
+        pts[[0, -1]] = (34 / 120, 48 / 120, 38 / 120)  # the lattice argmin of the first tensor
+        want = [t.evaluate(p) for p in pts.tolist()]
+        assert repr(_evaluate_many(_prepare(t), pts.T).tolist()) == repr(want)
+    assert repr(tensors[0].evaluate(pts[0].tolist())) == "0.35870644064417945"
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_degenerate_tensors_match_reference(shape):
     order, dim = shape
@@ -481,6 +519,24 @@ def test_vander_columns_are_repeated_products(degree):
         want = reference_powers(x, degree)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 9, 120, 2000])
+def test_box_axes_equal_linspace(n):
+    # byte for byte over the ends a refine box meets: random boxes, ends
+    # clipped at 0 and 1, boxes below one ulp (lo == hi) and subnormal spans
+    from copos.oracle import _axis
+    rng = np.random.default_rng(n)
+    centres, radii = rng.random(300), 10.0 ** rng.uniform(-18.0, 0.0, 300)
+    ends = [(max(0.0, c - r), min(1.0, c + r)) for c, r in zip(centres, radii)]
+    ends += [(0.0, r) for r in radii[:30]] + [(max(0.0, 1.0 - r), 1.0) for r in radii[:30]]
+    ends += [(0.0, 0.0), (1.0, 1.0), (0.0, 5e-324), (0.0, 1e-310), (0.0, 3e-321)]
+    assert sum(lo == hi for lo, hi in ends) >= 20
+    for lo, hi in ends:
+        want = np.linspace(lo, hi, n + 1)
+        got = _axis(lo, hi, n)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes(), (lo, hi)
 
 
 def test_stages_count_screened_and_exact_points():
