@@ -7,11 +7,10 @@ clamped to 0 where the radicand is not positive.  It feeds thm3.3, the
 pairwise rows of thm4.3/4.4, thm4.5's q rows and the printed vacuum rows;
 :func:`cubic_bounds` (the sufficient cubic test: thm3.2, thm3.5, thm4.2 and
 thm4.4's max-arms) takes its shift from it.  :func:`row_holds` sets every row flag
-of copos.  The rho scan passes float64 columns of grid points to these three (same
-rules, elementwise) and :func:`cubic_disc`.  The exact cubic test and thm3.1 share
-:func:`cubic_disc_checked`, whose error bound, like the oracle's screen window, rests
-on this module's rounding model: ``_U``, ``_UNDERFLOW``, ``_gamma``.  The exact tests
-recheck in Fraction where a float product leaves the float range (:func:`_beyond_range`).
+of copos.  The exact cubic test and thm3.1 share :func:`cubic_disc_checked`, whose
+error bound, like the oracle's screen window, rests on this module's rounding
+model: ``_U``, ``_UNDERFLOW``, ``_gamma``.  The exact tests recheck in Fraction
+where a float product leaves the float range (:func:`_beyond_range`).
 """
 
 from __future__ import annotations
@@ -33,11 +32,9 @@ def _gamma(n: int) -> float:
     return n * _U / (1.0 - n * _U)
 
 
-def row_holds(value, strict: bool = False):
+def row_holds(value: float, strict: bool = False) -> bool:
     """Whether ``value`` proves its row: finite and >= 0 (> 0 when strict)."""
-    if isinstance(value, float):  # numpy's float64 scalar too
-        return 0.0 < value < math.inf if strict else 0.0 <= value < math.inf
-    return np.where(strict, value > 0, value >= 0) & (value < math.inf)  # strict: a column too
+    return 0.0 < value < math.inf if strict else 0.0 <= value < math.inf
 
 
 def _exact(*xs: float) -> list:
@@ -147,10 +144,8 @@ def cubic_bounds(a: float, d: float) -> tuple[float, float]:
 
 
 def quad_bound(alpha: float, gamma: float) -> float:
-    """-2*sqrt(alpha*gamma), the least beta the quadratic test accepts (elementwise on columns)."""
-    if not isinstance(ag := alpha * gamma, np.ndarray):
-        return -2.0 * math.sqrt(ag) if ag > 0 else -0.0
-    return np.where(ag > 0, -2.0 * np.sqrt(np.fmax(ag, 0.0)), -0.0)
+    """-2*sqrt(alpha*gamma), the least beta the quadratic test accepts."""
+    return -2.0 * math.sqrt(ag) if (ag := alpha * gamma) > 0 else -0.0
 
 
 def cubic_nonneg_sufficient(cc) -> bool:

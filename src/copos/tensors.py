@@ -196,12 +196,13 @@ class SymmetricTensor:
                 for idx, value in sorted(self.entries.items())]
 
     def __eq__(self, other: object) -> bool:
-        # semantic equality: absent keys count as zero
+        # semantic equality: absent keys count as zero, so only stored keys are compared
         if not isinstance(other, SymmetricTensor):
             return NotImplemented
         if (self.order, self.dim) != (other.order, other.dim):
             return False
-        return all(self.get(idx) == other.get(idx) for idx in all_indices(self.order, self.dim))
+        return all(self.entries.get(k, 0.0) == other.entries.get(k, 0.0)
+                   for k in self.entries.keys() | other.entries.keys())
 
     def __repr__(self) -> str:
         return f"SymmetricTensor(order={self.order}, dim={self.dim}, {len(self.entries)} entries)"

@@ -26,26 +26,25 @@ route is the sound-by-construction default and the printed route is
 opt-in.  Neither list is necessary, so failure means Unknown, never
 Refuted.
 
-Scans.  The rho grid is one float64 column (k/steps in scan_rho, one
-correctly rounded division as in Python; [rho] in check_stability), and its
-tolist() is rho_values.  Z3Params stores floats and rows square rho as
-rho*rho (correctly rounded), so a row on that column is the scalar row
-point by point.  A scan builds no tensor: it names the coupling entries as
-criteria._read does and checks them with build's rule at the largest rho,
-where a1122 overflows if anywhere.  It then evaluates both routes' rows as
-floats at the first and the last grid point; a one-point grid evaluates them
-once.  Where every row is finite at both ends, the endpoint lemma decides the
-whole grid from those two columns: a route holds iff each of its rows holds
-at both ends, and the margin (the least row) is least at an end.  If it is
-least at the last point, that is worst_rho (ties go to the largest rho).
-Otherwise the points where the margin equals its value at rho = 0 form a
-prefix of the grid (each row reaching that value at rho = 0 and at a later
-point is constant between them, being monotone and never below it), and a
-bisection of scalar probes finds its last point.  The two certificates are
-built from the rows at worst_rho.  Where a row is inf or nan at an end, the
-lemma says nothing of the points between, and the scan evaluates a1122,
-a1233 and every row at every grid point, as float64 columns of up to _BLOCK
-points, a view of the grid each.  coupling_tensor is built only where a
+Scans.  The rho grid is k/steps in scan_rho (one correctly rounded division
+per point, as in Python) and (rho,) in check_stability; it is rho_values.
+Z3Params stores floats and rows square rho as rho*rho (correctly rounded).
+A scan builds no tensor: it names the coupling entries as criteria._read does
+and checks them with build's rule at the largest rho, where a1122 overflows
+if anywhere.  It evaluates both routes' rows as floats at the first and the
+last grid point; a one-point grid evaluates them once.  Where every row is
+finite at both ends, the endpoint lemma decides the whole grid from those two
+points.  Where a row is inf or nan at an end (random couplings of about 1e77
+and up), the lemma says nothing of the points between, and the scan
+evaluates the rows at every grid point instead, with the same scalar code.
+Over the points evaluated, a route holds iff each of its rows holds at each
+point, and worst_rho is the last point of least margin (the least row).  If
+the two ends decided the grid and the margin at rho = 0 is below the margin
+at the last point, the points where the margin equals its value at rho = 0
+form a prefix of the grid (each row reaching that value at rho = 0 and at a
+later point is constant between them, being monotone and never below it),
+and a bisection of scalar probes finds its last point.  The two certificates
+are built from the rows at worst_rho.  coupling_tensor is built only where a
 tensor is used: by copos report and vacuum --oracle.
 
 Endpoint lemma.  On [0, 1] every row of both routes is monotone in rho:
@@ -115,7 +114,7 @@ def coupling_tensor(p: Z3Params) -> SymmetricTensor:
 
 
 def _coupling_entries(p: Z3Params, rho: float) -> dict[Index, float]:
-    """The coupling tensor's entries at rho (a float or a column), by canonical index."""
+    """The coupling tensor's entries at rho, by canonical index."""
     a1122, a1233 = _rho_entries(p, rho)
     return {
         (1, 1, 1, 1): p.lam1,
@@ -129,8 +128,7 @@ def _coupling_entries(p: Z3Params, rho: float) -> dict[Index, float]:
 
 
 def _rho_entries(p: Z3Params, rho: float) -> tuple[float, float]:
-    """(a1122, a1233) of the coupling tensor at rho (a float or a column): its
-    only rho-dependent entries."""
+    """(a1122, a1233) of the coupling tensor at rho: its only rho-dependent entries."""
     return (p.lam3 + p.lam4 * (rho * rho)) / 6.0, -p.abs_lam_s12 * rho / 12.0
 
 
@@ -147,14 +145,13 @@ def _printed_rows(strict: bool) -> tuple[tuple[str, bool], ...]:
 
 
 _PRINTED_ROWS = {strict: _printed_rows(strict) for strict in (False, True)}
-# per strict flag, whether each scan row (thm4.5's, then the printed) is strict; as a column
+# per strict flag, whether each scan row (thm4.5's, then the printed) is strict
 _STRICTS = {strict: tuple(s for _, s in _THM45_ROWS[strict] + _PRINTED_ROWS[strict])
             for strict in (False, True)}
-_STRICT = {strict: np.array(stricts)[:, None] for strict, stricts in _STRICTS.items()}
 
 
 def _printed_values(p: Z3Params, rho: float) -> list:
-    """The value of every printed row at rho (a float or a column), in row order."""
+    """The value of every printed row at rho, in row order."""
     c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * (rho * rho) - quad_bound(p.lam1, p.lam2)
     c13 = 3.0 * p.lam_s1 - quad_bound(p.lam1, p.lam_s)
     c23 = 3.0 * p.lam_s2 - quad_bound(p.lam_s, p.lam2)
@@ -196,11 +193,12 @@ class StabilityReport:
     printed_at_worst: Certificate
 
 
-_BLOCK = 1024  # rho points per block: the rows of a block take about 200 KB
 # rho grid steps one scan may take: the report keeps every grid point (the
 # JSON output lists them), so memory and time grow linearly with the steps;
 # 2**20 steps add about 48 MB (the grid and rho_values) and take about 45 ms
-# where every row is finite at both ends, about 0.2 s where one is not
+# where every row is finite at both ends.  Where one is not (random couplings
+# of |lam| ~ 1e77 and up; none at 1e76), every grid point is evaluated, at
+# about 14 us each: 1.9 ms at 100 steps, 15-17 s at 2**20 steps
 _MAX_RHO_STEPS = 2 ** 20
 
 
@@ -210,67 +208,47 @@ def _values_at(p: Z3Params, a: dict[str, float], rho: float) -> list[float]:
     return _thm45_values(a) + _printed_values(p, rho)
 
 
-def _report(p: Z3Params, grid: np.ndarray, strict: bool) -> StabilityReport:
-    rhos = tuple(grid.tolist())  # the grid points as floats, for the report
+def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityReport:
     # build's rule at the largest rho: a1122 overflows there if anywhere (endpoint lemma)
     a = _named({idx: _entry_value(idx, v) for idx, v in _coupling_entries(p, rhos[-1]).items()},
                "thm4.5")
     theorem_rows, printed_rows = _THM45_ROWS[bool(strict)], _PRINTED_ROWS[bool(strict)]
-    n = len(theorem_rows)
-    last = _values_at(p, a, rhos[-1])
-    first = _values_at(p, a, rhos[0]) if len(rhos) > 1 else last
-    if first is last or all(row_holds(abs(v)) for v in first + last):
-        # one point, or every row finite and so monotone on the grid (endpoint
-        # lemma): a row holds everywhere iff at both ends, the least margin is at an end
-        held = [row_holds(u, s) and row_holds(v, s)
-                for u, v, s in zip(first, last, _STRICTS[bool(strict)])]
-        theorem_ok, printed_ok = all(held[:n]), all(held[n:])
-        worst, column, least = len(rhos) - 1, last, min(first)
-        if min(last) > least:
-            # the points where the margin is least form a prefix: bisect for its last point
-            worst, column, above = 0, first, len(rhos) - 1
-            while above - worst > 1:
-                mid = (worst + above) // 2
-                values = _values_at(p, a, rhos[mid])
-                if min(values) > least:
-                    above = mid
-                else:
-                    worst, column = mid, values
-        worst = rhos[worst]
-    else:
-        # an inf or nan row at an end: evaluate every point, a block at a time
-        theorem_ok, printed_ok, worst, worst_margin = True, True, None, math.inf
-        with np.errstate(all="ignore"):  # inf and nan are row values, as with floats
-            for start in range(0, len(rhos), _BLOCK):
-                block = grid[start:start + _BLOCK]
-                a["a1122"], a["a1233"] = _rho_entries(p, block)
-                values = _thm45_values(a) + _printed_values(p, block)
-                rows = np.empty((len(values), len(block)))
-                for i, v in enumerate(values):
-                    rows[i] = v  # a rho-independent row broadcasts
-                held = row_holds(rows, _STRICT[bool(strict)])  # the certificates' row rule
-                theorem_ok = theorem_ok and bool(held[:n].all())
-                printed_ok = printed_ok and bool(held[n:].all())
-                # fmin skips nan rows as min does after a finite first row (a1111)
-                margins = np.fmin.reduce(rows)
-                k = len(block) - 1 - int(np.argmin(margins[::-1]))  # ties go to the largest rho
-                if margins[k] <= worst_margin:
-                    worst, worst_margin, column = rhos[start + k], margins[k], rows[:, k].tolist()
-    # a column row is the scalar row bit for bit: these are the scalar routes' certificates
+    n, last = len(theorem_rows), len(rhos) - 1
+    ends = [(k, _values_at(p, a, rhos[k])) for k in sorted({0, last})]
+    # every row finite at both ends, so monotone on the grid (endpoint lemma): a row
+    # holds everywhere iff at both ends, and the least margin is at an end
+    lemma = all(row_holds(abs(v)) for _, values in ends for v in values)
+    points = ends if lemma else ((k, _values_at(p, a, rho)) for k, rho in enumerate(rhos))
+    stricts = _STRICTS[bool(strict)]
+    held, least = [True] * len(stricts), math.inf
+    for k, values in points:
+        held = [h and row_holds(v, s) for h, v, s in zip(held, values, stricts)]
+        if min(values) <= least:  # ties go to the largest rho
+            worst, at_worst, least = k, values, min(values)
+    if lemma and worst == 0:
+        # the points where the margin is least form a prefix: bisect for its last point
+        above = last
+        while above - worst > 1:
+            mid = (worst + above) // 2
+            values = _values_at(p, a, rhos[mid])
+            if min(values) > least:
+                above = mid
+            else:
+                worst, at_worst = mid, values
     return StabilityReport(
         params=p,
         rho_values=rhos,
-        theorem_verdict=Verdict.CERTIFIED if theorem_ok else Verdict.UNKNOWN,
-        printed_verdict=Verdict.CERTIFIED if printed_ok else Verdict.UNKNOWN,
-        worst_rho=worst,
-        theorem_at_worst=_row_certificate(column[:n], theorem_rows, "thm4.5"),
-        printed_at_worst=_row_certificate(column[n:], printed_rows, "z3-printed"),
+        theorem_verdict=Verdict.CERTIFIED if all(held[:n]) else Verdict.UNKNOWN,
+        printed_verdict=Verdict.CERTIFIED if all(held[n:]) else Verdict.UNKNOWN,
+        worst_rho=rhos[worst],
+        theorem_at_worst=_row_certificate(at_worst[:n], theorem_rows, "thm4.5"),
+        printed_at_worst=_row_certificate(at_worst[n:], printed_rows, "z3-printed"),
     )
 
 
 def check_stability(p: Z3Params, strict: bool = False) -> StabilityReport:
     """Both routes at the single rho carried by the parameters."""
-    return _report(p, np.array([p.rho]), strict)
+    return _report(p, (p.rho,), strict)
 
 
 def scan_rho(p: Z3Params, steps: int, strict: bool = False) -> StabilityReport:
@@ -286,4 +264,4 @@ def scan_rho(p: Z3Params, steps: int, strict: bool = False) -> StabilityReport:
         raise ValueError(f"a rho scan of {steps} steps is above the limit of {_MAX_RHO_STEPS};"
                          " lower the step count (--rho-scan)")
     # one correctly rounded division per point, as k / steps
-    return _report(p, np.arange(steps + 1) / steps, strict)
+    return _report(p, tuple((np.arange(steps + 1) / steps).tolist()), strict)

@@ -13,7 +13,7 @@ import pytest
 from copos import (CubicCoeffs, QuadCoeffs, cubic_disc, cubic_min_bruteforce,
                    cubic_nonneg_exact, cubic_nonneg_sufficient,
                    quad_min_bruteforce, quad_nonneg)
-from copos.halfline import quad_bound, row_holds
+from copos.halfline import row_holds
 
 POWERS_OF_TWO = (0.03125, 0.25, 0.5, 2.0, 8.0, 128.0)
 
@@ -111,26 +111,6 @@ def test_quad_sign_preconditions():
     assert not quad_nonneg(QuadCoeffs(0, -1, 1))  # -t + 1 < 0 past t=1
 
 
-def test_quad_bound_columns_follow_the_scalar_rule():
-    # the rho scan passes float64 columns: each element must be the scalar
-    # bound, -0.0 included, for zeros, subnormal and underflowing products,
-    # overflow, infinities, nan and negative radicands
-    values = (0.0, -0.0, 5e-324, -5e-324, 1e-160, 1e-170, 2.2e-308, 1.0, -1.0, 3.5,
-              1e154, 1e160, 1.7e308, math.inf, -math.inf, math.nan)
-    column = np.array(values)
-
-    def reprs(bounds):
-        assert bounds.dtype == np.float64
-        return [repr(float(v)) for v in bounds]
-
-    with np.errstate(all="ignore"):  # overflowing products warn in numpy
-        for x in values:
-            assert reprs(quad_bound(column, x)) == [repr(quad_bound(a, x)) for a in values]
-            assert reprs(quad_bound(x, column)) == [repr(quad_bound(x, g)) for g in values]
-            assert reprs(quad_bound(column, np.full(len(values), x))) == [
-                repr(quad_bound(a, x)) for a in values]
-
-
 # ---------------------------------------------------------------------------
 # the row rule
 
@@ -141,13 +121,6 @@ def test_row_holds_is_finite_and_meets_the_bound():
     for strict in (False, True):
         assert [row_holds(v, strict) for v in values] == want[strict]
         assert [row_holds(np.float64(v), strict) for v in values] == want[strict]
-        # a column, with strict a flag or a column of flags, is the scalar rule elementwise
-        column = np.array(values)
-        assert row_holds(column, strict).tolist() == want[strict]
-        assert row_holds(column, np.full((len(values),), strict)).tolist() == want[strict]
-    mixed = np.array([True, False] * (len(values) // 2))
-    assert row_holds(np.array(values), mixed).tolist() == [
-        row_holds(v, s) for v, s in zip(values, mixed.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import re
+import time
 
 import numpy as np
 import pytest
@@ -310,9 +311,23 @@ def test_scale_times_two_doubles_evaluation(rng):
 def test_semantic_equality_ignores_explicit_zeros():
     a = build(3, 2, {(1, 1, 1): 1.0})
     b = build(3, 2, {(1, 1, 1): 1.0, (1, 1, 2): 0.0})
-    assert a == b
+    assert a == b and b == a
     assert a != build(3, 2, {(1, 1, 1): 2.0})
+    # an absent entry, an explicit 0.0 and an explicit -0.0 are all equal
+    assert zero(3, 2) == build(3, 2, {(1, 2, 2): -0.0}) == build(3, 2, {(1, 2, 2): 0.0})
+    assert build(3, 2, {(1, 2, 2): -0.0}) != build(3, 2, {(2, 2, 2): 1.0})
+    # a shape mismatch is unequal, also between two zero tensors
     assert a != zero(4, 2)
+    assert zero(3, 2) != zero(3, 3) and zero(3, 2) != zero(2, 3)
+
+
+def test_equality_cost_follows_the_stored_entries():
+    # (4, 60) has 595,665 canonical indices; only the stored keys are compared
+    a = build(4, 60, {(1, 2, 3, 60): 1.0})
+    b = build(4, 60, {(60, 3, 2, 1): 1.0, (7, 7, 7, 7): 0.0})
+    start = time.perf_counter()
+    assert a == b and a != build(4, 60, {(1, 2, 3, 60): 1.0, (5, 5, 5, 5): 1e-300})
+    assert time.perf_counter() - start < 0.5
 
 
 def test_max_abs_entry(rng):

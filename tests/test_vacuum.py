@@ -9,9 +9,9 @@ import pytest
 from copos import (Classification, OracleConfig, StabilityReport, Verdict, Z3Params,
                    check_stability, coupling_tensor, diag_necessity, min_on_simplex,
                    printed_certificate, scan_rho, theorem_certificate, thm45_sos_c4d3, zero)
-from copos.criteria import _read, _thm45_values
+from copos.criteria import _read
 from copos.halfline import row_holds
-from copos.vacuum import _BLOCK, _printed_values, _rho_entries, _values_at
+from copos.vacuum import _values_at
 from conftest import ge_reference, verdict_reference
 
 C = Verdict.CERTIFIED
@@ -323,7 +323,7 @@ def test_report_with_oracle():
 # both certificates, kept verbatim with the criteria helpers _ge and _verdict
 # they called (conftest's ge_reference and verdict_reference), but for
 # squaring rho as rho*rho, as src/ does: scan_rho and check_stability, which
-# read both certificates off the block's column at worst_rho, and the scalar
+# read both certificates off the rows at worst_rho, and the scalar
 # printed_certificate must match these in repr, exceptions included
 
 def sqrt0(x):
@@ -423,8 +423,8 @@ def edge_couplings(rng):
            # a1122 = (1e308 + 1e308*rho^2)/6 overflows at rho = 1, where
            # build rejects inf
            Z3Params(lam1=1, lam2=1, lam_s=1, lam3=10**308, lam4=10**308, rho=1),
-           # both routes hold only for rho above ~0.55: the verdict of a long
-           # scan must remember the blocks that failed
+           # both routes hold only for rho above ~0.55: the verdict of a
+           # scan must remember the points that failed
            Z3Params(lam1=1.0, lam2=1.0, lam_s=1.0, lam3=-2.5, lam4=6.0),
            # the a1111 cofactor row is nan at rho = 1 (6*q12 overflows) and
            # -inf before it (its cube does), so the least margin lies between
@@ -448,15 +448,20 @@ def assert_matches_reference(p, steps, strict):
     return want
 
 
-# grids of exactly one block of rho points, one point over, and three blocks
-BLOCK_STEPS = (_BLOCK - 1, _BLOCK, 2 * _BLOCK + 1)
+LONG_STEPS = 2049  # one long grid, where a bisection takes up to 11 probes
+
+
+def takes_every_point(p):
+    """Whether a scan of p evaluates every grid point: a row is inf or nan at rho = 0 or 1."""
+    a = _read(coupling_tensor(p.with_rho(0.0)), "thm4.5")
+    return not all(row_holds(abs(v)) for rho in (0.0, 1.0) for v in _values_at(p, a, rho))
 
 
 def test_scan_matches_per_point_reference():
     pool = coupling_mix(random.Random(6), 500)
     for i, p in enumerate(pool):
         strict = (i // 2) % 2 == 1  # both strict modes on both kinds
-        for steps in (1, 4, 100) + (BLOCK_STEPS if i < 4 else ()):
+        for steps in (1, 4, 100) + ((LONG_STEPS,) if i < 4 else ()):
             assert_matches_reference(p, steps, strict)
         for mode in (False, True):
             assert outcome(lambda: check_stability(p, mode)) == outcome(
@@ -473,10 +478,15 @@ def test_single_point_matches_reference_where_pow_rounds_apart():
 
 
 def test_edge_scans_match_per_point_reference():
-    seen = []
+    seen, long_grid = [], []
     for i, p in enumerate(edge_couplings(random.Random(7))):
+        # the long grid where the scan evaluates every point: on the listed
+        # couplings, and on two of the sixteen at each scale
+        long = takes_every_point(p) and (i < 7 or i % 8 == 0)
+        if long:
+            long_grid.append(p)
         for strict in (False, True):
-            for steps in (1, 4, 100) + (BLOCK_STEPS if i < 6 else ()):
+            for steps in (1, 4, 100) + ((LONG_STEPS,) if long else ()):
                 seen.append(assert_matches_reference(p, steps, strict))
             assert outcome(lambda: check_stability(p, strict)) == outcome(
                 lambda: reference_report(p, (p.rho,), strict))
@@ -486,6 +496,7 @@ def test_edge_scans_match_per_point_reference():
     assert any(isinstance(o, tuple) and o[0] is ValueError for o in seen)
     assert any(isinstance(o, str) and "nan" in o for o in seen)
     assert any(isinstance(o, str) and "inf" in o for o in seen)
+    assert Z3Params(lam1=1.0, lam2=1.0, lam_s=1.0, lam4=-3.3e307) in long_grid
 
 
 def lemma_couplings(rng):
@@ -523,7 +534,8 @@ def test_rows_are_monotone_in_rho():
             diffs = [hi - lo for lo, hi in zip(row, row[1:])]
             assert all(d >= 0 for d in diffs) or all(d <= 0 for d in diffs), (p, steps, row)
         finite_ends += all(row_holds(abs(v)) for v in columns[0] + columns[-1])
-    # both of the scan's paths are reached: all rows finite at the ends, or not
+    # both kinds of scan are reached: all rows finite at the ends (two points
+    # decide the grid), or not (every point is evaluated)
     assert 400 < finite_ends < 800 and infinite_ends > 100
 
 
@@ -552,31 +564,6 @@ def test_interior_worst_rho_matches_per_point_reference():
                 assert_matches_reference(p, 1000, strict)
             interior.add(worst)
     assert len(interior) >= 10 and max(interior) > 0.5
-
-
-def test_column_rows_equal_scalar_rows():
-    # the scan evaluates the rows on float64 columns; element by element they
-    # must be the scalar rows, bit for bit.  Both square rho as rho*rho; libm
-    # pow's rho**2 would differ by an ulp at some points of k/41, k/157, k/217
-    rng = random.Random(9)
-    # the fourth edge coupling's a1122 overflows to inf near rho = 1; the fifth
-    # raises in coupling_tensor itself
-    pool = coupling_mix(rng, 40) + edge_couplings(rng)[:4]
-    for p in pool:
-        a = _read(coupling_tensor(p), "thm4.5")
-        for steps in (41, 100, 157, 217):
-            rhos = [k / steps for k in range(steps + 1)]
-            scalar = []
-            for rho in rhos:
-                a["a1122"], a["a1233"] = _rho_entries(p, rho)
-                scalar.append([repr(float(v)) for v in _thm45_values(a) + _printed_values(p, rho)])
-            column = dict(a)
-            column["a1122"], column["a1233"] = np.array([_rho_entries(p, rho) for rho in rhos]).T
-            with np.errstate(all="ignore"):
-                rows = _thm45_values(column) + _printed_values(p, np.array(rhos))
-            block = np.vstack([np.broadcast_to(np.asarray(v, dtype=float), len(rhos))
-                               for v in rows])
-            assert [[repr(float(v)) for v in col] for col in block.T] == scalar, (p, steps)
 
 
 def test_integer_couplings_act_as_the_equal_floats():
