@@ -13,9 +13,10 @@ is emitted only by the exact tests (the order-3 dimension-2
 characterisation and diagonal necessity); for every other criterion a
 failed condition list means ``UNKNOWN`` -- the test is sufficient, not
 necessary.  A branch fires iff all its conditions are satisfied, that is
-finite and meeting their bound (:func:`copos.halfline.row_holds`).  An inf
-or nan value (float overflow on huge entries) is never satisfied, and a
-failed list holding one proves nothing: it reports ``UNKNOWN``.
+finite and meeting their bound (:func:`copos.halfline.row_holds`).
+
+``_read`` returns the entries through :func:`copos.halfline.power_scale`, so no
+row is inf or nan, but for qi's and songqi's sums over the raw entries.
 
 Shared algebra.  Every row is built from the half-line primitives of
 :mod:`copos.halfline`.  Each discriminant row (thm3.1, thm3.4, thm4.1,
@@ -51,7 +52,8 @@ import math
 import operator
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .halfline import cubic_bounds, cubic_disc, cubic_disc_checked, quad_bound, row_holds
+from .halfline import (cubic_bounds, cubic_disc, cubic_disc_checked, power_scale, quad_bound,
+                       row_holds)
 from .tensors import Index, SymmetricTensor, all_indices, build, multiplicity
 
 
@@ -66,8 +68,7 @@ class Condition(NamedTuple):
 
     ``value`` is the left-hand side brought to ``>= 0`` (or ``> 0``) form; it is
     ``satisfied`` iff finite and meeting that bound (:func:`copos.halfline.row_holds`).
-    A remark row holds iff all rows of its component test do; it shows their least
-    value, or the first failing one where the least value holds.
+    A remark row shows the least value of its component test's rows.
     """
 
     description: str
@@ -112,14 +113,17 @@ def _named(entries: Mapping[Index, float], criterion_id: str) -> dict[str, float
     return {key: get(idx, 0.0) for key, idx in _names(*_REGISTRY[criterion_id][0])}
 
 
-def _read(tensor: SymmetricTensor, criterion_id: str) -> dict[str, float]:
-    """The tensor's entries, named by :func:`_named`, once its shape is the one
-    registered for ``criterion_id``."""
+def _read(tensor: SymmetricTensor, criterion_id: str, scaled: bool = True) -> dict[str, float]:
+    """The tensor's entries, named by :func:`_named` and divided by
+    :func:`copos.halfline.power_scale`'s power of two unless not ``scaled``,
+    once its shape is the one registered for ``criterion_id``."""
     order, dim = _REGISTRY[criterion_id][0]
     if (tensor.order, tensor.dim) != (order, dim):
         raise ValueError(f"{criterion_id} applies to order-{order} dim-{dim} tensors, "
                          f"got order-{tensor.order} dim-{tensor.dim}")
-    return _named(tensor.entries, criterion_id)
+    a = _named(tensor.entries, criterion_id)
+    e, values = power_scale(a.values()) if scaled else (0, a.values())
+    return dict(zip(a, values)) if e else a
 
 
 def _verdict(criterion_id: str, conditions: list[Condition],
@@ -129,8 +133,6 @@ def _verdict(criterion_id: str, conditions: list[Condition],
     for name, conds in branches or ((None, conditions),):
         if all(map(_SATISFIED, conds)):  # every condition satisfied: the branch fires
             return Certificate(criterion_id, Verdict.CERTIFIED, tuple(conditions), name)
-    if on_fail is Verdict.REFUTED and not all(s or row_holds(abs(v)) for _, v, s in conditions):
-        on_fail = Verdict.UNKNOWN  # a failed list with an inf or nan value proves nothing
     return Certificate(criterion_id, on_fail, tuple(conditions), None)
 
 
@@ -457,9 +459,9 @@ def _split_rows() -> tuple[tuple[str, int, str, float, float], ...]:
 _SPLIT = _split_rows()
 
 
-def _components(tensor: SymmetricTensor) -> tuple[dict[str, float], ...]:
-    """G_1, G_2, G_3 of the x_i-split, keyed and ordered as ``_read`` reads them."""
-    a = _read(tensor, "remark")
+def _components(a: dict[str, float]) -> tuple[dict[str, float], ...]:
+    """G_1, G_2, G_3 of the x_i-split of the entries ``_read`` returns, keyed and
+    ordered as ``_read`` reads them."""
     parts: tuple[dict[str, float], ...] = ({}, {}, {})
     for name, i, key, num, den in _SPLIT:
         parts[i - 1][key] = num * a[name] / den
@@ -477,7 +479,7 @@ def thm4remark_decompose(tensor: SymmetricTensor) -> tuple[SymmetricTensor, ...]
     contains, so the identity holds for all x (not just x >= 0).
     """
     return tuple(build(3, 3, {idx: g[key] for key, idx in _names(3, 3)})
-                 for g in _components(tensor))
+                 for g in _components(_read(tensor, "remark", scaled=False)))
 
 
 def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
@@ -488,13 +490,9 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
     orthant, hence the sum.
     """
     conds, fired = [], []
-    for texts, g in zip(_REMARK_TEXTS, _components(tensor)):
+    for texts, g in zip(_REMARK_TEXTS, _components(_read(tensor, "remark"))):
         for text, values in zip(texts, (_thm34_values(g), _thm35_values(g))):
-            low = min(values)  # the rows are non-strict
-            held = row_holds(low)
-            if held and not all(map(row_holds, values)):  # min hid an inf or a later nan
-                held, low = False, next(v for v in values if not row_holds(v))
-            conds.append(tuple.__new__(Condition, (text, low, held)))
+            conds.append(_ge(text, min(values)))  # the rows are non-strict
         if conds[-2].satisfied or conds[-1].satisfied:
             fired.append("thm3.4" if conds[-2].satisfied else "thm3.5")
     ok = len(fired) == 3

@@ -9,14 +9,16 @@ pairwise rows of thm4.3/4.4, thm4.5's q rows and the printed vacuum rows;
 thm4.4's max-arms) takes its shift from it.  :func:`row_holds` sets every row flag
 of copos.  The exact cubic test and thm3.1 share :func:`cubic_disc_checked`, whose
 error bound, like the oracle's screen window, rests on this module's rounding
-model: ``_U``, ``_UNDERFLOW``, ``_gamma``.  The exact tests recheck in Fraction
-where a float product leaves the float range (:func:`_beyond_range`).
+model: ``_U``, ``_UNDERFLOW``, ``_gamma``.  :func:`quad_nonneg` rechecks in
+Fraction where a float product leaves the float range (:func:`_beyond_range`).
+Every row is homogeneous in its inputs, and :func:`power_scale` divides them by
+one power of two, which changes no row's sign, so that no row can be inf or nan.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .tensors import _count, _entry_value
 _U = 2.0 ** -53            # unit roundoff of binary64
 _UNDERFLOW = 2.0 ** -1000  # absolute error of gradual underflow anywhere in the products
 _NORMAL = 2.0 ** -1022     # the least normal binary64: a product below it has lost digits
+_WINDOW = 2.0 ** 64        # power_scale reads a largest magnitude in [1/_WINDOW, _WINDOW) as given
 
 
 def _gamma(n: int) -> float:
@@ -41,6 +44,17 @@ def _exact(*xs: float) -> list:
     """The floats as Fractions; fractions is imported on first use (~3 ms of start-up)."""
     from fractions import Fraction
     return [Fraction(x) for x in xs]
+
+
+def power_scale(values: Sequence[float]) -> tuple[int, Sequence[float]]:
+    """(e, ``values`` / 2**e by ``math.ldexp``): e = 0, and ``values`` itself, where the
+    largest magnitude is 0 or in [2**-64, 2**64), else the e that brings it into [1, 2).
+    Exact but for values taken below 2**-1022; rows of degree <= 4 stay finite."""
+    top = max(map(abs, values), default=0.0)
+    if top == 0.0 or 1.0 / _WINDOW <= top < _WINDOW:
+        return 0, values
+    e = math.frexp(top)[1] - 1  # top = m * 2**(e + 1) with m in [0.5, 1)
+    return e, [math.ldexp(v, -e) for v in values]
 
 
 def _beyond_range(x: float) -> bool:
@@ -123,18 +137,15 @@ def cubic_nonneg_exact(cc) -> bool:
       (1) a, b, c, d all >= 0;
       (2) max(a, d) > 0, a >= 0, d >= 0, and
           4ac^3 + 4b^3d + 27a^2d^2 - 18abcd - b^2c^2 >= 0,
-          its sign made exact by :func:`cubic_disc_checked` near 0, and
-          recomputed in exact rationals where it overflows.
+          at the coefficients :func:`power_scale` returns, its sign made exact
+          by :func:`cubic_disc_checked` near 0.
     """
     a, b, c, d = _coeffs(cc, CubicCoeffs)
     if min(a, b, c, d) >= 0:
         return True
     if not (max(a, d) > 0 and a >= 0 and d >= 0):
         return False
-    disc = cubic_disc_checked(a, b, c, d)
-    if _beyond_range(disc):
-        disc = cubic_disc(*_exact(a, b, c, d))
-    return disc >= 0
+    return cubic_disc_checked(*power_scale((a, b, c, d))[1]) >= 0
 
 
 def cubic_bounds(a: float, d: float) -> tuple[float, float]:

@@ -29,22 +29,18 @@ Refuted.
 Scans.  The rho grid is k/steps in scan_rho (one correctly rounded division
 per point, as in Python) and (rho,) in check_stability; it is rho_values.
 Z3Params stores floats and rows square rho as rho*rho (correctly rounded).
-A scan builds no tensor: it names the coupling entries as criteria._read does
-and checks them with build's rule at the largest rho, where a1122 overflows
-if anywhere.  It evaluates both routes' rows as floats at the first and the
-last grid point; a one-point grid evaluates them once.  Where every row is
-finite at both ends, the endpoint lemma decides the whole grid from those two
-points.  Where a row is inf or nan at an end (random couplings of about 1e77
-and up), the lemma says nothing of the points between, and the scan
-evaluates the rows at every grid point instead, with the same scalar code.
-Over the points evaluated, a route holds iff each of its rows holds at each
-point, and worst_rho is the last point of least margin (the least row).  If
-the two ends decided the grid and the margin at rho = 0 is below the margin
-at the last point, the points where the margin equals its value at rho = 0
-form a prefix of the grid (each row reaching that value at rho = 0 and at a
-later point is constant between them, being monotone and never below it),
-and a bisection of scalar probes finds its last point.  The two certificates
-are built from the rows at worst_rho.  coupling_tensor is built only where a
+A scan builds no tensor: it reads the couplings (not rho) through
+halfline.power_scale, so every row is finite, and names the coupling entries
+as criteria._read does.  It evaluates both routes' rows as floats at the first
+and the last grid point (once on a one-point grid), which decide the whole
+grid by the endpoint lemma: a route holds iff each of its rows holds at both
+ends, and worst_rho is the last end of least margin (the least row).  If the
+margin at rho = 0 is below the margin at the last point, the points where the
+margin equals its value at rho = 0 form a prefix of the grid (each row
+reaching that value at rho = 0 and at a later point is constant between them,
+being monotone and never below it), and a bisection of scalar probes finds its
+last point.  The two certificates are built from the rows at worst_rho; the
+report keeps the caller's Z3Params.  coupling_tensor is built only where a
 tensor is used: by copos report and vacuum --oracle.
 
 Endpoint lemma.  On [0, 1] every row of both routes is monotone in rho:
@@ -54,11 +50,8 @@ are monotone maps of q12; 27*a1233 + sqrt(q13*q23) and the printed mixed
 row are affine in rho; the printed c12 is affine in rho^2; every other row
 is constant.  IEEE-rounded +, *, / and sqrt are monotone, so the float rows
 are monotone too, and each row's minimum over the grid lies at its first or
-its last point.  A row monotone on the grid and finite at both ends lies
-between two finite values, so it is finite at every point: no row meets an
-inf or nan between two ends where it is finite.  test_rows_are_monotone_in_rho
-checks both claims at scales 10^k, |k| <= 300, with lam4 or abs_lam_s12 near
-0, on random grids.
+its last point.  test_rows_are_monotone_in_rho checks this at scales 10^k,
+|k| <= 300, with lam4 or abs_lam_s12 near 0, on random grids.
 """
 
 from __future__ import annotations
@@ -71,7 +64,7 @@ import numpy as np
 
 from .criteria import (_THM45_ROWS, Certificate, Verdict, _named, _row_certificate, _thm45_values,
                        thm45_sos_c4d3)
-from .halfline import quad_bound, row_holds
+from .halfline import power_scale, quad_bound, row_holds
 from .tensors import Index, SymmetricTensor, _count, _entry_value, build
 
 
@@ -196,10 +189,8 @@ class StabilityReport:
 # rho grid steps one scan may take: the report keeps every grid point (the
 # JSON output lists them), so memory and time grow linearly with the steps;
 # 2**20 steps add about 48 MB (the grid and rho_values) and take about 45 ms
-# where every row is finite at both ends.  Where one is not (random couplings
-# of |lam| ~ 1e77 and up; none at 1e76), every grid point is evaluated, at
-# about 14 us each: 1.9 ms at 100 steps, 15-17 s at 2**20 steps
 _MAX_RHO_STEPS = 2 ** 20
+_COUPLINGS = tuple(field.name for field in dataclasses.fields(Z3Params) if field.name != "rho")
 
 
 def _values_at(p: Z3Params, a: dict[str, float], rho: float) -> list[float]:
@@ -209,28 +200,26 @@ def _values_at(p: Z3Params, a: dict[str, float], rho: float) -> list[float]:
 
 
 def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityReport:
-    # build's rule at the largest rho: a1122 overflows there if anywhere (endpoint lemma)
-    a = _named({idx: _entry_value(idx, v) for idx, v in _coupling_entries(p, rhos[-1]).items()},
-               "thm4.5")
+    e, couplings = power_scale([getattr(p, name) for name in _COUPLINGS])
+    q = dataclasses.replace(p, **dict(zip(_COUPLINGS, couplings))) if e else p  # rows read q
+    a = _named(_coupling_entries(q, rhos[-1]), "thm4.5")
     theorem_rows, printed_rows = _THM45_ROWS[bool(strict)], _PRINTED_ROWS[bool(strict)]
     n, last = len(theorem_rows), len(rhos) - 1
-    ends = [(k, _values_at(p, a, rhos[k])) for k in sorted({0, last})]
-    # every row finite at both ends, so monotone on the grid (endpoint lemma): a row
-    # holds everywhere iff at both ends, and the least margin is at an end
-    lemma = all(row_holds(abs(v)) for _, values in ends for v in values)
-    points = ends if lemma else ((k, _values_at(p, a, rho)) for k, rho in enumerate(rhos))
     stricts = _STRICTS[bool(strict)]
+    # every row is monotone on the grid (endpoint lemma): a row holds everywhere iff
+    # at both ends, and the least margin is at an end
     held, least = [True] * len(stricts), math.inf
-    for k, values in points:
+    for k in sorted({0, last}):
+        values = _values_at(q, a, rhos[k])
         held = [h and row_holds(v, s) for h, v, s in zip(held, values, stricts)]
         if min(values) <= least:  # ties go to the largest rho
             worst, at_worst, least = k, values, min(values)
-    if lemma and worst == 0:
+    if worst == 0:
         # the points where the margin is least form a prefix: bisect for its last point
         above = last
         while above - worst > 1:
             mid = (worst + above) // 2
-            values = _values_at(p, a, rhos[mid])
+            values = _values_at(q, a, rhos[mid])
             if min(values) > least:
                 above = mid
             else:

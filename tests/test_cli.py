@@ -75,14 +75,14 @@ def test_check_criterion_filter(capsys, pair_doc):
 
 
 def test_check_flags_an_infinite_row_as_failed(capsys, tmp_path):
-    # 1e200 * 1e200 overflows inside branch (1)'s radicand: the inf row proves
-    # nothing, so it fails and the outcome stays unknown
+    # songqi reads the raw entries, and four of 1e308 overflow its slice sums
+    # to inf: the inf row proves nothing, so it fails and the outcome stays unknown
     doc = write_doc(tmp_path, "huge.json", 3, 2,
-                    {"111": 1e200, "112": -1.0, "122": 1e200, "222": 1.0})
-    code, out, _ = run(capsys, ["check", doc, "--criterion", "thm3.3"])
+                    {"111": 1e308, "112": 1e308, "122": 1e308, "222": 1e308})
+    code, out, _ = run(capsys, ["check", doc, "--criterion", "songqi"])
     assert code == 2
-    assert "thm3.3: unknown" in out
-    assert "  [FAIL] (1) g112 >= -(2/3)*sqrt(3*g122*g111)  value=inf\n" in out
+    assert "songqi: unknown" in out
+    assert "  [FAIL] slice 1: ordered sum > 0  value=inf\n" in out
 
 
 def test_check_diag_reads_no_slice_plan(capsys, tmp_path):
@@ -311,16 +311,28 @@ def refuse_constant(token):
     raise AssertionError(f"{token} is not standard JSON")
 
 
+def test_vacuum_scan_gives_a_verdict_where_a1122_would_overflow(capsys):
+    # a1122 = (1e307 + 1.7e308*rho^2)/6 overflows at rho = 1 at the input
+    # scale, where the scan exited 3; read at one power-of-two scale it
+    # reports: lam1 < 0, so both routes are unknown
+    code, out, err = run(capsys, ["vacuum", "--l1", "-1", "--l2", "1", "--ls", "1",
+                                  "--l3", "1e307", "--l4", "1.7e308", "--rho-scan", "4"])
+    assert (code, err) == (2, "")
+    assert out.splitlines()[:4] == ["rho scan: 5 points on [0, 1]", "theorem route: unknown",
+                                    "printed route: unknown", "worst rho: 1.0"]
+
+
 def test_json_output_has_no_bare_nan_or_infinity(capsys, tmp_path):
-    # huge entries overflow condition values to inf and nan; RFC 8259 has no
-    # token for either, so each is written as the string of its repr
+    # huge entries overflow qi's and songqi's raw slice sums to -inf; RFC 8259
+    # has no token for it, so it is written as the string of its repr.  The
+    # other criteria and the vacuum scan read their inputs at one power-of-two
+    # scale, so their rows are finite
     doc = write_doc(tmp_path, "huge.json", 3, 2,
-                    {"111": 1e200, "112": -1.0, "122": 1e200, "222": 1.0})
+                    {"111": -1e308, "112": -5e307, "122": -5e307})
     huge = ["--l1", "1e154", "--l2", "1e154", "--ls", "1e154", "--ls12", "4e153"]
-    for argv, code, strings in [(["report", doc], 2, ["nan", "inf"]),
-                                (["check", "--json", doc], 2, ["nan", "inf"]),
-                                (["vacuum", *huge, "--rho-scan", "4", "--json"], 2,
-                                 ["nan", "nan", "nan", "inf"])]:
+    for argv, code, strings in [(["report", doc], 1, ["-inf"] * 3),
+                                (["check", "--json", doc], 1, ["-inf"] * 3),
+                                (["vacuum", *huge, "--rho-scan", "4", "--json"], 0, [])]:
         got, out, err = run(capsys, argv)
         assert (got, err) == (code, "")
         obj = json.loads(out, parse_constant=refuse_constant)
@@ -550,8 +562,8 @@ TRANSCRIPT_CASES = [
     " --rho 0.5 --strict --json",
     "vacuum --l1 -0.0 --l2 1 --ls 1 --json",
     # the least margin holds from rho = 0 up to an interior point, found by
-    # bisection; then a cofactor row that is nan at rho = 1 and -inf before
-    # it, so every point is evaluated and the worst rho lies between the ends
+    # bisection; then couplings whose cofactor row would overflow at the input
+    # scale, read at one power-of-two scale
     "vacuum --l1 1 --l2 1 --ls 1 --l3 -1 --l4 1e-16 --rho-scan 10",
     "vacuum --l1 1 --l2 1 --ls 1 --l4 -3.3e307 --rho-scan 4",
     "report --l1 1 --l2 1 --ls 1 --ls12 0.8 --rho 1",

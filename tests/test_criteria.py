@@ -764,13 +764,14 @@ def test_sqrt_criteria_are_the_halfline_tests_at_scaled_coefficients(rng):
 
 @pytest.mark.parametrize("s", [1e80, 1e160])
 def test_overflow_never_refutes(s):
-    # a copositive tensor scaled until thm3.1's discriminant overflows to
-    # inf - inf: the NaN row proves nothing, so thm3.1 is unknown, not refuted;
-    # at 1e160 the cubes themselves overflow, which must not raise
+    # a copositive tensor scaled until thm3.1's discriminant, at the input
+    # scale, would overflow to inf - inf (1e80) or in its cubes (1e160): read
+    # at one power-of-two scale it keeps its x1 verdict and branch, and every
+    # row is finite
     t = t32(s, -0.1 * s, 0.5 * s, s)
-    cert = thm31_exact_c3d2(t)
-    assert cert.outcome is U
-    assert not all(math.isfinite(c.value) for c in cert.conditions)
+    cert, one = thm31_exact_c3d2(t), thm31_exact_c3d2(t32(1.0, -0.1, 0.5, 1.0))
+    assert (cert.outcome, cert.branch) == (one.outcome, one.branch) == (C, "(2)")
+    assert all(math.isfinite(c.value) for c in cert.conditions)
     assert aggregate(certify_all(t)) is C
 
 
@@ -796,16 +797,40 @@ def test_thm31_rechecks_a_rounded_negative_discriminant_exactly():
 
 def test_thm31_never_certifies_an_underflowing_refuted_tensor():
     # refuted-mixed is not copositive; below 1e-81 every term of its float
-    # discriminant row underflows to 0.0, and the exact recheck keeps the
-    # row negative (-5e-324 where the exact quotient rounds to -0.0)
+    # discriminant row would underflow at the input scale.  Read at one
+    # power-of-two scale, thm3.1 and the aggregate refute it at every scale,
+    # as at x1, and the row stays a normal negative float
     t = parse_document((GOLDEN / "refuted-mixed.json").read_text(encoding="utf-8"))
     for k in range(-110, 80):
         for strict in (False, True):
             certs = certify_all(t.scale(10.0 ** k), strict=strict)
-            assert certs[[c.criterion_id for c in certs].index("thm3.1")].outcome is not C
-            assert aggregate(certs) is not C, (k, strict)
+            assert certs[[c.criterion_id for c in certs].index("thm3.1")].outcome is R
+            assert aggregate(certs) is R, (k, strict)
     cert = thm31_exact_c3d2(t.scale(1e-90))
-    assert (cert.outcome, repr(cert.conditions[-1].value)) == (R, "-5e-324")
+    assert cert.outcome is R and -4.0 < cert.conditions[-1].value < -3.0
+
+
+@pytest.mark.parametrize("shape, entries, criterion_id", [
+    ((4, 2), {(1, 1, 1, 1): 1.0, (1, 1, 2, 2): -1.0, (2, 2, 2, 2): 1.0}, "thm4.1"),
+    ((3, 3), {(1, 1, 1): 1.0, (2, 2, 2): 1.0, (3, 3, 3): 1.0, (1, 1, 2): -1.0, (1, 2, 2): -1.0},
+     "thm3.4")])
+def test_discriminant_rows_never_certify_a_tiny_tensor_that_is_not_copositive(
+        shape, entries, criterion_id):
+    # the (4,2) form is -4 at (1, 1) and the (3,3) form -4 at (1, 1, 0).  At
+    # x1e-90 their unchecked discriminant rows underflowed to -0.0 at the
+    # input scale and certified; read at one power-of-two scale they stay negative
+    t = build(*shape, entries).scale(1e-90)
+    certs = certify_all(t)
+    cert = certs[[c.criterion_id for c in certs].index(criterion_id)]
+    assert cert.outcome is U and min(c.value for c in cert.conditions) < -1.0
+    assert aggregate(certs) is not C
+
+
+def test_sqrt_rows_keep_their_verdict_below_the_radicand_underflow():
+    # at s = 1e-162 the radicand g111*g222 = 1e-324 underflowed to 0 at the
+    # input scale, and thm3.2 lost the certificate it gives from s = 1 down
+    for s in (1.0, 1e-160, 1e-162, 1e-300):
+        assert thm32_sqrt_c3d2(t32(s, -0.2 * s, -0.2 * s, s)).outcome is C, s
 
 
 def test_exact_cubic_test_agrees_with_thm31_at_every_scale():
@@ -832,14 +857,18 @@ def test_exact_cubic_test_agrees_with_thm31_at_every_scale():
 
 
 def test_non_finite_value_never_fires_a_branch():
-    # 1e200 * 1e200 overflows to inf inside thm3.3's radicand: the row's
-    # value is inf, which proves nothing, so the row is unsatisfied and the
+    # songqi reads the raw entries, and four of 1e308 overflow its slice sums
+    # to inf: the value proves nothing, so every row is unsatisfied and the
     # branch does not certify
-    cert = thm33_mixed_c3d2(t32(1e200, -1.0, 1e200, 1.0))
-    inf_rows = [c for c in cert.conditions if not math.isfinite(c.value)]
-    assert [(c.description, c.value, c.satisfied) for c in inf_rows] == [
-        ("(1) g112 >= -(2/3)*sqrt(3*g122*g111)", math.inf, False)]
+    cert = songqi_strict_generic(t32(1e308, 1e308, 1e308, 1e308))
+    assert [(c.value, c.satisfied) for c in cert.conditions] == [(math.inf, False)] * 4
     assert cert.outcome is U
+    # thm3.3's radicand 1e200 * 1e200 would overflow at the input scale; read
+    # at one power-of-two scale, its rows are finite and branch (1) certifies
+    # this copositive tensor
+    cert = thm33_mixed_c3d2(t32(1e200, -1.0, 1e200, 1.0))
+    assert all(math.isfinite(c.value) for c in cert.conditions)
+    assert (cert.outcome, cert.branch) == (C, "(1)")
 
 
 def test_soundness_spot_check(rng):

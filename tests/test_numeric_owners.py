@@ -4,7 +4,9 @@
 square root (``math.sqrt`` or ``np.sqrt``, however imported), and
 ``halfline`` is the only module that writes the unit roundoff ``2.0 ** -53``
 or the underflow slack ``2.0 ** -1000``; every other module imports
-``_U``, ``_UNDERFLOW`` and ``_gamma`` from it.
+``_U``, ``_UNDERFLOW`` and ``_gamma`` from it.  ``halfline.power_scale`` is
+the only function that calls ``math.ldexp`` or ``math.frexp``, however
+imported: it owns the power-of-two scale every row is read at.
 
 Within ``criteria``, ``vacuum`` and ``halfline`` only three functions test
 finiteness (an ``isfinite``, ``isinf`` or ``isnan`` call, or a comparison
@@ -21,6 +23,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "copos").glob("*.py"))
 
 SQRT_OWNER = "halfline.quad_bound"
+SCALE_OWNER = "halfline.power_scale"
+SCALE_CALLS = {"ldexp", "frexp"}
 ROUNDING_OWNER = "halfline"
 ROUNDING_EXPONENTS = {53, 1000}
 FINITENESS_MODULES = {"criteria", "vacuum", "halfline"}
@@ -33,6 +37,17 @@ def _is_sqrt(func: ast.expr, aliases: set[str]) -> bool:
     if isinstance(func, ast.Attribute):
         return (func.attr == "sqrt" and isinstance(func.value, ast.Name)
                 and func.value.id in {"math", "np", "numpy"})
+    return isinstance(func, ast.Name) and func.id in aliases
+
+
+def _is_scale_call(node: ast.AST, aliases: set[str]) -> bool:
+    # math.ldexp(x, e), math.frexp(x), or either imported from math
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return (func.attr in SCALE_CALLS and isinstance(func.value, ast.Name)
+                and func.value.id == "math")
     return isinstance(func, ast.Name) and func.id in aliases
 
 
@@ -68,7 +83,8 @@ def _is_rounding_constant(node: ast.AST) -> bool:
 
 def owner_violations(sources: dict[str, str]) -> list[str]:
     """Square roots outside SQRT_OWNER, rounding constants outside ROUNDING_OWNER,
-    and finiteness tests in FINITENESS_MODULES outside FINITENESS_OWNERS."""
+    ldexp and frexp calls outside SCALE_OWNER, and finiteness tests in
+    FINITENESS_MODULES outside FINITENESS_OWNERS."""
     out = []
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -79,6 +95,9 @@ def owner_violations(sources: dict[str, str]) -> list[str]:
         aliases = {alias.asname or alias.name for alias in imported if alias.name == "sqrt"}
         finite_aliases = {alias.asname or alias.name for alias in imported
                           if alias.name in FINITENESS_CALLS | {"inf"}}
+        scale_aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.module == "math"
+                         for alias in node.names if alias.name in SCALE_CALLS}
 
         def visit(node: ast.AST, scope: str) -> None:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -88,6 +107,8 @@ def owner_violations(sources: dict[str, str]) -> list[str]:
                 out.append(f"{scope}: line {node.lineno}: square root")
             if _is_rounding_constant(node) and module != ROUNDING_OWNER:
                 out.append(f"{scope}: line {node.lineno}: rounding constant")
+            if _is_scale_call(node, scale_aliases) and scope != SCALE_OWNER:
+                out.append(f"{scope}: line {node.lineno}: power-of-two scale")
             if (module in FINITENESS_MODULES and scope not in FINITENESS_OWNERS
                     and _is_finiteness_test(node, finite_aliases)):
                 out.append(f"{scope}: line {node.lineno}: finiteness test")
@@ -151,4 +172,20 @@ def test_finiteness_rules():
         "criteria._verdict: line 5: finiteness test",
         "criteria._verdict: line 5: finiteness test",
         "vacuum._report: line 3: finiteness test",
+    ]
+
+
+def test_scale_rules():
+    sources = {"halfline": ("import math\n"
+                            "def power_scale(values):\n"
+                            "    e = math.frexp(max(values))[1]\n"
+                            "    return e, [math.ldexp(v, -e) for v in values]\n"
+                            "def cubic_nonneg_exact(cc):\n"
+                            "    return math.frexp(cc[0])\n"),
+               "vacuum": ("from math import ldexp as shift\n"
+                          "def _report(p):\n"
+                          "    return shift(p, 3)\n")}
+    assert owner_violations(sources) == [
+        "halfline.cubic_nonneg_exact: line 6: power-of-two scale",
+        "vacuum._report: line 3: power-of-two scale",
     ]

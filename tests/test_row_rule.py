@@ -4,7 +4,9 @@ A row is satisfied only when its value is finite and meets its bound, and a
 certificate is certified iff one of its branches has every row satisfied.
 The inputs are the golden corpus and seeded tensors of each shape, scaled by
 10**k for |k| <= 300 in both strict modes, and the rho scans of couplings
-near the ends of the float range.
+near the ends of the float range.  Every row is read at one power-of-two
+scale, so it is finite, but for the raw slice sums of qi and songqi, which
+can overflow near the top of the range.
 """
 
 import itertools
@@ -54,23 +56,21 @@ def test_certified_iff_a_branch_has_every_row_satisfied():
     tensors = [parse_document(path.read_text(encoding="utf-8"))
                for path in sorted(GOLDEN.glob("*.json"))]
     tensors += [random_tensor(rng, order, dim) for order, dim in SHAPES for _ in range(2)]
-    seen = {"inf": 0, "nan": 0, "certified": 0}
+    certified = 0
     for tensor in tensors:
         for t in scaled(tensor):
             for strict in (False, True):
                 for cert in certify_all(t, strict=strict):
                     check(cert)
-                    values = [c.value for c in cert.conditions]
-                    seen["inf"] += math.inf in values
-                    seen["nan"] += any(math.isnan(v) for v in values)
-                    seen["certified"] += cert.certified
-    assert all(n > 100 for n in seen.values()), seen  # the edges are really reached
+                    if cert.criterion_id not in ("qi", "songqi"):  # raw slice sums
+                        assert all(math.isfinite(c.value) for c in cert.conditions), cert
+                    certified += cert.certified
+    assert certified > 100
 
 
 def test_scan_certificates_agree_with_the_route_verdicts():
-    # couplings whose products over- or underflow: unit-like ratios at scales
-    # from 1e-300 to 1e300, where a1111*a2222 and the cofactor cubes leave the range
-    seen_inf = 0
+    # unit-like ratios at scales from 1e-300 to 1e300, where a1111*a2222 and
+    # the cofactor cubes would leave the range at the input scale
     for scale in (1e-300, 1e-160, 1e-100, 1.0, 1e100, 1e150, 1e154, 1e155, 1e200, 1e300):
         p = Z3Params(lam1=scale, lam2=scale, lam_s=scale, lam3=-0.1 * scale, lam4=0.05 * scale,
                      lam_s1=0.3 * scale, lam_s2=0.2 * scale, abs_lam_s12=0.4 * scale)
@@ -84,5 +84,4 @@ def test_scan_certificates_agree_with_the_route_verdicts():
                     assert cert.certified and all(c.satisfied for c in cert.conditions), rep
                 if not cert.certified:
                     assert verdict is Verdict.UNKNOWN, rep
-                seen_inf += any(c.value == math.inf for c in cert.conditions)
-    assert seen_inf > 0
+                assert all(math.isfinite(c.value) for c in cert.conditions), rep

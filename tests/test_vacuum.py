@@ -1,5 +1,6 @@
 """Vacuum stability of the Z3 dark-matter potential, both decision routes."""
 
+import dataclasses
 import math
 import random
 
@@ -10,7 +11,6 @@ from copos import (Classification, OracleConfig, StabilityReport, Verdict, Z3Par
                    check_stability, coupling_tensor, diag_necessity, min_on_simplex,
                    printed_certificate, scan_rho, theorem_certificate, thm45_sos_c4d3, zero)
 from copos.criteria import _read
-from copos.halfline import row_holds
 from copos.vacuum import _values_at
 from conftest import ge_reference, verdict_reference
 
@@ -291,14 +291,32 @@ def test_scan_grid_is_k_over_steps(steps):
 
 @pytest.mark.parametrize("steps", [1, 4])
 @pytest.mark.parametrize("strict", [False, True])
-def test_scan_refuses_an_entry_that_overflows_only_at_rho_1(steps, strict):
+def test_scan_reads_an_entry_that_overflows_only_at_rho_1(steps, strict):
     # lam3 + lam4*rho^2 stays finite below rho = 1 (1.5625e308 at rho = 3/4) and
-    # overflows at rho = 1, so only there is a1122 inf: the scan checks the
-    # entries with build's rule at the largest rho
+    # overflows at rho = 1, where coupling_tensor refuses its inf a1122.  The
+    # scan reads the couplings divided by 2**1023, so it reports what the scan
+    # of those couplings reports, with finite rows, and keeps the caller's params
     p = unit(lam3=1e308, lam4=1e308)
     with pytest.raises(ValueError, match=r"^entry \(1, 1, 2, 2\) is not finite: inf$"):
-        scan_rho(p, steps, strict)
+        coupling_tensor(p.with_rho(1.0))
+    q = Z3Params(**{name: math.ldexp(getattr(p, name), -1023) for name in SCALED})
+    rep, want = scan_rho(p, steps, strict), scan_rho(q, steps, strict)
+    assert rep == dataclasses.replace(want, params=p)
+    assert all(math.isfinite(c.value) for cert in (rep.theorem_at_worst, rep.printed_at_worst)
+               for c in cert.conditions)
     assert check_stability(p.with_rho(0.75), strict).rho_values == (0.75,)
+
+
+def test_scan_certifies_at_every_scale_as_at_1():
+    # at s = 1e100 the cofactor rows were inf, and at 1e154 nan (0*inf), at
+    # the input scale: both routes were unknown there
+    want = scan_rho(unit(abs_lam_s12=0.4), 100)
+    assert (want.theorem_verdict, want.printed_verdict) == (C, C)
+    for s in (1e50, 1e100, 1e154, 1e300):
+        p = Z3Params(lam1=s, lam2=s, lam_s=s, abs_lam_s12=0.4 * s)
+        rep = scan_rho(p, 100)
+        assert (rep.theorem_verdict, rep.printed_verdict, rep.worst_rho) == (
+            want.theorem_verdict, want.printed_verdict, want.worst_rho), s
 
 
 def test_check_stability_single_point():
@@ -378,6 +396,16 @@ def reference_report(p, rhos, strict):
     )
 
 
+def divided(p):
+    """p with its couplings (not rho) divided by 2**e: e = 0 where the largest
+    |coupling| is 0 or lies in [2**-64, 2**64), else the e that brings it
+    into [1, 2).  The scan reads these couplings."""
+    values = [getattr(p, name) for name in SCALED]
+    top = max(map(abs, values))
+    e = 0 if top == 0.0 or 2.0 ** -64 <= top < 2.0 ** 64 else math.frexp(top)[1] - 1
+    return dataclasses.replace(p, **{name: math.ldexp(v, -e) for name, v in zip(SCALED, values)})
+
+
 def outcome(run):
     """repr of the report, or the type and message of what it raised."""
     try:
@@ -387,6 +415,7 @@ def outcome(run):
 
 
 COUPLINGS = ("lam1", "lam2", "lam3", "lam4", "lam_s", "lam_s1", "lam_s2")
+SCALED = COUPLINGS + ("abs_lam_s12",)  # every field but rho
 
 
 def coupling_mix(rng, count):
@@ -413,22 +442,20 @@ def coupling_mix(rng, count):
 
 def edge_couplings(rng):
     """Integer and all-zero couplings (stored as the equal floats), and
-    couplings scaled up to the top of the float range, where rows overflow to
-    inf or nan and build rejects a non-finite a1122."""
+    couplings scaled up to the top of the float range, where rows would
+    overflow to inf or nan at the input scale and coupling_tensor refuses a
+    non-finite a1122."""
     out = [Z3Params(), Z3Params(rho=1), Z3Params(lam1=1, lam2=1, lam_s=1, abs_lam_s12=1, rho=1),
-           # a1122 overflows only at rho = 1, and below it the a1111 cofactor
-           # row is -inf: the worst rho is not where build fails, so the
-           # scan itself must raise there
+           # a1122 overflows only at rho = 1 at the input scale, and below it
+           # the a1111 cofactor row would be -inf
            Z3Params(lam1=-1.0, lam2=1.0, lam_s=1.0, lam3=1e307, lam4=1.7e308),
-           # a1122 = (1e308 + 1e308*rho^2)/6 overflows at rho = 1, where
-           # build rejects inf
+           # a1122 = (1e308 + 1e308*rho^2)/6 overflows at rho = 1 at the input scale
            Z3Params(lam1=1, lam2=1, lam_s=1, lam3=10**308, lam4=10**308, rho=1),
            # both routes hold only for rho above ~0.55: the verdict of a
            # scan must remember the points that failed
            Z3Params(lam1=1.0, lam2=1.0, lam_s=1.0, lam3=-2.5, lam4=6.0),
-           # the a1111 cofactor row is nan at rho = 1 (6*q12 overflows) and
-           # -inf before it (its cube does), so the least margin lies between
-           # the ends: only a scan of every point finds it
+           # at the input scale the a1111 cofactor row would be nan at rho = 1
+           # (6*q12 overflows) and -inf before it (its cube does)
            Z3Params(lam1=1.0, lam2=1.0, lam_s=1.0, lam4=-3.3e307)]
     for _ in range(24):
         out.append(Z3Params(**{name: rng.randint(-3, 3) for name in COUPLINGS},
@@ -441,20 +468,39 @@ def edge_couplings(rng):
     return out
 
 
-def assert_matches_reference(p, steps, strict):
-    rhos = tuple(k / steps for k in range(steps + 1))
-    want = outcome(lambda: reference_report(p, rhos, strict))
-    assert outcome(lambda: scan_rho(p, steps, strict)) == want, (p, steps, strict)
+def reference_at_scale(p, rhos, strict):
+    """reference_report of the couplings the scan reads, with p's params."""
+    return dataclasses.replace(reference_report(divided(p), rhos, strict), params=p)
+
+
+def one_scale(p, rhos):
+    """Whether thm4.5 reads every coupling tensor of divided(p) on rhos as built:
+    its largest |entry| is 0 or lies in [2**-64, 2**64)."""
+    tops = (coupling_tensor(divided(p).with_rho(rho)).max_abs_entry() for rho in rhos)
+    return all(top == 0.0 or 2.0 ** -64 <= top < 2.0 ** 64 for top in tops)
+
+
+def settled(report):
+    return report.rho_values, report.theorem_verdict, report.printed_verdict, report.worst_rho
+
+
+def assert_reports_match(run, p, rhos, strict):
+    """run() reports what reference_at_scale does: in repr, or, where thm4.5
+    divides a coupling tensor of divided(p) again (lam4 alone at rho = 0 leaves
+    its largest |entry| below 2**-64), in its verdicts and worst rho."""
+    want = outcome(lambda: reference_at_scale(p, rhos, strict))
+    if outcome(run) != want:
+        assert not one_scale(p, rhos), (p, rhos, strict)
+        assert settled(run()) == settled(reference_at_scale(p, rhos, strict)), (p, rhos, strict)
     return want
 
 
+def assert_matches_reference(p, steps, strict):
+    rhos = tuple(k / steps for k in range(steps + 1))
+    return assert_reports_match(lambda: scan_rho(p, steps, strict), p, rhos, strict)
+
+
 LONG_STEPS = 2049  # one long grid, where a bisection takes up to 11 probes
-
-
-def takes_every_point(p):
-    """Whether a scan of p evaluates every grid point: a row is inf or nan at rho = 0 or 1."""
-    a = _read(coupling_tensor(p.with_rho(0.0)), "thm4.5")
-    return not all(row_holds(abs(v)) for rho in (0.0, 1.0) for v in _values_at(p, a, rho))
 
 
 def test_scan_matches_per_point_reference():
@@ -478,25 +524,21 @@ def test_single_point_matches_reference_where_pow_rounds_apart():
 
 
 def test_edge_scans_match_per_point_reference():
-    seen, long_grid = [], []
+    # the per-point reference runs on the couplings the scan reads (divided);
+    # printed_certificate evaluates the couplings as given, as its reference does
+    seen, scaled = [], 0
     for i, p in enumerate(edge_couplings(random.Random(7))):
-        # the long grid where the scan evaluates every point: on the listed
-        # couplings, and on two of the sixteen at each scale
-        long = takes_every_point(p) and (i < 7 or i % 8 == 0)
-        if long:
-            long_grid.append(p)
+        scaled += divided(p) != p
         for strict in (False, True):
-            for steps in (1, 4, 100) + ((LONG_STEPS,) if long else ()):
+            # the long grid on the listed couplings
+            for steps in (1, 4, 100) + ((LONG_STEPS,) if i < 7 else ()):
                 seen.append(assert_matches_reference(p, steps, strict))
-            assert outcome(lambda: check_stability(p, strict)) == outcome(
-                lambda: reference_report(p, (p.rho,), strict))
+            assert_reports_match(lambda: check_stability(p, strict), p, (p.rho,), strict)
             assert outcome(lambda: printed_certificate(p, strict)) == outcome(
                 lambda: reference_printed_certificate(p, strict))
-    # the edges are really reached: build's error, and nan or inf margins
-    assert any(isinstance(o, tuple) and o[0] is ValueError for o in seen)
-    assert any(isinstance(o, str) and "nan" in o for o in seen)
-    assert any(isinstance(o, str) and "inf" in o for o in seen)
-    assert Z3Params(lam1=1.0, lam2=1.0, lam_s=1.0, lam4=-3.3e307) in long_grid
+    # the edges are really reached, and every scan gives a report with finite rows
+    assert scaled >= 64
+    assert all(isinstance(o, str) and "nan" not in o and "inf" not in o for o in seen)
 
 
 def lemma_couplings(rng):
@@ -519,24 +561,20 @@ def lemma_couplings(rng):
 
 
 def test_rows_are_monotone_in_rho():
-    # the endpoint lemma of the vacuum module: a row finite at both ends of
-    # the grid k/steps is finite at every grid point, which is what lets the
-    # scan decide from the two ends, and monotone in rho
-    finite_ends = infinite_ends = 0
+    # the endpoint lemma of the vacuum module, on the couplings the scan reads:
+    # every row is finite and monotone in rho on the grid k/steps, which is
+    # what lets the scan decide from the two ends
+    scaled = 0
     for p, steps in lemma_couplings(random.Random(8)):
-        a = _read(coupling_tensor(p), "thm4.5")
-        columns = [_values_at(p, a, k / steps) for k in range(steps + 1)]
+        q = divided(p)
+        scaled += q != p
+        a = _read(coupling_tensor(q), "thm4.5", scaled=False)
+        columns = [_values_at(q, a, k / steps) for k in range(steps + 1)]
         for row in zip(*columns):
-            if not (row_holds(abs(row[0])) and row_holds(abs(row[-1]))):
-                infinite_ends += 1
-                continue
-            assert all(row_holds(abs(v)) for v in row), (p, steps, row)
+            assert all(map(math.isfinite, row)), (p, steps, row)
             diffs = [hi - lo for lo, hi in zip(row, row[1:])]
             assert all(d >= 0 for d in diffs) or all(d <= 0 for d in diffs), (p, steps, row)
-        finite_ends += all(row_holds(abs(v)) for v in columns[0] + columns[-1])
-    # both kinds of scan are reached: all rows finite at the ends (two points
-    # decide the grid), or not (every point is evaluated)
-    assert 400 < finite_ends < 800 and infinite_ends > 100
+    assert scaled > 400  # most of the 600 scaled couplings lie outside [2**-64, 2**64)
 
 
 # couplings whose lam4 moves their least row by a few ulps only, so that on
@@ -568,7 +606,9 @@ def test_interior_worst_rho_matches_per_point_reference():
 
 def test_integer_couplings_act_as_the_equal_floats():
     # an integer coupling gives the report, or the error, of the equal float,
-    # also where integer arithmetic would raise OverflowError (the first two)
+    # also where integer arithmetic would raise OverflowError (the first two);
+    # there the floats overflow at the input scale too, and the scan reads
+    # them at one power-of-two scale, so both give a report
     rng = random.Random(10)
     cases = [(dict(lam1=10**308, lam2=10**308, lam_s=1), lambda p: scan_rho(p, 4)),
              (dict(lam1=1, lam2=1, lam_s=1, lam3=10**308, lam4=10**308, rho=1), check_stability)]
@@ -581,5 +621,4 @@ def test_integer_couplings_act_as_the_equal_floats():
     want = [outcome(lambda: run(Z3Params(**{k: float(v) for k, v in kw.items()})))
             for kw, run in cases]
     assert got == want
-    assert "unknown" in got[0]
-    assert got[1] == (ValueError, "entry (1, 1, 2, 2) is not finite: inf")
+    assert all(isinstance(o, str) and o.startswith("StabilityReport(") for o in got[:2])
