@@ -114,9 +114,9 @@ def _named(entries: Mapping[Index, float], criterion_id: str) -> dict[str, float
 
 
 def _read(tensor: SymmetricTensor, criterion_id: str, scaled: bool = True) -> dict[str, float]:
-    """The tensor's entries, named by :func:`_named` and divided by
-    :func:`copos.halfline.power_scale`'s power of two unless not ``scaled``,
-    once its shape is the one registered for ``criterion_id``."""
+    """The tensor's entries, named by :func:`_named` and, if ``scaled``, divided by
+    :func:`copos.halfline.power_scale`'s power of two, once its shape is the one
+    registered for ``criterion_id``."""
     order, dim = _REGISTRY[criterion_id][0]
     if (tensor.order, tensor.dim) != (order, dim):
         raise ValueError(f"{criterion_id} applies to order-{order} dim-{dim} tensors, "

@@ -28,7 +28,6 @@ from .tensors import _count, _entry_value
 _U = 2.0 ** -53            # unit roundoff of binary64
 _UNDERFLOW = 2.0 ** -1000  # absolute error of gradual underflow anywhere in the products
 _NORMAL = 2.0 ** -1022     # the least normal binary64: a product below it has lost digits
-_WINDOW = 2.0 ** 64        # power_scale reads a largest magnitude in [1/_WINDOW, _WINDOW) as given
 
 
 def _gamma(n: int) -> float:
@@ -50,8 +49,8 @@ def power_scale(values: Sequence[float]) -> tuple[int, Sequence[float]]:
     """(e, ``values`` / 2**e by ``math.ldexp``): e = 0, and ``values`` itself, where the
     largest magnitude is 0 or in [2**-64, 2**64), else the e that brings it into [1, 2).
     Exact but for values taken below 2**-1022; rows of degree <= 4 stay finite."""
-    top = max(map(abs, values), default=0.0)
-    if top == 0.0 or 1.0 / _WINDOW <= top < _WINDOW:
+    top = max(max(values), -min(values))
+    if 2.0 ** -64 <= top < 2.0 ** 64 or top == 0.0:
         return 0, values
     e = math.frexp(top)[1] - 1  # top = m * 2**(e + 1) with m in [0.5, 1)
     return e, [math.ldexp(v, -e) for v in values]
