@@ -13,10 +13,11 @@ is emitted only by the exact tests (the order-3 dimension-2
 characterisation and diagonal necessity); for every other criterion a
 failed condition list means ``UNKNOWN`` -- the test is sufficient, not
 necessary.  A branch fires iff all its conditions are satisfied, that is
-finite and meeting their bound (:func:`copos.halfline.row_holds`).
-
-``_read`` returns the entries through :func:`copos.halfline.power_scale`, so no
-row is inf or nan, but for qi's and songqi's sums over the raw entries.
+finite and meeting their bound (:func:`copos.halfline.row_holds`).  ``_read``
+returns the entries through :func:`copos.halfline.power_scale`, so a row is inf
+or nan only where the entries span 2**128 or more, or in qi's and songqi's sums
+over the raw entries; a failed list holding one proves nothing: it reports
+``UNKNOWN``.
 
 Shared algebra.  Every row is built from the half-line primitives of
 :mod:`copos.halfline`.  Each discriminant row (thm3.1, thm3.4, thm4.1,
@@ -68,7 +69,8 @@ class Condition(NamedTuple):
 
     ``value`` is the left-hand side brought to ``>= 0`` (or ``> 0``) form; it is
     ``satisfied`` iff finite and meeting that bound (:func:`copos.halfline.row_holds`).
-    A remark row shows the least value of its component test's rows.
+    A remark row holds iff all rows of its component test do; it shows their least
+    value, or the first failing one where the least value holds.
     """
 
     description: str
@@ -113,16 +115,20 @@ def _named(entries: Mapping[Index, float], criterion_id: str) -> dict[str, float
     return {key: get(idx, 0.0) for key, idx in _names(*_REGISTRY[criterion_id][0])}
 
 
-def _read(tensor: SymmetricTensor, criterion_id: str, scaled: bool = True) -> dict[str, float]:
-    """The tensor's entries, named by :func:`_named` and, if ``scaled``, divided by
-    :func:`copos.halfline.power_scale`'s power of two, once its shape is the one
+def _entries(tensor: SymmetricTensor, criterion_id: str) -> dict[str, float]:
+    """The tensor's entries, named by :func:`_named`, once its shape is the one
     registered for ``criterion_id``."""
     order, dim = _REGISTRY[criterion_id][0]
     if (tensor.order, tensor.dim) != (order, dim):
         raise ValueError(f"{criterion_id} applies to order-{order} dim-{dim} tensors, "
                          f"got order-{tensor.order} dim-{tensor.dim}")
-    a = _named(tensor.entries, criterion_id)
-    e, values = power_scale(a.values()) if scaled else (0, a.values())
+    return _named(tensor.entries, criterion_id)
+
+
+def _read(tensor: SymmetricTensor, criterion_id: str) -> dict[str, float]:
+    """:func:`_entries` divided by :func:`copos.halfline.power_scale`'s power of two."""
+    a = _entries(tensor, criterion_id)
+    e, values = power_scale(a.values())
     return dict(zip(a, values)) if e else a
 
 
@@ -133,6 +139,8 @@ def _verdict(criterion_id: str, conditions: list[Condition],
     for name, conds in branches or ((None, conditions),):
         if all(map(_SATISFIED, conds)):  # every condition satisfied: the branch fires
             return Certificate(criterion_id, Verdict.CERTIFIED, tuple(conditions), name)
+    if on_fail is Verdict.REFUTED and not all(s or row_holds(abs(v)) for _, v, s in conditions):
+        on_fail = Verdict.UNKNOWN  # a failed list with an inf or nan value proves nothing
     return Certificate(criterion_id, on_fail, tuple(conditions), None)
 
 
@@ -479,7 +487,7 @@ def thm4remark_decompose(tensor: SymmetricTensor) -> tuple[SymmetricTensor, ...]
     contains, so the identity holds for all x (not just x >= 0).
     """
     return tuple(build(3, 3, {idx: g[key] for key, idx in _names(3, 3)})
-                 for g in _components(_read(tensor, "remark", scaled=False)))
+                 for g in _components(_entries(tensor, "remark")))
 
 
 def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
@@ -492,7 +500,11 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
     conds, fired = [], []
     for texts, g in zip(_REMARK_TEXTS, _components(_read(tensor, "remark"))):
         for text, values in zip(texts, (_thm34_values(g), _thm35_values(g))):
-            conds.append(_ge(text, min(values)))  # the rows are non-strict
+            low = min(values)  # the rows are non-strict
+            held = row_holds(low)
+            if held and not all(map(row_holds, values)):  # min hid an inf or a later nan
+                held, low = False, next(v for v in values if not row_holds(v))
+            conds.append(tuple.__new__(Condition, (text, low, held)))
         if conds[-2].satisfied or conds[-1].satisfied:
             fired.append("thm3.4" if conds[-2].satisfied else "thm3.5")
     ok = len(fired) == 3

@@ -9,10 +9,11 @@ pairwise rows of thm4.3/4.4, thm4.5's q rows and the printed vacuum rows;
 thm4.4's max-arms) takes its shift from it.  :func:`row_holds` sets every row flag
 of copos.  The exact cubic test and thm3.1 share :func:`cubic_disc_checked`, whose
 error bound, like the oracle's screen window, rests on this module's rounding
-model: ``_U``, ``_UNDERFLOW``, ``_gamma``.  :func:`quad_nonneg` rechecks in
-Fraction where a float product leaves the float range (:func:`_beyond_range`).
+model: ``_U``, ``_UNDERFLOW``, ``_gamma``.  The exact tests recheck in Fraction
+where a float product leaves the float range (:func:`_beyond_range`).
 Every row is homogeneous in its inputs, and :func:`power_scale` divides them by
-one power of two, which changes no row's sign, so that no row can be inf or nan.
+one power of two, which changes no row's sign, so that a row neither overflows
+nor underflows where its inputs span less than 2**128.
 """
 
 from __future__ import annotations
@@ -47,13 +48,19 @@ def _exact(*xs: float) -> list:
 
 def power_scale(values: Sequence[float]) -> tuple[int, Sequence[float]]:
     """(e, ``values`` / 2**e by ``math.ldexp``): e = 0, and ``values`` itself, where the
-    largest magnitude is 0 or in [2**-64, 2**64), else the e that brings it into [1, 2).
-    Exact but for values taken below 2**-1022; rows of degree <= 4 stay finite."""
+    largest magnitude is 0 or in [2**-64, 2**64), else the e that brings it into [1, 2),
+    but a division stops where it would take a nonzero magnitude below 2**-64.
+
+    The division is exact.  A product of <= 4 of the values returned underflows only
+    where it did at the input scale, and overflows only where the largest magnitude is
+    2**64 or more and the nonzero magnitudes span 2**128 or more."""
     top = max(max(values), -min(values))
     if 2.0 ** -64 <= top < 2.0 ** 64 or top == 0.0:
         return 0, values
     e = math.frexp(top)[1] - 1  # top = m * 2**(e + 1) with m in [0.5, 1)
-    return e, [math.ldexp(v, -e) for v in values]
+    if e > 0:  # a division: the least nonzero magnitude stays at 2**-64 or above
+        e = min(e, max(0, math.frexp(min(abs(v) for v in values if v))[1] + 63))
+    return (e, [math.ldexp(v, -e) for v in values]) if e else (0, values)
 
 
 def _beyond_range(x: float) -> bool:
@@ -136,15 +143,18 @@ def cubic_nonneg_exact(cc) -> bool:
       (1) a, b, c, d all >= 0;
       (2) max(a, d) > 0, a >= 0, d >= 0, and
           4ac^3 + 4b^3d + 27a^2d^2 - 18abcd - b^2c^2 >= 0,
-          at the coefficients :func:`power_scale` returns, its sign made exact
-          by :func:`cubic_disc_checked` near 0.
+          its sign made exact by :func:`cubic_disc_checked` near 0, and
+          recomputed in exact rationals where it overflows.
     """
     a, b, c, d = _coeffs(cc, CubicCoeffs)
     if min(a, b, c, d) >= 0:
         return True
     if not (max(a, d) > 0 and a >= 0 and d >= 0):
         return False
-    return cubic_disc_checked(*power_scale((a, b, c, d))[1]) >= 0
+    disc = cubic_disc_checked(a, b, c, d)
+    if _beyond_range(disc):
+        disc = cubic_disc(*_exact(a, b, c, d))
+    return disc >= 0
 
 
 def cubic_bounds(a: float, d: float) -> tuple[float, float]:

@@ -30,8 +30,9 @@ Scans.  The rho grid is k/steps in scan_rho (one correctly rounded division
 per point, as in Python) and (rho,) in check_stability; it is rho_values.
 Z3Params stores floats and rows square rho as rho*rho (correctly rounded).
 A scan builds no tensor: it reads the couplings (not rho) through
-halfline.power_scale, so every row is finite, and names the coupling entries
-as criteria._read does.  It evaluates both routes' rows as floats at the first
+halfline.power_scale, as printed_certificate does, so a row is finite unless
+the couplings span 2**128 or more, and names the coupling entries as
+criteria._read does.  It evaluates both routes' rows as floats at the first
 and the last grid point (once on a one-point grid), which decide the whole
 grid by the endpoint lemma: a route holds iff each of its rows holds at both
 ends, and worst_rho is the last end of least margin (the least row).  If the
@@ -50,8 +51,11 @@ are monotone maps of q12; 27*a1233 + sqrt(q13*q23) and the printed mixed
 row are affine in rho; the printed c12 is affine in rho^2; every other row
 is constant.  IEEE-rounded +, *, / and sqrt are monotone, so the float rows
 are monotone too, and each row's minimum over the grid lies at its first or
-its last point.  test_rows_are_monotone_in_rho checks this at scales 10^k,
-|k| <= 300, with lam4 or abs_lam_s12 near 0, on random grids.
+its last point.  A row finite at both ends lies between two finite values, so
+it is finite at every point; a row inf or nan at an end fails there, so its
+route is Unknown, as at every point.  test_rows_are_monotone_in_rho checks
+both claims at scales 10^k, |k| <= 300, with lam4 or abs_lam_s12 near 0, on
+random grids.
 """
 
 from __future__ import annotations
@@ -125,6 +129,15 @@ def _rho_entries(p: Z3Params, rho: float) -> tuple[float, float]:
     return (p.lam3 + p.lam4 * (rho * rho)) / 6.0, -p.abs_lam_s12 * rho / 12.0
 
 
+_COUPLINGS = tuple(field.name for field in dataclasses.fields(Z3Params) if field.name != "rho")
+
+
+def _scaled(p: Z3Params) -> Z3Params:
+    """p with its couplings (not rho) divided by halfline.power_scale's power of two."""
+    e, couplings = power_scale([getattr(p, name) for name in _COUPLINGS])
+    return dataclasses.replace(p, **dict(zip(_COUPLINGS, couplings))) if e else p
+
+
 def _printed_rows(strict: bool) -> tuple[tuple[str, bool], ...]:
     # (text, strict) of every printed row, in row order; the three coupling
     # positivity rows are strict either way
@@ -158,7 +171,7 @@ def printed_certificate(p: Z3Params, strict: bool = False) -> Certificate:
     strict switches the four non-diagonal conditions from >= to >; the
     three coupling positivity conditions are strict either way.
     """
-    return _row_certificate(_printed_values(p, p.rho), _PRINTED_ROWS[bool(strict)],
+    return _row_certificate(_printed_values(_scaled(p), p.rho), _PRINTED_ROWS[bool(strict)],
                             "z3-printed")
 
 
@@ -190,7 +203,6 @@ class StabilityReport:
 # JSON output lists them), so memory and time grow linearly with the steps;
 # 2**20 steps add about 48 MB (the grid and rho_values) and take about 45 ms
 _MAX_RHO_STEPS = 2 ** 20
-_COUPLINGS = tuple(field.name for field in dataclasses.fields(Z3Params) if field.name != "rho")
 
 
 def _values_at(p: Z3Params, a: dict[str, float], rho: float) -> list[float]:
@@ -200,8 +212,7 @@ def _values_at(p: Z3Params, a: dict[str, float], rho: float) -> list[float]:
 
 
 def _report(p: Z3Params, rhos: tuple[float, ...], strict: bool) -> StabilityReport:
-    e, couplings = power_scale([getattr(p, name) for name in _COUPLINGS])
-    q = dataclasses.replace(p, **dict(zip(_COUPLINGS, couplings))) if e else p  # rows read q
+    q = _scaled(p)  # the rows read q; the report keeps p
     a = _named(_coupling_entries(q, rhos[-1]), "thm4.5")
     theorem_rows, printed_rows = _THM45_ROWS[bool(strict)], _PRINTED_ROWS[bool(strict)]
     n, last = len(theorem_rows), len(rhos) - 1

@@ -75,14 +75,14 @@ def test_check_criterion_filter(capsys, pair_doc):
 
 
 def test_check_flags_an_infinite_row_as_failed(capsys, tmp_path):
-    # songqi reads the raw entries, and four of 1e308 overflow its slice sums
-    # to inf: the inf row proves nothing, so it fails and the outcome stays unknown
+    # 1e200 * 1e200 overflows inside branch (1)'s radicand: the inf row proves
+    # nothing, so it fails and the outcome stays unknown
     doc = write_doc(tmp_path, "huge.json", 3, 2,
-                    {"111": 1e308, "112": 1e308, "122": 1e308, "222": 1e308})
-    code, out, _ = run(capsys, ["check", doc, "--criterion", "songqi"])
+                    {"111": 1e200, "112": -1.0, "122": 1e200, "222": 1.0})
+    code, out, _ = run(capsys, ["check", doc, "--criterion", "thm3.3"])
     assert code == 2
-    assert "songqi: unknown" in out
-    assert "  [FAIL] slice 1: ordered sum > 0  value=inf\n" in out
+    assert "thm3.3: unknown" in out
+    assert "  [FAIL] (1) g112 >= -(2/3)*sqrt(3*g122*g111)  value=inf\n" in out
 
 
 def test_check_diag_reads_no_slice_plan(capsys, tmp_path):

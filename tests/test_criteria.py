@@ -826,6 +826,27 @@ def test_discriminant_rows_never_certify_a_tiny_tensor_that_is_not_copositive(
     assert aggregate(certs) is not C
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("shape, entries", [
+    # the form is -4 at (1, 1, 0).  Divided by 2**300, every term of thm3.4's
+    # (1, 2) discriminant row (-135 at x1) would fall below 2**-1074, to 0.0
+    ((3, 3), {(1, 1, 1): 1.0, (2, 2, 2): 1.0, (1, 1, 2): -1.0, (1, 2, 2): -1.0,
+              (3, 3, 3): 2.0 ** 300}),
+    # the form is negative at x = 1, y ~ 2**-1200.  Divided by 2**1000, g112
+    # would round to -0.0, which meets g112 >= 0
+    ((3, 2), {(1, 1, 2): -2.0 ** -100, (1, 2, 2): 2.0 ** 1000, (2, 2, 2): 2.0 ** 1000})])
+def test_a_wide_tensor_is_never_divided_into_underflow(shape, entries, strict):
+    # power_scale stops a division where it would take a nonzero entry below
+    # 2**-64, so no criterion certifies these tensors, which are not copositive
+    certs = certify_all(build(*shape, entries), strict=strict)
+    assert [c.criterion_id for c in certs if c.outcome is C] == []
+    assert aggregate(certs) is U
+    if shape == (3, 3):
+        cert = certs[[c.criterion_id for c in certs].index("thm3.4")]
+        assert cert.conditions[4].description.startswith("32*g111*g122^3")
+        assert cert.conditions[4].value == -135.0 * 2.0 ** -256
+
+
 def test_sqrt_rows_keep_their_verdict_below_the_radicand_underflow():
     # at s = 1e-162 the radicand g111*g222 = 1e-324 underflowed to 0 at the
     # input scale, and thm3.2 lost the certificate it gives from s = 1 down
@@ -857,18 +878,14 @@ def test_exact_cubic_test_agrees_with_thm31_at_every_scale():
 
 
 def test_non_finite_value_never_fires_a_branch():
-    # songqi reads the raw entries, and four of 1e308 overflow its slice sums
-    # to inf: the value proves nothing, so every row is unsatisfied and the
+    # 1e200 * 1e200 overflows to inf inside thm3.3's radicand: the row's
+    # value is inf, which proves nothing, so the row is unsatisfied and the
     # branch does not certify
-    cert = songqi_strict_generic(t32(1e308, 1e308, 1e308, 1e308))
-    assert [(c.value, c.satisfied) for c in cert.conditions] == [(math.inf, False)] * 4
-    assert cert.outcome is U
-    # thm3.3's radicand 1e200 * 1e200 would overflow at the input scale; read
-    # at one power-of-two scale, its rows are finite and branch (1) certifies
-    # this copositive tensor
     cert = thm33_mixed_c3d2(t32(1e200, -1.0, 1e200, 1.0))
-    assert all(math.isfinite(c.value) for c in cert.conditions)
-    assert (cert.outcome, cert.branch) == (C, "(1)")
+    inf_rows = [c for c in cert.conditions if not math.isfinite(c.value)]
+    assert [(c.description, c.value, c.satisfied) for c in inf_rows] == [
+        ("(1) g112 >= -(2/3)*sqrt(3*g122*g111)", math.inf, False)]
+    assert cert.outcome is U
 
 
 def test_soundness_spot_check(rng):

@@ -13,13 +13,28 @@ import pytest
 from copos import (CubicCoeffs, QuadCoeffs, cubic_disc, cubic_min_bruteforce,
                    cubic_nonneg_exact, cubic_nonneg_sufficient,
                    quad_min_bruteforce, quad_nonneg)
-from copos.halfline import row_holds
+from copos.halfline import power_scale, row_holds
 
 POWERS_OF_TWO = (0.03125, 0.25, 0.5, 2.0, 8.0, 128.0)
 
 
 # ---------------------------------------------------------------------------
 # cubic exact
+
+@pytest.mark.parametrize("values, e", [
+    ([1.0, -3.0, 0.0], 0),  # the largest magnitude lies in [2**-64, 2**64): as given
+    ([0.0, -0.0], 0),
+    ([2.0 ** 64, 1.5 * 2.0 ** 10], 64),  # into [1, 2)
+    ([-3.0 * 2.0 ** -90, 2.0 ** -1074], -89),  # a multiplication, whatever the span
+    ([2.0 ** 300, 1.0, -1.0], 64),  # the division stops with 1.0 at 2**-64
+    ([2.0 ** 70, 0.0, 2.0 ** -70], 0),  # any division would take 2**-70 lower
+])
+def test_power_scale_is_exact_and_never_divides_below_2_to_the_minus_64(values, e):
+    got_e, got = power_scale(values)
+    assert got_e == e
+    assert [math.ldexp(v, e) for v in got] == values
+    assert e <= 0 or min(abs(v) for v in got if v) >= 2.0 ** -64
+
 
 def test_cubic_exact_all_nonneg():
     assert cubic_nonneg_exact(CubicCoeffs(1, 1, 1, 1))

@@ -10,8 +10,8 @@ import pytest
 from copos import (Classification, OracleConfig, StabilityReport, Verdict, Z3Params,
                    check_stability, coupling_tensor, diag_necessity, min_on_simplex,
                    printed_certificate, scan_rho, theorem_certificate, thm45_sos_c4d3, zero)
-from copos.criteria import _read
-from copos.vacuum import _values_at
+from copos.criteria import _entries
+from copos.vacuum import _scaled, _values_at
 from conftest import ge_reference, verdict_reference
 
 C = Verdict.CERTIFIED
@@ -294,16 +294,18 @@ def test_scan_grid_is_k_over_steps(steps):
 def test_scan_reads_an_entry_that_overflows_only_at_rho_1(steps, strict):
     # lam3 + lam4*rho^2 stays finite below rho = 1 (1.5625e308 at rho = 3/4) and
     # overflows at rho = 1, where coupling_tensor refuses its inf a1122.  The
-    # scan reads the couplings divided by 2**1023, so it reports what the scan
-    # of those couplings reports, with finite rows, and keeps the caller's params
+    # scan reads the couplings divided by 2**64, as far as the unit diagonal
+    # lets power_scale divide: a1122 is finite there, the a1111 cofactor row
+    # (degree 4) overflows to inf at rho = 1 and fails, and the printed rows
+    # (degree 2) hold.  The report keeps the caller's params
     p = unit(lam3=1e308, lam4=1e308)
     with pytest.raises(ValueError, match=r"^entry \(1, 1, 2, 2\) is not finite: inf$"):
         coupling_tensor(p.with_rho(1.0))
-    q = Z3Params(**{name: math.ldexp(getattr(p, name), -1023) for name in SCALED})
-    rep, want = scan_rho(p, steps, strict), scan_rho(q, steps, strict)
-    assert rep == dataclasses.replace(want, params=p)
-    assert all(math.isfinite(c.value) for cert in (rep.theorem_at_worst, rep.printed_at_worst)
-               for c in cert.conditions)
+    rep = scan_rho(p, steps, strict)
+    assert (rep.params, rep.theorem_verdict, rep.printed_verdict, rep.worst_rho) == (p, U, C, 1.0)
+    cofactor = rep.theorem_at_worst.conditions[12]
+    assert cofactor.description.startswith("2*a1111*q12^3")
+    assert (cofactor.value, cofactor.satisfied) == (math.inf, False)
     assert check_stability(p.with_rho(0.75), strict).rho_values == (0.75,)
 
 
@@ -317,6 +319,23 @@ def test_scan_certifies_at_every_scale_as_at_1():
         rep = scan_rho(p, 100)
         assert (rep.theorem_verdict, rep.printed_verdict, rep.worst_rho) == (
             want.theorem_verdict, want.printed_verdict, want.worst_rho), s
+
+
+def test_every_entry_point_reads_the_couplings_at_one_scale():
+    # at the input scale lam1*lam2 = 1e400 overflowed printed_certificate's
+    # quad_bound to inf; it reads the couplings through power_scale as the scan does
+    p = Z3Params(lam1=1e200, lam2=1e200, lam_s=1e200, lam_s1=1e200, lam_s2=1e200)
+    # lam4 spans 2**1021 over the unit diagonal: the division stops at 2**64,
+    # so the rows at rho = 0 keep their sign, as in thm4.5 on the built tensor
+    q = Z3Params(lam1=1.0, lam2=1.0, lam_s=1.0, lam4=-3.3e307)
+    for strict in (False, True):
+        rep = check_stability(p, strict)
+        assert rep.printed_at_worst == printed_certificate(p, strict)
+        assert rep.printed_verdict is printed_certificate(p, strict).outcome is C
+        rep, cert = check_stability(q, strict), theorem_certificate(q, strict)
+        assert rep.theorem_verdict is cert.outcome is (U if strict else C)
+        assert [c.satisfied for c in rep.theorem_at_worst.conditions] == [
+            c.satisfied for c in cert.conditions]
 
 
 def test_check_stability_single_point():
@@ -396,16 +415,6 @@ def reference_report(p, rhos, strict):
     )
 
 
-def divided(p):
-    """p with its couplings (not rho) divided by 2**e: e = 0 where the largest
-    |coupling| is 0 or lies in [2**-64, 2**64), else the e that brings it
-    into [1, 2).  The scan reads these couplings."""
-    values = [getattr(p, name) for name in SCALED]
-    top = max(map(abs, values))
-    e = 0 if top == 0.0 or 2.0 ** -64 <= top < 2.0 ** 64 else math.frexp(top)[1] - 1
-    return dataclasses.replace(p, **{name: math.ldexp(v, -e) for name, v in zip(SCALED, values)})
-
-
 def outcome(run):
     """repr of the report, or the type and message of what it raised."""
     try:
@@ -470,13 +479,13 @@ def edge_couplings(rng):
 
 def reference_at_scale(p, rhos, strict):
     """reference_report of the couplings the scan reads, with p's params."""
-    return dataclasses.replace(reference_report(divided(p), rhos, strict), params=p)
+    return dataclasses.replace(reference_report(_scaled(p), rhos, strict), params=p)
 
 
 def one_scale(p, rhos):
-    """Whether thm4.5 reads every coupling tensor of divided(p) on rhos as built:
+    """Whether thm4.5 reads every coupling tensor of _scaled(p) on rhos as built:
     its largest |entry| is 0 or lies in [2**-64, 2**64)."""
-    tops = (coupling_tensor(divided(p).with_rho(rho)).max_abs_entry() for rho in rhos)
+    tops = (coupling_tensor(_scaled(p).with_rho(rho)).max_abs_entry() for rho in rhos)
     return all(top == 0.0 or 2.0 ** -64 <= top < 2.0 ** 64 for top in tops)
 
 
@@ -486,7 +495,7 @@ def settled(report):
 
 def assert_reports_match(run, p, rhos, strict):
     """run() reports what reference_at_scale does: in repr, or, where thm4.5
-    divides a coupling tensor of divided(p) again (lam4 alone at rho = 0 leaves
+    divides a coupling tensor of _scaled(p) again (lam4 alone at rho = 0 leaves
     its largest |entry| below 2**-64), in its verdicts and worst rho."""
     want = outcome(lambda: reference_at_scale(p, rhos, strict))
     if outcome(run) != want:
@@ -524,21 +533,22 @@ def test_single_point_matches_reference_where_pow_rounds_apart():
 
 
 def test_edge_scans_match_per_point_reference():
-    # the per-point reference runs on the couplings the scan reads (divided);
-    # printed_certificate evaluates the couplings as given, as its reference does
+    # the per-point references run on the couplings the scan and
+    # printed_certificate read (_scaled)
     seen, scaled = [], 0
     for i, p in enumerate(edge_couplings(random.Random(7))):
-        scaled += divided(p) != p
+        scaled += _scaled(p) != p
         for strict in (False, True):
             # the long grid on the listed couplings
             for steps in (1, 4, 100) + ((LONG_STEPS,) if i < 7 else ()):
                 seen.append(assert_matches_reference(p, steps, strict))
             assert_reports_match(lambda: check_stability(p, strict), p, (p.rho,), strict)
             assert outcome(lambda: printed_certificate(p, strict)) == outcome(
-                lambda: reference_printed_certificate(p, strict))
-    # the edges are really reached, and every scan gives a report with finite rows
+                lambda: reference_printed_certificate(_scaled(p), strict))
+    # the edges are really reached: every scan gives a report, and couplings that
+    # span 2**128 or more still overflow a row to inf
     assert scaled >= 64
-    assert all(isinstance(o, str) and "nan" not in o and "inf" not in o for o in seen)
+    assert all(isinstance(o, str) for o in seen) and any("inf" in o for o in seen)
 
 
 def lemma_couplings(rng):
@@ -566,9 +576,9 @@ def test_rows_are_monotone_in_rho():
     # what lets the scan decide from the two ends
     scaled = 0
     for p, steps in lemma_couplings(random.Random(8)):
-        q = divided(p)
+        q = _scaled(p)
         scaled += q != p
-        a = _read(coupling_tensor(q), "thm4.5", scaled=False)
+        a = _entries(coupling_tensor(q), "thm4.5")
         columns = [_values_at(q, a, k / steps) for k in range(steps + 1)]
         for row in zip(*columns):
             assert all(map(math.isfinite, row)), (p, steps, row)
