@@ -468,8 +468,8 @@ _SPLIT = _split_rows()
 
 
 def _components(a: dict[str, float]) -> tuple[dict[str, float], ...]:
-    """G_1, G_2, G_3 of the x_i-split of the entries ``_read`` returns, keyed and
-    ordered as ``_read`` reads them."""
+    """G_1, G_2, G_3 of the x_i-split of entries named as ``_entries`` names them,
+    keyed and ordered as ``_entries`` reads them."""
     parts: tuple[dict[str, float], ...] = ({}, {}, {})
     for name, i, key, num, den in _SPLIT:
         parts[i - 1][key] = num * a[name] / den

@@ -2,9 +2,10 @@
 
 Each row of the criteria and of both vacuum routes is homogeneous in its
 inputs, and copos reads every row at one power-of-two scale
-(``halfline.power_scale``).  So a tensor or a coupling set times 2**k, for
-any k whose scaling round-trips through ``math.ldexp`` (no input loses a
-bit), must give the outcome it gives at x1, with finite rows.  The sweep
+(``halfline.power_scale``).  So a tensor or a coupling set whose inputs span
+less than 2**128, times 2**k for any k whose scaling round-trips through
+``math.ldexp`` (no input loses a bit), must give the outcome it gives at x1,
+with finite rows.  The sweep
 spans k = -1074 ... 1023 in both strict modes.
 """
 
