@@ -14,15 +14,17 @@ characterisation and diagonal necessity); for every other criterion a
 failed condition list means ``UNKNOWN`` -- the test is sufficient, not
 necessary.  A branch fires iff all its conditions are satisfied, that is
 finite and meeting their bound (:func:`copos.halfline.row_holds`).  ``_read``
-returns the entries through :func:`copos.halfline.power_scale`, so a row is inf
-or nan only where the entries span 2**128 or more, or in qi's and songqi's sums
-over the raw entries; a failed list holding one proves nothing: it reports
-``UNKNOWN``.
+returns the entries through :func:`copos.halfline.power_scale`, so a square-root
+row is inf or nan only where the entries span 2**128 or more; qi's and songqi's
+sums over the raw entries may overflow too.  Such a row fails.  A discriminant
+row on finite inputs carries its exact sign and saturates at
++-sys.float_info.max, so the rows of the two refuters are always finite.
 
 Shared algebra.  Every row is built from the half-line primitives of
 :mod:`copos.halfline`.  Each discriminant row (thm3.1, thm3.4, thm4.1,
-thm4.3, thm4.5) is a positive multiple of :func:`copos.halfline.cubic_disc`,
-and each square-root row is ``lhs - rhs`` against
+thm4.3, thm4.5, and the remark through thm3.4) is
+:func:`copos.halfline.cubic_disc_checked` at its coefficient factors and
+divisor, and each square-root row is ``lhs - rhs`` against
 :func:`copos.halfline.cubic_bounds` or :func:`copos.halfline.quad_bound`, at
 scaled coefficients; ``quad_bound`` is the only code that takes a root.  Roots
 appear only over products whose signs are pinned by companion conditions in
@@ -53,8 +55,7 @@ import math
 import operator
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .halfline import (cubic_bounds, cubic_disc, cubic_disc_checked, power_scale, quad_bound,
-                       row_holds)
+from .halfline import cubic_bounds, cubic_disc_checked, power_scale, quad_bound, row_holds
 from .tensors import Index, SymmetricTensor, all_indices, build, multiplicity
 
 
@@ -139,8 +140,6 @@ def _verdict(criterion_id: str, conditions: list[Condition],
     for name, conds in branches or ((None, conditions),):
         if all(map(_SATISFIED, conds)):  # every condition satisfied: the branch fires
             return Certificate(criterion_id, Verdict.CERTIFIED, tuple(conditions), name)
-    if on_fail is Verdict.REFUTED and not all(s or row_holds(abs(v)) for _, v, s in conditions):
-        on_fail = Verdict.UNKNOWN  # a failed list with an inf or nan value proves nothing
     return Certificate(criterion_id, on_fail, tuple(conditions), None)
 
 
@@ -204,7 +203,7 @@ def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
         _ge("(2) g222 >= 0", g222),
         _ge("(2) 4*g111*g122^3 + 4*g112^3*g222 + g111^2*g222^2"
             " - 6*g111*g112*g122*g222 - 3*g112^2*g122^2 >= 0",
-            cubic_disc_checked(g111, g112, g122, g222, 3)),
+            cubic_disc_checked(g111, g112, g122, g222, (1.0, 3.0, 3.0, 1.0), 27.0)),
     ]
     return _verdict("thm3.1", sys1 + sys2, [("(1)", sys1), ("(2)", sys2)], Verdict.REFUTED)
 
@@ -258,7 +257,8 @@ _THM35_ROWS = _SIGN_ROWS + tuple((text, False) for p, q, r, s in _PAIRS for text
 
 def _thm34_values(g: dict[str, float]) -> list[float]:
     return [g["g111"], g["g222"], g["g333"], g["g123"]] + [
-        cubic_disc(g[p], 6.0 * g[q], 6.0 * g[r], g[s]) / 27.0 for p, q, r, s in _PAIRS]
+        cubic_disc_checked(g[p], g[q], g[r], g[s], (1.0, 6.0, 6.0, 1.0), 27.0)
+        for p, q, r, s in _PAIRS]
 
 
 def _thm35_values(g: dict[str, float]) -> list[float]:
@@ -294,13 +294,13 @@ def thm41_disc_c4d2(tensor: SymmetricTensor) -> Certificate:
         _ge("(1) a1222 >= 0", a1222),
         _ge("(1) 54*a1111*a1122^3 + 64*a1112^3*a1222 + 27*a1111^2*a1222^2"
             " - 108*a1111*a1112*a1122*a1222 - 36*a1112^2*a1122^2 >= 0",
-            cubic_disc(a1111, 4.0 * a1112, 6.0 * a1122, 4.0 * a1222) / 16.0),
+            cubic_disc_checked(a1111, a1112, a1122, a1222, (1.0, 4.0, 6.0, 4.0), 16.0)),
     ]
     sys2 = [
         _ge("(2) a1112 >= 0", a1112),
         _ge("(2) 64*a1112*a1222^3 + 54*a1122^3*a2222 + 27*a1112^2*a2222^2"
             " - 108*a1112*a1122*a1222*a2222 - 36*a1122^2*a1222^2 >= 0",
-            cubic_disc(4.0 * a1112, 6.0 * a1122, 4.0 * a1222, a2222) / 16.0),
+            cubic_disc_checked(a1112, a1122, a1222, a2222, (4.0, 6.0, 4.0, 1.0), 16.0)),
     ]
     return _verdict("thm4.1", pre + sys1 + sys2, [("(1)", pre + sys1), ("(2)", pre + sys2)])
 
@@ -363,7 +363,8 @@ def thm43_disc_c4d3(tensor: SymmetricTensor) -> Certificate:
         _ge("6*a2233 + sqrt(a3333*a2222) >= 0", 6.0 * a["a2233"] - quad_bound(a3333, a2222) / 2.0),
     ]
     for p, q, r, s, text in _THM43_CUBICS:
-        conds.append(_ge(text, cubic_disc(4.0 * a[p], 6.0 * a[q], 6.0 * a[r], 4.0 * a[s]) / 432.0))
+        conds.append(_ge(text, cubic_disc_checked(a[p], a[q], a[r], a[s],
+                                                  (4.0, 6.0, 6.0, 4.0), 432.0)))
     return _verdict("thm4.3", conds)
 
 
@@ -430,7 +431,7 @@ def _thm45_values(a: dict[str, float]) -> list[float]:
               27.0 * a["a1123"] - quad_bound(q["q12"], q["q13"]) / 2.0,
               27.0 * a["a1223"] - quad_bound(q["q12"], q["q23"]) / 2.0,
               27.0 * a["a1233"] - quad_bound(q["q13"], q["q23"]) / 2.0]
-    values += [cubic_disc(a[diag], 36.0 * a[near], 6.0 * q[qn], 324.0 * a[far]) / 432.0
+    values += [cubic_disc_checked(a[diag], a[near], q[qn], a[far], (1.0, 36.0, 6.0, 324.0), 432.0)
                for diag, near, far, qn in _COFACTORS]
     return values
 

@@ -7,9 +7,12 @@ clamped to 0 where the radicand is not positive.  It feeds thm3.3, the
 pairwise rows of thm4.3/4.4, thm4.5's q rows and the printed vacuum rows;
 :func:`cubic_bounds` (the sufficient cubic test: thm3.2, thm3.5, thm4.2 and
 thm4.4's max-arms) takes its shift from it.  :func:`row_holds` sets every row flag
-of copos.  The exact cubic test and thm3.1 share :func:`cubic_disc_checked`, whose
-error bound, like the oracle's screen window, rests on this module's rounding
-model: ``_U``, ``_UNDERFLOW``, ``_gamma``.  The exact tests recheck in Fraction
+of copos.  :func:`cubic_disc_checked` gives every discriminant row its value (the
+exact cubic test, thm3.1, thm3.4, thm4.1, thm4.3, thm4.5 and the remark through
+thm3.4) and the only caller of :func:`cubic_disc`: it rechecks the sign in Fraction
+within a rounding window that, like the oracle's screen window, rests on this
+module's rounding model (``_U``, ``_UNDERFLOW``, ``_gamma``), and saturates an
+overflowing row at +-sys.float_info.max.  :func:`quad_nonneg` rechecks in Fraction
 where a float product leaves the float range (:func:`_beyond_range`).
 Every row is homogeneous in its inputs, and :func:`power_scale` divides them by
 one power of two, which changes no row's sign, so that a row neither overflows
@@ -19,6 +22,7 @@ nor underflows where its inputs span less than 2**128.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -29,6 +33,7 @@ from .tensors import _count, _entry_value
 _U = 2.0 ** -53            # unit roundoff of binary64
 _UNDERFLOW = 2.0 ** -1000  # absolute error of gradual underflow anywhere in the products
 _NORMAL = 2.0 ** -1022     # the least normal binary64: a product below it has lost digits
+_MAX = sys.float_info.max  # where a discriminant row saturates
 
 
 def _gamma(n: int) -> float:
@@ -116,23 +121,37 @@ def cubic_disc(a: float, b: float, c: float, d: float) -> float:
     return 4*a*(c*c*c) + 4*(b*b*b)*d + 27*a*a*d*d - 18*a*b*c*d - b*b*c*c
 
 
-def cubic_disc_checked(a: float, b: float, c: float, d: float, k: int = 1) -> float:
-    """cubic_disc(a, k*b, k*c, d) / k**3 with the exact sign (thm3.1's row is k = 3).
+def cubic_disc_checked(a: float, b: float, c: float, d: float,
+                       factors: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0),
+                       divisor: float = 1.0) -> float:
+    """cubic_disc(fa*a, fb*b, fc*c, fd*d) / divisor, (fa, fb, fc, fd) = factors, with
+    the exact sign: the value of every discriminant row of copos.
 
-    A value within its rounding error of 0 is recomputed in Fraction at the
-    exact k*b and k*c, and replaced where the exact sign differs: rounding
-    must neither refute (disc-zero x 0.1) nor certify (refuted-mixed x 1e-90).
+    The float value is recomputed in Fraction at the exact factor products where it
+    lies within its rounding error of 0, and where it is inf or nan while a, b, c and
+    d are finite.  It is replaced by the exact value, saturated at
+    +-sys.float_info.max and kept off 0.0 where it is not 0, unless it is finite and
+    its sign is the exact one, or it is 0.0 and the exact value positive (a strict
+    row then fails, which proves nothing).  So a row is negative iff its exact value
+    is, and positive only where that is: rounding neither refutes (disc-zero x 0.1)
+    nor certifies (thm4.1 on an entry of 8e-25), and no row overflows.  An inf or nan
+    input (thm4.5's q where a1122 overflows) leaves the float value as it is.
     """
-    kb, kc = k * b, k * c
-    disc = cubic_disc(a, kb, kc, d) / k**3
-    m = max(abs(a), abs(kb), abs(kc), abs(d))
-    # five terms of at most 54*m**4 in all, within 11 roundings each: 1728u*m**4
-    # bounds 54*gamma_11*m**4 and the rounding of m**4, 2**-1000 gradual underflow
-    if abs(disc) <= 1728 / k**3 * _U * (m * m * m * m) + _UNDERFLOW and not math.isinf(disc):
-        fa, fb, fc, fd = _exact(a, b, c, d)
-        exact = cubic_disc(fa, k * fb, k * fc, fd) / k**3
-        if (exact >= 0) != (disc >= 0):  # an exact negative stays below -0.0
-            disc = float(exact) if exact >= 0 else min(float(exact), -math.ulp(0.0))
+    fa, fb, fc, fd = factors
+    ka, kb, kc, kd = fa * a, fb * b, fc * c, fd * d
+    disc = cubic_disc(ka, kb, kc, kd) / divisor
+    ss = ka * ka + kb * kb + kc * kc + kd * kd
+    # five terms of at most 54*m**4 in all, m = max|k*|, m**4 <= ss**2; each within 13
+    # roundings: 4 factor products, 4 products, 4 sums and the division.  1728u*ss**2
+    # bounds 54*gamma_13*m**4 and the roundings of ss**2, 2**-1000 gradual underflow
+    if (not 1728 / divisor * _U * (ss * ss) + _UNDERFLOW < abs(disc) < math.inf
+            and all(map(math.isfinite, (a, b, c, d)))):
+        fa, fb, fc, fd, div, a, b, c, d = _exact(*factors, divisor, a, b, c, d)
+        exact = cubic_disc(fa * a, fb * b, fc * c, fd * d) / div
+        if (exact < 0) != (disc < 0) or exact <= 0 < disc or not abs(disc) < math.inf:
+            disc = float(min(max(exact, -_MAX), _MAX))
+            if exact and not disc:  # an exact nonzero below the least subnormal
+                disc = math.ulp(0.0) if exact > 0 else -math.ulp(0.0)
     return disc
 
 
@@ -143,18 +162,14 @@ def cubic_nonneg_exact(cc) -> bool:
       (1) a, b, c, d all >= 0;
       (2) max(a, d) > 0, a >= 0, d >= 0, and
           4ac^3 + 4b^3d + 27a^2d^2 - 18abcd - b^2c^2 >= 0,
-          its sign made exact by :func:`cubic_disc_checked` near 0, and
-          recomputed in exact rationals where it overflows.
+          its sign made exact by :func:`cubic_disc_checked`.
     """
     a, b, c, d = _coeffs(cc, CubicCoeffs)
     if min(a, b, c, d) >= 0:
         return True
     if not (max(a, d) > 0 and a >= 0 and d >= 0):
         return False
-    disc = cubic_disc_checked(a, b, c, d)
-    if _beyond_range(disc):
-        disc = cubic_disc(*_exact(a, b, c, d))
-    return disc >= 0
+    return cubic_disc_checked(a, b, c, d) >= 0
 
 
 def cubic_bounds(a: float, d: float) -> tuple[float, float]:

@@ -10,6 +10,7 @@ import itertools
 import math
 import pathlib
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from copos import criteria
 from copos import (Certificate, Condition, Verdict, aggregate,
                    all_indices, applicable_criteria, build, certify_all, diag_necessity,
-                   min_on_simplex, parse_document, qi_strict_generic, run_criterion,
+                   min_on_simplex, multiplicity, parse_document, qi_strict_generic, run_criterion,
                    songqi_strict_generic, thm31_exact_c3d2, thm32_sqrt_c3d2,
                    thm33_mixed_c3d2, thm34_disc_c3d3, thm35_sqrt_c3d3, thm41_disc_c4d2,
                    thm42_sqrt_c4d2, thm43_disc_c4d3, thm44_sqrt_c4d3,
@@ -34,6 +35,8 @@ U = Verdict.UNKNOWN
 
 THIRD = 1.0 / 3.0
 SIXTH = 1.0 / 6.0
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
 
 
 def t32(g111, g112, g122, g222):
@@ -795,19 +798,108 @@ def test_thm31_rechecks_a_rounded_negative_discriminant_exactly():
     assert cert.outcome is R and cert.conditions[-1].value < 0
 
 
-def test_thm31_never_certifies_an_underflowing_refuted_tensor():
-    # refuted-mixed is not copositive; below 1e-81 every term of its float
-    # discriminant row would underflow at the input scale.  Read at one
-    # power-of-two scale, thm3.1 and the aggregate refute it at every scale,
-    # as at x1, and the row stays a normal negative float
-    t = parse_document((GOLDEN / "refuted-mixed.json").read_text(encoding="utf-8"))
+# per discriminant criterion: a tensor that is not copositive and the index of
+# a discriminant row that is negative on it (the remark's least thm3.4 row)
+UNDERFLOWING = {
+    # refuted-mixed; below 1e-81 every term of its row underflowed at the input scale
+    "thm3.1": (parse_document((GOLDEN / "refuted-mixed.json").read_text(encoding="utf-8")), -1),
+    # -4 at (1, 1, 0): the (1, 2) pair row
+    "thm3.4": (diag_ones(3, 3, {(1, 1, 2): -1.0, (1, 2, 2): -1.0}), 4),
+    # -4 at (1, 1): the branch (1) row
+    "thm4.1": (diag_ones(4, 2, {(1, 1, 2, 2): -1.0}), 3),
+    # -13 at (1, 1, 1): the boundary cubic of a1222 .. a1333, whose roots are 2, 1/2, -1
+    "thm4.3": (diag_ones(4, 3, {(1, 2, 2, 2): 1.0, (1, 3, 3, 3): 1.0,
+                                (1, 2, 2, 3): -1.0, (1, 2, 3, 3): -1.0}), 15),
+    # -4 at (1, 1, 0): the a1111 cofactor row, with q12 = -8
+    "thm4.5": (diag_ones(4, 3, {(1, 1, 2, 2): -1.0}), 12),
+    "remark": (diag_ones(4, 3, {(1, 1, 2, 2): -1.0}), 0),
+}
+
+
+@pytest.mark.parametrize("criterion_id", list(UNDERFLOWING))
+def test_no_discriminant_row_certifies_an_underflowing_tensor(criterion_id):
+    # read at one power-of-two scale, every discriminant row keeps its negative
+    # sign and a finite value at every scale, so neither the criterion nor the
+    # aggregate certifies a tensor that is not copositive; thm3.1 refutes it
+    t, row = UNDERFLOWING[criterion_id]
     for k in range(-110, 80):
         for strict in (False, True):
             certs = certify_all(t.scale(10.0 ** k), strict=strict)
-            assert certs[[c.criterion_id for c in certs].index("thm3.1")].outcome is R
-            assert aggregate(certs) is R, (k, strict)
-    cert = thm31_exact_c3d2(t.scale(1e-90))
+            cert = certs[[c.criterion_id for c in certs].index(criterion_id)]
+            value = cert.conditions[row].value
+            assert -math.inf < value < 0.0, (k, strict, value)
+            assert cert.outcome is (R if criterion_id == "thm3.1" else U), (k, strict)
+            assert aggregate(certs) is not C, (k, strict)
+            assert criterion_id != "thm3.1" or aggregate(certs) is R
+    cert = thm31_exact_c3d2(UNDERFLOWING["thm3.1"][0].scale(1e-90))
     assert cert.outcome is R and -4.0 < cert.conditions[-1].value < -3.0
+
+
+# the (criterion, shape, entries of the cubic's inputs, row index, factors, divisor) of
+# every discriminant row spec.  The row is cubic_disc(fa*a, fb*b, fc*c, fd*d) / divisor
+# at inputs (a, b, c, d) = the entries named, read as given; thm4.5's c is q12, which
+# is 9*a1122 with a2222 = 0
+ROW_SPECS = [
+    ("thm3.1", (3, 2), ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)), -1, (1, 3, 3, 1), 27),
+    ("thm3.4", (3, 3), ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)), 4, (1, 6, 6, 1), 27),
+    ("thm4.1", (4, 2), ((1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 2)), 3,
+     (1, 4, 6, 4), 16),
+    ("thm4.1", (4, 2), ((1, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2)), 5,
+     (4, 6, 4, 1), 16),
+    ("thm4.3", (4, 3), ((1, 2, 2, 2), (1, 2, 2, 3), (1, 2, 3, 3), (1, 3, 3, 3)), 15,
+     (4, 6, 6, 4), 432),
+    ("thm4.5", (4, 3), ((1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2), (1, 2, 2, 2)), 12,
+     (1, 36, 6, 324), 432),
+]
+
+
+@pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda spec: f"{spec[0]}-row{spec[3]}")
+def test_discriminant_rows_carry_the_exact_sign(spec):
+    # a(t - r)^2 (t + s) has a double root at r, so its discriminant is 0; divided by
+    # the factors and rounded, the cubic's exact discriminant is a tiny number of
+    # either sign, which the float formula often gets wrong.  The row is negative iff
+    # the exact value is, and positive only where it is (0.0 may stand for a positive)
+    criterion_id, shape, keys, row, factors, divisor = spec
+    rng = np.random.default_rng(27)
+    signs = {-1: 0, 0: 0, 1: 0}
+    for _ in range(300):
+        a, r, s = rng.uniform(0.5, 2.0), rng.uniform(0.1, 4.0), rng.uniform(-4.0, 4.0)
+        cubic = (a, a * (s - 2 * r), a * (r * r - 2 * r * s), a * r * r * s)
+        if criterion_id == "thm4.5":
+            factors_read = factors[:2] + (54,) + factors[3:]  # a1122 = q12 / 9 = c / 54
+        else:
+            factors_read = factors
+        entries = dict(zip(keys, (v / f for v, f in zip(cubic, factors_read))))
+        entries.setdefault((1,) * shape[0], 1.0)
+        entries.setdefault((2,) * shape[0], 0.0 if criterion_id == "thm4.5" else 1.0)
+        t = build(*shape, entries)
+        cert = run_criterion(criterion_id, t)
+        value = cert.conditions[row].value
+        inputs = [Fraction(t.get(key)) for key in keys]
+        if criterion_id == "thm4.5":
+            inputs[2] = Fraction(cert.conditions[6].value)  # q12, taken as exact
+        exact = cubic_disc(*(f * x for f, x in zip(factors, inputs))) / divisor
+        assert math.isfinite(value)
+        assert (value < 0) == (exact < 0), (entries, value, float(exact))
+        assert value <= 0 or exact > 0, (entries, value, float(exact))
+        signs[(exact > 0) - (exact < 0)] += 1
+    assert signs[-1] > 30 and signs[1] > 30, signs
+
+
+def test_thm41_never_certifies_a_form_negative_at_a_double_root():
+    # the form is -4.2e-16 at x = (1, 1.0874909108756479), in exact arithmetic.
+    # The unchecked float row of thm4.1's branch (1) was positive and certified it
+    t = t42(1.5568691908375654, 0.2597302064212785, -0.9766654973255177,
+            0.8248841730411385, 8.271806125530277e-25)
+    x = (Fraction(1), Fraction(1.0874909108756479))
+    form = sum(Fraction(t.get(idx)) * multiplicity(idx) * x[idx[0] - 1] * x[idx[1] - 1]
+               * x[idx[2] - 1] * x[idx[3] - 1] for idx in all_indices(4, 2))
+    assert -5e-16 < form < -4e-16
+    for strict in (False, True):
+        certs = certify_all(t, strict=strict)
+        assert [c.criterion_id for c in certs if c.outcome is C] == []
+        assert aggregate(certs) is U
+    assert thm41_disc_c4d2(t).conditions[3].value < 0
 
 
 @pytest.mark.parametrize("shape, entries, criterion_id", [
@@ -840,11 +932,17 @@ def test_a_wide_tensor_is_never_divided_into_underflow(shape, entries, strict):
     # 2**-64, so no criterion certifies these tensors, which are not copositive
     certs = certify_all(build(*shape, entries), strict=strict)
     assert [c.criterion_id for c in certs if c.outcome is C] == []
-    assert aggregate(certs) is U
     if shape == (3, 3):
+        assert aggregate(certs) is U
         cert = certs[[c.criterion_id for c in certs].index("thm3.4")]
         assert cert.conditions[4].description.startswith("32*g111*g122^3")
         assert cert.conditions[4].value == -135.0 * 2.0 ** -256
+    else:
+        # thm3.1's discriminant row leaves the float range (-81*2**1800); its exact
+        # value saturates at -max, which refutes
+        cert = certs[[c.criterion_id for c in certs].index("thm3.1")]
+        assert cert.conditions[-1].value == -sys.float_info.max
+        assert cert.outcome is R and aggregate(certs) is R
 
 
 def test_sqrt_rows_keep_their_verdict_below_the_radicand_underflow():
@@ -903,8 +1001,6 @@ def test_soundness_spot_check(rng):
 
 # ---------------------------------------------------------------------------
 # frozen certificates and the original remark, qi and songqi
-
-GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "golden"
 
 # sha256 of certificate_records over digest_tensors(), generated with the
 # criteria as they stood before their texts, slice plans and the remark

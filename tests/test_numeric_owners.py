@@ -7,12 +7,16 @@ or the underflow slack ``2.0 ** -1000``; every other module imports
 ``_U``, ``_UNDERFLOW`` and ``_gamma`` from it.  ``halfline.power_scale`` is
 the only function that calls ``math.ldexp`` or ``math.frexp``, however
 imported: it owns the power-of-two scale every row is read at.
+``halfline`` is the only module that calls ``cubic_disc``, however imported:
+the float formula alone has no exact sign near 0 and overflows where the row
+does not, so every discriminant row takes its value from
+``halfline.cubic_disc_checked``, which rechecks it in Fraction.
 
 Within ``criteria``, ``vacuum`` and ``halfline`` only three functions test
 finiteness (an ``isfinite``, ``isinf`` or ``isnan`` call, or a comparison
 with ``math.inf`` or ``np.inf``): the row rule ``halfline.row_holds``, the
 recheck window of ``halfline.cubic_disc_checked`` and the range test
-``halfline._beyond_range`` of the exact half-line fallbacks.  Every other
+``halfline._beyond_range`` of ``quad_nonneg``'s exact fallback.  Every other
 row flag and every other non-finite check goes through them.
 """
 
@@ -25,6 +29,7 @@ SRC = sorted((ROOT / "src" / "copos").glob("*.py"))
 SQRT_OWNER = "halfline.quad_bound"
 SCALE_OWNER = "halfline.power_scale"
 SCALE_CALLS = {"ldexp", "frexp"}
+DISC_OWNER = "halfline"
 ROUNDING_OWNER = "halfline"
 ROUNDING_EXPONENTS = {53, 1000}
 FINITENESS_MODULES = {"criteria", "vacuum", "halfline"}
@@ -49,6 +54,16 @@ def _is_scale_call(node: ast.AST, aliases: set[str]) -> bool:
         return (func.attr in SCALE_CALLS and isinstance(func.value, ast.Name)
                 and func.value.id == "math")
     return isinstance(func, ast.Name) and func.id in aliases
+
+
+def _is_disc_call(node: ast.AST, aliases: set[str]) -> bool:
+    # cubic_disc(...), halfline.cubic_disc(...), or an alias of it
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr == "cubic_disc"
+    return isinstance(func, ast.Name) and func.id in aliases | {"cubic_disc"}
 
 
 def _is_finiteness_test(node: ast.AST, aliases: set[str]) -> bool:
@@ -83,8 +98,8 @@ def _is_rounding_constant(node: ast.AST) -> bool:
 
 def owner_violations(sources: dict[str, str]) -> list[str]:
     """Square roots outside SQRT_OWNER, rounding constants outside ROUNDING_OWNER,
-    ldexp and frexp calls outside SCALE_OWNER, and finiteness tests in
-    FINITENESS_MODULES outside FINITENESS_OWNERS."""
+    ldexp and frexp calls outside SCALE_OWNER, cubic_disc calls outside DISC_OWNER,
+    and finiteness tests in FINITENESS_MODULES outside FINITENESS_OWNERS."""
     out = []
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -98,6 +113,9 @@ def owner_violations(sources: dict[str, str]) -> list[str]:
         scale_aliases = {alias.asname or alias.name for node in ast.walk(tree)
                          if isinstance(node, ast.ImportFrom) and node.module == "math"
                          for alias in node.names if alias.name in SCALE_CALLS}
+        disc_aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom)
+                        for alias in node.names if alias.name == "cubic_disc"}
 
         def visit(node: ast.AST, scope: str) -> None:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -109,6 +127,8 @@ def owner_violations(sources: dict[str, str]) -> list[str]:
                 out.append(f"{scope}: line {node.lineno}: rounding constant")
             if _is_scale_call(node, scale_aliases) and scope != SCALE_OWNER:
                 out.append(f"{scope}: line {node.lineno}: power-of-two scale")
+            if _is_disc_call(node, disc_aliases) and module != DISC_OWNER:
+                out.append(f"{scope}: line {node.lineno}: unchecked discriminant")
             if (module in FINITENESS_MODULES and scope not in FINITENESS_OWNERS
                     and _is_finiteness_test(node, finite_aliases)):
                 out.append(f"{scope}: line {node.lineno}: finiteness test")
@@ -188,4 +208,23 @@ def test_scale_rules():
     assert owner_violations(sources) == [
         "halfline.cubic_nonneg_exact: line 6: power-of-two scale",
         "vacuum._report: line 3: power-of-two scale",
+    ]
+
+
+def test_disc_rules():
+    sources = {"halfline": ("def cubic_disc(a, b, c, d):\n"
+                            "    return a * d\n"
+                            "def cubic_disc_checked(a, b, c, d):\n"
+                            "    return cubic_disc(a, b, c, d)\n"),
+               "criteria": ("from .halfline import cubic_disc as disc, cubic_disc_checked\n"
+                            "from . import halfline\n"
+                            "def thm41(a):\n"
+                            "    return disc(*a), halfline.cubic_disc(*a), cubic_disc_checked(*a)\n"),
+               "vacuum": ("from .halfline import cubic_disc\n"
+                          "def _report(a):\n"
+                          "    return cubic_disc(*a)\n")}
+    assert owner_violations(sources) == [
+        "criteria.thm41: line 4: unchecked discriminant",
+        "criteria.thm41: line 4: unchecked discriminant",
+        "vacuum._report: line 3: unchecked discriminant",
     ]
