@@ -55,7 +55,8 @@ import math
 import operator
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .halfline import cubic_bounds, cubic_disc_checked, power_scale, quad_bound, row_holds
+from .halfline import (cubic_bounds, cubic_disc_checked, cubic_exact_rows, power_scale,
+                       quad_bound, row_holds)
 from .tensors import Index, SymmetricTensor, all_indices, build, multiplicity
 
 
@@ -183,12 +184,14 @@ def diag_necessity(tensor: SymmetricTensor) -> Certificate:
 def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
     """Exact characterisation for order-3 dim-2: copositive iff (1) or (2).
 
-    (1) all four entries nonnegative; (2) max(g111, g222) > 0, both
-    diagonals nonnegative, and the half-line cubic discriminant combination
-    4*g111*g122^3 + 4*g112^3*g222 + g111^2*g222^2
+    (1) all four entries nonnegative; (2) max(g111, g112) > 0,
+    max(g122, g222) > 0, both diagonals nonnegative, and the half-line cubic
+    discriminant combination
+      4*g111*g122^3 + 4*g112^3*g222 + g111^2*g222^2
       - 6*g111*g112*g122*g222 - 3*g112^2*g122^2 >= 0.
-    Failure of both systems refutes.  The discriminant row carries the exact
-    sign (:func:`copos.halfline.cubic_disc_checked`, as in the half-line test).
+    Failure of both systems refutes.  System (2) is the exact half-line test's
+    (:func:`copos.halfline.cubic_exact_rows`) at (g111, 3*g112, 3*g122, g222), so
+    its discriminant row carries the exact sign.
     """
     g111, g112, g122, g222 = _read(tensor, "thm3.1").values()
     sys1 = [
@@ -197,14 +200,11 @@ def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
         _ge("(1) g122 >= 0", g122),
         _ge("(1) g222 >= 0", g222),
     ]
-    sys2 = [
-        _ge("(2) max(g111, g222) > 0", max(g111, g222), strict=True),
-        _ge("(2) g111 >= 0", g111),
-        _ge("(2) g222 >= 0", g222),
-        _ge("(2) 4*g111*g122^3 + 4*g112^3*g222 + g111^2*g222^2"
-            " - 6*g111*g112*g122*g222 - 3*g112^2*g122^2 >= 0",
-            cubic_disc_checked(g111, g112, g122, g222, (1.0, 3.0, 3.0, 1.0), 27.0)),
-    ]
+    texts = ("(2) max(g111, g112) > 0", "(2) max(g122, g222) > 0", "(2) g111 >= 0",
+             "(2) g222 >= 0", "(2) 4*g111*g122^3 + 4*g112^3*g222 + g111^2*g222^2"
+             " - 6*g111*g112*g122*g222 - 3*g112^2*g122^2 >= 0")
+    sys2 = [_ge(text, v, strict) for text, (v, strict) in zip(texts, cubic_exact_rows(
+        g111, g112, g122, g222, (1.0, 3.0, 3.0, 1.0), 27.0))]
     return _verdict("thm3.1", sys1 + sys2, [("(1)", sys1), ("(2)", sys2)], Verdict.REFUTED)
 
 

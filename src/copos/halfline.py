@@ -8,8 +8,8 @@ pairwise rows of thm4.3/4.4, thm4.5's q rows and the printed vacuum rows;
 :func:`cubic_bounds` (the sufficient cubic test: thm3.2, thm3.5, thm4.2 and
 thm4.4's max-arms) takes its shift from it.  :func:`row_holds` sets every row flag
 of copos.  :func:`cubic_disc_checked` gives every discriminant row its value (the
-exact cubic test, thm3.1, thm3.4, thm4.1, thm4.3, thm4.5 and the remark through
-thm3.4) and the only caller of :func:`cubic_disc`: it rechecks the sign in Fraction
+exact cubic test and thm3.1, which share :func:`cubic_exact_rows`, thm3.4, thm4.1,
+thm4.3, thm4.5 and the remark through thm3.4) and the only caller of :func:`cubic_disc`: it rechecks the sign in Fraction
 within a rounding window that, like the oracle's screen window, rests on this
 module's rounding model (``_U``, ``_UNDERFLOW``, ``_gamma``), and saturates an
 overflowing row at +-sys.float_info.max.  :func:`quad_nonneg` rechecks in Fraction
@@ -155,21 +155,32 @@ def cubic_disc_checked(a: float, b: float, c: float, d: float,
     return disc
 
 
+def cubic_exact_rows(a: float, b: float, c: float, d: float,
+                     factors: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0),
+                     divisor: float = 1.0) -> list[tuple[float, bool]]:
+    """(value, strict) of each row of system (2) of the exact test on the cubic
+    fa*a t^3 + fb*b t^2 + fc*c t + fd*d, (fa, fb, fc, fd) = factors > 0:
+    max(a, b) > 0, max(c, d) > 0, a >= 0, d >= 0 and :func:`cubic_disc_checked` >= 0.
+
+    Where a = b = 0 (or c = d = 0) the discriminant is 0 whatever the signs of
+    the other pair, so the max rows turn away c t + d with c < 0 (a t^3 + b t^2
+    with b < 0), which system (1) alone decides."""
+    return [(max(a, b), True), (max(c, d), True), (a, False), (d, False),
+            (cubic_disc_checked(a, b, c, d, factors, divisor), False)]
+
+
 def cubic_nonneg_exact(cc) -> bool:
     """Exact test: P(t) >= 0 for all t >= 0.
 
     Holds iff one of two systems is satisfied:
       (1) a, b, c, d all >= 0;
-      (2) max(a, d) > 0, a >= 0, d >= 0, and
+      (2) every row of :func:`cubic_exact_rows` holds: max(a, b) > 0,
+          max(c, d) > 0, a >= 0, d >= 0, and
           4ac^3 + 4b^3d + 27a^2d^2 - 18abcd - b^2c^2 >= 0,
           its sign made exact by :func:`cubic_disc_checked`.
     """
     a, b, c, d = _coeffs(cc, CubicCoeffs)
-    if min(a, b, c, d) >= 0:
-        return True
-    if not (max(a, d) > 0 and a >= 0 and d >= 0):
-        return False
-    return cubic_disc_checked(a, b, c, d) >= 0
+    return min(a, b, c, d) >= 0 or all(row_holds(v, s) for v, s in cubic_exact_rows(a, b, c, d))
 
 
 def cubic_bounds(a: float, d: float) -> tuple[float, float]:

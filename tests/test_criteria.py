@@ -95,6 +95,35 @@ def test_thm31_degenerate_diagonals():
     assert thm31_exact_c3d2(t32(0, 1, 1, 0)).outcome is C
 
 
+@pytest.mark.parametrize("entries", [(1.0, -THIRD, 0.0, 0.0), (0.0, 0.0, -THIRD, 1.0)])
+def test_thm31_refutes_a_degenerate_half_line_cubic(entries):
+    # x1^2 (x1 - x2) and its mirror: one coordinate pair of the cubic is 0, so its
+    # discriminant is 0 whatever the signs; the form is -1/27 at (1/3, 2/3) or
+    # (2/3, 1/3), and the max rows of system (2) fail
+    t = t32(*entries)
+    x = (Fraction(1, 3), Fraction(2, 3)) if entries[0] else (Fraction(2, 3), Fraction(1, 3))
+    form = sum(Fraction(t.get(idx)) * multiplicity(idx) * x[idx[0] - 1] * x[idx[1] - 1]
+               * x[idx[2] - 1] for idx in all_indices(3, 2))
+    assert abs(form + Fraction(1, 27)) < 1e-16
+    cert = thm31_exact_c3d2(t)
+    assert cert.outcome is R and cert.conditions[-1].value == 0.0
+    assert aggregate(certify_all(t)) is R
+    cubic = (entries[0], 3 * entries[1], 3 * entries[2], entries[3])
+    assert not cubic_nonneg_exact(cubic)
+
+
+def test_thm31_is_the_exact_half_line_test():
+    # thm3.1 and cubic_nonneg_exact share system (2)'s rows: on integer entries,
+    # whose triples 3*g112 and 3*g122 are exact, they agree, degenerate pairs
+    # (g111 = g112 = 0 or g122 = g222 = 0) included
+    verdicts = {True: 0, False: 0}
+    for g111, g112, g122, g222 in itertools.product(range(-3, 4), repeat=4):
+        got = thm31_exact_c3d2(t32(g111, g112, g122, g222)).certified
+        assert got == cubic_nonneg_exact((g111, 3 * g112, 3 * g122, g222)), (g111, g112, g122, g222)
+        verdicts[got] += 1
+    assert min(verdicts.values()) > 400, verdicts
+
+
 def test_thm31_agrees_with_oracle():
     # moderate sweep here; the full 10k run lives in the acceptance suite
     rng = np.random.default_rng(31)
@@ -1006,7 +1035,7 @@ def test_soundness_spot_check(rng):
 # criteria as they stood before their texts, slice plans and the remark
 # split were cached; any change to an id, outcome, branch, text, value
 # (repr, so -0.0 and 0.0 differ) or satisfied flag changes it
-CERTIFICATES_DIGEST = "408fe28d856274d3edce9c76cde7cf9765629c29cc00e86ac0692bc39ba86f4c"
+CERTIFICATES_DIGEST = "4d6b5474f0de8d9258a0fb8b1b9b656dd25578b27c958bde1e37fcea4277aa37"
 
 TIES = (-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0)
 
