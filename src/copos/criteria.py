@@ -182,16 +182,10 @@ def diag_necessity(tensor: SymmetricTensor) -> Certificate:
 # order 3, dimension 2
 
 def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
-    """Exact characterisation for order-3 dim-2: copositive iff (1) or (2).
-
-    (1) all four entries nonnegative; (2) max(g111, g112) > 0,
-    max(g122, g222) > 0, both diagonals nonnegative, and the half-line cubic
-    discriminant combination
-      4*g111*g122^3 + 4*g112^3*g222 + g111^2*g222^2
-      - 6*g111*g112*g122*g222 - 3*g112^2*g122^2 >= 0.
-    Failure of both systems refutes.  System (2) is the exact half-line test's
-    (:func:`copos.halfline.cubic_exact_rows`) at (g111, 3*g112, 3*g122, g222), so
-    its discriminant row carries the exact sign.
+    """Exact characterisation for order-3 dim-2: copositive iff (1) all four
+    entries are nonnegative or (2) every row of the exact half-line test's system
+    (:func:`copos.halfline.cubic_exact_rows`) holds at (g111, 3*g112, 3*g122, g222).
+    Failure of both systems refutes.
     """
     g111, g112, g122, g222 = _read(tensor, "thm3.1").values()
     sys1 = [

@@ -7,13 +7,12 @@ clamped to 0 where the radicand is not positive.  It feeds thm3.3, the
 pairwise rows of thm4.3/4.4, thm4.5's q rows and the printed vacuum rows;
 :func:`cubic_bounds` (the sufficient cubic test: thm3.2, thm3.5, thm4.2 and
 thm4.4's max-arms) takes its shift from it.  :func:`row_holds` sets every row flag
-of copos.  :func:`cubic_disc_checked` gives every discriminant row its value (the
-exact cubic test and thm3.1, which share :func:`cubic_exact_rows`, thm3.4, thm4.1,
-thm4.3, thm4.5 and the remark through thm3.4) and the only caller of :func:`cubic_disc`: it rechecks the sign in Fraction
-within a rounding window that, like the oracle's screen window, rests on this
-module's rounding model (``_U``, ``_UNDERFLOW``, ``_gamma``), and saturates an
-overflowing row at +-sys.float_info.max.  :func:`quad_nonneg` rechecks in Fraction
-where a float product leaves the float range (:func:`_beyond_range`).
+of copos.  :func:`cubic_disc_checked`, the one caller of :func:`cubic_disc`, gives
+every discriminant row its value (the exact cubic test and thm3.1 share
+:func:`cubic_exact_rows`): it rechecks the sign in Fraction within a rounding
+window that, like the oracle's screen window, rests on this module's rounding
+model (``_U``, ``_UNDERFLOW``, ``_gamma``).  :func:`quad_nonneg` rechecks in
+Fraction where a float product leaves the float range.
 Every row is homogeneous in its inputs, and :func:`power_scale` divides them by
 one power of two, which changes no row's sign, so that a row neither overflows
 nor underflows where its inputs span less than 2**128.
@@ -68,12 +67,6 @@ def power_scale(values: Sequence[float]) -> tuple[int, Sequence[float]]:
     return (e, [math.ldexp(v, -e) for v in values]) if e else (0, values)
 
 
-def _beyond_range(x: float) -> bool:
-    """Whether a float product (or sum of products) may have overflowed or
-    underflowed: x is inf, nan or below the least normal in magnitude, 0 included."""
-    return not _NORMAL <= abs(x) < math.inf
-
-
 class CubicCoeffs(NamedTuple):
     """Coefficients of ``P(t) = a t^3 + b t^2 + c t + d``."""
     a: float
@@ -109,34 +102,25 @@ def _coeffs(cc, kind: type) -> tuple[float, ...]:  # kind names them: CubicCoeff
 
 
 def cubic_disc(a: float, b: float, c: float, d: float) -> float:
-    """4ac^3 + 4b^3d + 27a^2d^2 - 18abcd - b^2c^2, the negated discriminant
-    of a t^3 + b t^2 + c t + d.
-
-    With a, d >= 0 and max(a, d) > 0 the cubic is nonnegative on t >= 0
-    iff this is >= 0 or all four coefficients are (see
-    :func:`cubic_nonneg_exact`).  Every discriminant criterion in
-    :mod:`copos.criteria` is a positive multiple of this at scaled
-    arguments.  Cubes are products: float ``**`` raises where ``*`` gives inf.
-    """
+    """4ac^3 + 4b^3d + 27a^2d^2 - 18abcd - b^2c^2, the negated discriminant of
+    a t^3 + b t^2 + c t + d, on floats or Fractions; a row reads it through
+    :func:`cubic_disc_checked`.  Cubes are products: float ``**`` raises where ``*``
+    gives inf."""
     return 4*a*(c*c*c) + 4*(b*b*b)*d + 27*a*a*d*d - 18*a*b*c*d - b*b*c*c
 
 
 def cubic_disc_checked(a: float, b: float, c: float, d: float,
                        factors: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0),
                        divisor: float = 1.0) -> float:
-    """cubic_disc(fa*a, fb*b, fc*c, fd*d) / divisor, (fa, fb, fc, fd) = factors, with
-    the exact sign: the value of every discriminant row of copos.
+    """cubic_disc(fa*a, fb*b, fc*c, fd*d) / divisor, (fa, fb, fc, fd) = factors: the
+    value of every discriminant row, negative iff its exact value is and positive
+    only where that is, so rounding neither refutes (disc-zero x 0.1) nor certifies.
 
-    The float value is recomputed in Fraction at the exact factor products where it
-    lies within its rounding error of 0, and where it is inf or nan while a, b, c and
-    d are finite.  It is replaced by the exact value, saturated at
-    +-sys.float_info.max and kept off 0.0 where it is not 0, unless it is finite and
-    its sign is the exact one, or it is 0.0 and the exact value positive (a strict
-    row then fails, which proves nothing).  So a row is negative iff its exact value
-    is, and positive only where that is: rounding neither refutes (disc-zero x 0.1)
-    nor certifies (thm4.1 on an entry of 8e-25), and no row overflows.  An inf or nan
-    input (thm4.5's q where a1122 overflows) leaves the float value as it is.
-    """
+    Within its rounding error of 0, or inf or nan on finite a, b, c, d, the float
+    value is recomputed in Fraction at the exact factor products, and replaced where
+    its sign is wrong (a 0.0 may stand for a positive) or it is not finite: by the
+    exact value, saturated at +-sys.float_info.max and kept off 0.0.  An inf or nan
+    input (thm4.5's q where a1122 overflows) leaves the float value as it is."""
     fa, fb, fc, fd = factors
     ka, kb, kc, kd = fa * a, fb * b, fc * c, fd * d
     disc = cubic_disc(ka, kb, kc, kd) / divisor
@@ -159,26 +143,16 @@ def cubic_exact_rows(a: float, b: float, c: float, d: float,
                      factors: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0),
                      divisor: float = 1.0) -> list[tuple[float, bool]]:
     """(value, strict) of each row of system (2) of the exact test on the cubic
-    fa*a t^3 + fb*b t^2 + fc*c t + fd*d, (fa, fb, fc, fd) = factors > 0:
-    max(a, b) > 0, max(c, d) > 0, a >= 0, d >= 0 and :func:`cubic_disc_checked` >= 0.
-
-    Where a = b = 0 (or c = d = 0) the discriminant is 0 whatever the signs of
-    the other pair, so the max rows turn away c t + d with c < 0 (a t^3 + b t^2
-    with b < 0), which system (1) alone decides."""
+    fa*a t^3 + fb*b t^2 + fc*c t + fd*d, factors > 0: max(a, b) > 0, max(c, d) > 0
+    (where a = b = 0 or c = d = 0 the discriminant is 0 whatever the signs), a >= 0,
+    d >= 0 and :func:`cubic_disc_checked` >= 0."""
     return [(max(a, b), True), (max(c, d), True), (a, False), (d, False),
             (cubic_disc_checked(a, b, c, d, factors, divisor), False)]
 
 
 def cubic_nonneg_exact(cc) -> bool:
-    """Exact test: P(t) >= 0 for all t >= 0.
-
-    Holds iff one of two systems is satisfied:
-      (1) a, b, c, d all >= 0;
-      (2) every row of :func:`cubic_exact_rows` holds: max(a, b) > 0,
-          max(c, d) > 0, a >= 0, d >= 0, and
-          4ac^3 + 4b^3d + 27a^2d^2 - 18abcd - b^2c^2 >= 0,
-          its sign made exact by :func:`cubic_disc_checked`.
-    """
+    """Exact test: P(t) >= 0 for all t >= 0 iff (1) a, b, c, d are all >= 0 or
+    (2) every row of :func:`cubic_exact_rows` holds."""
     a, b, c, d = _coeffs(cc, CubicCoeffs)
     return min(a, b, c, d) >= 0 or all(row_holds(v, s) for v, s in cubic_exact_rows(a, b, c, d))
 
@@ -208,7 +182,7 @@ def quad_nonneg(qc) -> bool:
     alpha, beta, gamma = _coeffs(qc, QuadCoeffs)
     if alpha < 0 or gamma < 0:
         return False
-    if beta < 0 and _beyond_range(alpha * gamma):
+    if beta < 0 and not _NORMAL <= abs(alpha * gamma) < math.inf:  # inf, nan, 0 or subnormal
         fa, fb, fg = _exact(alpha, beta, gamma)
         return fb * fb <= 4 * fa * fg
     return beta >= quad_bound(alpha, gamma)

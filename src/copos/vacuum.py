@@ -51,7 +51,10 @@ are monotone maps of q12; 27*a1233 + sqrt(q13*q23) and the printed mixed
 row are affine in rho; the printed c12 is affine in rho^2; every other row
 is constant.  IEEE-rounded +, *, / and sqrt are monotone, so the float rows
 are monotone too, and each row's minimum over the grid lies at its first or
-its last point.  A row finite at both ends lies between two finite values, so
+its last point.  The cofactor row is a product here, so its exact recheck
+(halfline.cubic_disc_checked) replaces only a -0.0 that underflowed, by
+-2**-1074, or an inf or nan, by the exact value saturated at +-max: that
+keeps it monotone.  A row finite at both ends lies between two finite values, so
 it is finite at every point; a row inf or nan at an end fails there, so its
 route is Unknown, as at every point.  test_rows_are_monotone_in_rho checks
 both claims at scales 10^k, |k| <= 300, with lam4 or abs_lam_s12 near 0, on

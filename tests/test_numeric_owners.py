@@ -15,8 +15,8 @@ does not, so every discriminant row takes its value from
 Within ``criteria``, ``vacuum`` and ``halfline`` only three functions test
 finiteness (an ``isfinite``, ``isinf`` or ``isnan`` call, or a comparison
 with ``math.inf`` or ``np.inf``): the row rule ``halfline.row_holds``, the
-recheck window of ``halfline.cubic_disc_checked`` and the range test
-``halfline._beyond_range`` of ``quad_nonneg``'s exact fallback.  Every other
+recheck window of ``halfline.cubic_disc_checked`` and the range test of
+``halfline.quad_nonneg``'s exact fallback.  Every other
 row flag and every other non-finite check goes through them.
 """
 
@@ -33,7 +33,7 @@ DISC_OWNER = "halfline"
 ROUNDING_OWNER = "halfline"
 ROUNDING_EXPONENTS = {53, 1000}
 FINITENESS_MODULES = {"criteria", "vacuum", "halfline"}
-FINITENESS_OWNERS = {"halfline.row_holds", "halfline.cubic_disc_checked", "halfline._beyond_range"}
+FINITENESS_OWNERS = {"halfline.row_holds", "halfline.cubic_disc_checked", "halfline.quad_nonneg"}
 FINITENESS_CALLS = {"isfinite", "isinf", "isnan"}
 NUMERIC_MODULES = {"math", "np", "numpy"}
 
@@ -170,7 +170,7 @@ def test_finiteness_rules():
                             "import numpy as np\n"
                             "def row_holds(v):\n"
                             "    return 0.0 <= v < math.inf\n"
-                            "def _beyond_range(x):\n"
+                            "def quad_nonneg(x):\n"
                             "    return not abs(x) < np.inf\n"
                             "def cubic_nonneg_sufficient(b, lo):\n"
                             "    return b - lo < math.inf and not math.isnan(b)\n"),
