@@ -26,7 +26,9 @@ thm4.3, thm4.5, and the remark through thm3.4) is
 :func:`copos.halfline.cubic_disc_checked` at its coefficient factors and
 divisor, and each square-root row is ``lhs - rhs`` against
 :func:`copos.halfline.cubic_bounds` or :func:`copos.halfline.quad_bound`, at
-scaled coefficients; ``quad_bound`` is the only code that takes a root.  Roots
+scaled coefficients; ``quad_bound`` is the only code that takes a root.  thm3.3's two
+rows, exact where the third coefficient is 0, take their value from
+:func:`copos.halfline.quad_margin_checked`, which rechecks their sign in Fraction.  Roots
 appear only over products whose signs are pinned by companion conditions in
 the same system; radicands that come out negative (failed sign conditions,
 or -0.0 style rounding) give a zero root, so every row is computable.
@@ -34,7 +36,10 @@ or -0.0 style rounding) give a zero root, so every row is computable.
 Work done once.  Texts that do not depend on entry values are constants:
 the row tables of thm3.4, thm3.5 and thm4.5 (per ``strict`` flag), and the
 cached per-shape diagonal rows and slice plan, which also hold their keys;
-the ids that apply to a shape are cached too.  The remark splits its tensor once into
+the ids that apply to a shape are cached too.  ``_read`` keeps the last tensor and its
+named, scaled entries in one slot, shared (never written) by the criteria of its shape,
+and ``_slice_values`` keeps each slice's entries for qi and songqi the same way; a tensor
+is immutable, so the object is the key.  The remark splits its tensor once into
 three name-keyed components and reads its six rows off their thm3.4/thm3.5
 value lists, so a row costs its arithmetic and one tuple.
 
@@ -56,7 +61,7 @@ import operator
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from .halfline import (cubic_bounds, cubic_disc_checked, cubic_exact_rows, power_scale,
-                       quad_bound, row_holds)
+                       quad_bound, quad_margin_checked, row_holds)
 from .tensors import Index, SymmetricTensor, all_indices, build, multiplicity
 
 
@@ -127,11 +132,21 @@ def _entries(tensor: SymmetricTensor, criterion_id: str) -> dict[str, float]:
     return _named(tensor.entries, criterion_id)
 
 
+_last_read = _last_slices = (None, None)  # (the last tensor read, its reading): see _read
+
+
 def _read(tensor: SymmetricTensor, criterion_id: str) -> dict[str, float]:
-    """:func:`_entries` divided by :func:`copos.halfline.power_scale`'s power of two."""
-    a = _entries(tensor, criterion_id)
-    e, values = power_scale(a.values())
-    return dict(zip(a, values)) if e else a
+    """:func:`_entries` divided by :func:`copos.halfline.power_scale`'s power of two, read
+    once per tensor: immutable, so its identity is a sound key (the slot holds it, so the id
+    is not reused), and shared by the criteria of its shape, which must not write into it."""
+    global _last_read
+    last, a = _last_read  # one load: a store in between replaces both or neither
+    if last is not tensor or (tensor.order, tensor.dim) != _REGISTRY[criterion_id][0]:
+        a = _entries(tensor, criterion_id)  # raises on a shape other than the id's
+        e, values = power_scale(a.values())
+        a = dict(zip(a, values)) if e else a
+        _last_read = (tensor, a)
+    return a
 
 
 def _verdict(criterion_id: str, conditions: list[Condition],
@@ -223,13 +238,15 @@ def thm33_mixed_c3d2(tensor: SymmetricTensor) -> Certificate:
         _ge("(1) g111 >= 0", g111),
         _ge("(1) g222 >= 0", g222),
         _ge("(1) g122 >= 0", g122),
-        _ge("(1) g112 >= -(2/3)*sqrt(3*g122*g111)", g112 - quad_bound(3.0 * g122, g111) / 3.0),
+        _ge("(1) g112 >= -(2/3)*sqrt(3*g122*g111)",
+            quad_margin_checked(g112, g122, g111, 3.0, 3.0)),
     ]
     sys2 = [
         _ge("(2) g111 >= 0", g111),
         _ge("(2) g222 >= 0", g222),
         _ge("(2) g112 >= 0", g112),
-        _ge("(2) g122 >= -(2/3)*sqrt(3*g112*g222)", g122 - quad_bound(3.0 * g112, g222) / 3.0),
+        _ge("(2) g122 >= -(2/3)*sqrt(3*g112*g222)",
+            quad_margin_checked(g122, g112, g222, 3.0, 3.0)),
     ]
     return _verdict("thm3.3", sys1 + sys2, [("(1)", sys1), ("(2)", sys2)])
 
@@ -540,14 +557,24 @@ def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple
     return tuple(out)
 
 
+def _slice_values(tensor: SymmetricTensor) -> tuple[tuple, ...]:
+    """Each slice's diagonal entry, off-diagonal entries and texts, read once as in _read."""
+    global _last_slices
+    last, out = _last_slices
+    if last is not tensor:
+        get = tensor.entries.get
+        out = tuple((get(diag, 0.0), tuple(map(get, keys, itertools.repeat(0.0))), texts)
+                    for diag, keys, texts in _slices(tensor.order, tensor.dim))
+        _last_slices = (tensor, out)
+    return out
+
+
 def qi_strict_generic(tensor: SymmetricTensor) -> Certificate:
     """Strict copositivity if every diagonal entry dominates the negative
     mass of its slice, counted over ordered index tuples."""
-    get = tensor.entries.get
     conds = []
-    for diag, keys, (qi_text, _, _) in _slices(tensor.order, tensor.dim):
-        value = get(diag, 0.0)
-        for v in map(get, keys, itertools.repeat(0.0)):
+    for value, values, (qi_text, _, _) in _slice_values(tensor):
+        for v in values:
             value += 0.0 if v > 0.0 else v  # min(v, 0.0), -0.0 included
         conds.append(_ge(qi_text, value, strict=True))
     return _verdict("qi", conds)
@@ -556,20 +583,15 @@ def qi_strict_generic(tensor: SymmetricTensor) -> Certificate:
 def songqi_strict_generic(tensor: SymmetricTensor) -> Certificate:
     """Strict copositivity if every slice sum is positive and its ordered
     mean strictly exceeds every off-diagonal entry of the slice."""
-    get = tensor.entries.get
     conds = []
-    slices = _slices(tensor.order, tensor.dim)  # refuses a shape before its count overflows
+    slices = _slice_values(tensor)  # refuses a shape before its count overflows
     count = float(tensor.dim ** (tensor.order - 1))
-    for diag, keys, (_, sum_text, mean_text) in slices:
-        total = get(diag, 0.0)
-        worst = -math.inf
-        for v in map(get, keys, itertools.repeat(0.0)):
+    for total, values, (_, sum_text, mean_text) in slices:
+        for v in values:
             total += v
-            if v > worst:  # max(worst, v)
-                worst = v
         conds.append(_ge(sum_text, total, strict=True))
-        if keys:  # order 1 and dim 1 have no off-diagonal entries to exceed
-            conds.append(_ge(mean_text, total / count - worst, strict=True))
+        if values:  # order 1 and dim 1 have no off-diagonal entries to exceed
+            conds.append(_ge(mean_text, total / count - max(values), strict=True))
     return _verdict("songqi", conds)
 
 

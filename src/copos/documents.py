@@ -12,6 +12,8 @@ Missing entries are zero; explicit zeros are kept and serialized back.
 An order above 2**16 (``tensors._MAX_ORDER``) is refused before any key
 is built, since an index, its key and a slice's row texts are order long.
 
+parse_document decodes with one module-level decoder; bytes and a BOM take json.loads.
+
 serialize_document emits the fields in a fixed order with keys sorted and
 numbers in shortest round-trip decimal form, so equal tensors produce
 byte-identical documents.
@@ -20,6 +22,7 @@ byte-identical documents.
 from __future__ import annotations
 
 import json
+import math
 
 from .tensors import Index, SymmetricTensor, _count, _entry_value, _index_table, build
 
@@ -27,19 +30,25 @@ _TOP_KEYS = ("order", "dim", "entries")
 
 
 def _pairs_rejecting_duplicates(pairs: list[tuple[str, object]]) -> dict:
-    out: dict = {}
-    for key, value in pairs:
-        if key in out:
-            raise KeyError(f"duplicate key {key!r} in document")
-        out[key] = value
+    out = dict(pairs)
+    if len(out) < len(pairs):  # a key repeats: name the first one that does
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise KeyError(f"duplicate key {key!r} in document")
+            out[key] = value
     return out
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_pairs_rejecting_duplicates)
 
 
 def parse_document(text: str) -> SymmetricTensor:
     """Parse a JSON tensor document; raises ValueError on any defect,
     naming the offending key where there is one."""
     try:
-        obj = json.loads(text, object_pairs_hook=_pairs_rejecting_duplicates)
+        obj = (_DECODER.decode(text) if isinstance(text, str) and text[:1] != "\ufeff"
+               else json.loads(text, object_pairs_hook=_pairs_rejecting_duplicates))
     except KeyError as exc:  # the hook's duplicate key, kept apart from bad JSON
         raise ValueError(*exc.args) from None
     except (ValueError, RecursionError) as exc:  # an int past the digit limit, too deep nesting
@@ -71,7 +80,9 @@ def parse_document(text: str) -> SymmetricTensor:
             if any(a > b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"non-canonical entry key {key!r}: digits must be"
                                  " sorted non-decreasing")
-        entries[idx] = _entry_value(key, value)
+        if type(value) is not float or not math.isfinite(value):  # a finite float needs no checks
+            value = _entry_value(key, value)
+        entries[idx] = value
     return build(order, dim, entries)
 
 

@@ -11,8 +11,10 @@ of copos.  :func:`cubic_disc_checked`, the one caller of :func:`cubic_disc`, giv
 every discriminant row its value (the exact cubic test and thm3.1 share
 :func:`cubic_exact_rows`): it rechecks the sign in Fraction within a rounding
 window that, like the oracle's screen window, rests on this module's rounding
-model (``_U``, ``_UNDERFLOW``, ``_gamma``).  :func:`quad_nonneg` rechecks in
-Fraction where a float product leaves the float range.
+model (``_U``, ``_UNDERFLOW``, ``_gamma``).  :func:`quad_margin_checked` does the same
+for a square-root row beta >= quad_bound (thm3.3's two, and :func:`quad_nonneg`'s
+test), and :func:`quad_nonneg` rechecks in Fraction where a float product leaves the
+float range.
 Every row is homogeneous in its inputs, and :func:`power_scale` divides them by
 one power of two, which changes no row's sign, so that a row neither overflows
 nor underflows where its inputs span less than 2**128.
@@ -168,6 +170,25 @@ def quad_bound(alpha: float, gamma: float) -> float:
     return -2.0 * math.sqrt(ag) if (ag := alpha * gamma) > 0 else -0.0
 
 
+def quad_margin_checked(beta: float, alpha: float, gamma: float,
+                        factor: float = 1.0, divisor: float = 1.0) -> float:
+    """beta - quad_bound(factor*alpha, gamma) / divisor, factor and divisor > 0: the value
+    of a square-root row beta >= -2*sqrt(factor*alpha*gamma)/divisor, negative iff its
+    exact value is, so rounding at a tight row certifies nothing.
+
+    Only beta < 0 can give a wrong sign.  The root term carries at most 3 roundings where
+    its radicand is normal, and lies below 2**-500/divisor where it is not; within that
+    error of 0 the sign is rechecked in Fraction, as d**2*beta**2 > 4*factor*alpha*gamma,
+    and a wrong one replaced by 0.0 or -math.ulp(0.0)."""
+    value = beta - quad_bound(factor * alpha, gamma) / divisor
+    if beta < 0 and abs(value) <= 8 * _U * -beta + 2.0 ** -500 / divisor:
+        b, f, a, g, d = _exact(beta, factor, alpha, gamma, divisor)
+        negative = d * d * b * b > 4 * f * a * g
+        if negative != (value < 0):
+            value = -math.ulp(0.0) if negative else 0.0
+    return value
+
+
 def cubic_nonneg_sufficient(cc) -> bool:
     """Sufficient test, thm3.2's rows: a, d, b - lo_b, c - lo_c by :func:`cubic_bounds`."""
     a, b, c, d = _coeffs(cc, CubicCoeffs)
@@ -177,7 +198,7 @@ def cubic_nonneg_sufficient(cc) -> bool:
 
 def quad_nonneg(qc) -> bool:
     """Exact test of alpha t^2 + beta t + gamma >= 0 on t >= 0: alpha >= 0,
-    gamma >= 0 and beta >= :func:`quad_bound`; where alpha*gamma over- or
+    gamma >= 0 and :func:`quad_margin_checked` >= 0; where alpha*gamma over- or
     underflows, beta >= 0 or beta^2 <= 4*alpha*gamma in exact rationals."""
     alpha, beta, gamma = _coeffs(qc, QuadCoeffs)
     if alpha < 0 or gamma < 0:
@@ -185,7 +206,7 @@ def quad_nonneg(qc) -> bool:
     if beta < 0 and not _NORMAL <= abs(alpha * gamma) < math.inf:  # inf, nan, 0 or subnormal
         fa, fb, fg = _exact(alpha, beta, gamma)
         return fb * fb <= 4 * fa * fg
-    return beta >= quad_bound(alpha, gamma)
+    return quad_margin_checked(beta, alpha, gamma) >= 0
 
 
 def _grid_min(coeffs: tuple[float, ...], grid_points: int) -> GridMin:

@@ -184,6 +184,36 @@ def test_thm33_past_threshold():
     assert thm33_mixed_c3d2(t32(1, -3, 3, 1)).outcome is U
 
 
+def test_thm33_does_not_certify_a_row_that_rounds_past_its_boundary():
+    # g222 = 0 makes system (1) exact: 9*g112^2 - 12*g111*g122 is +1.8e-15 here,
+    # yet g112 - quad_bound(3*g122, g111)/3 rounds to >= 0
+    t = t32(1, -1.6162466901333152, 1.9591900225251724, 0)
+    assert thm31_exact_c3d2(t).outcome is R
+    cert = thm33_mixed_c3d2(t)
+    assert cert.outcome is U
+    assert cert.conditions[3] == ("(1) g112 >= -(2/3)*sqrt(3*g122*g111)", -math.ulp(0.0), False)
+
+
+def test_thm33_square_root_rows_carry_the_exact_sign():
+    # draws on the boundary of system (1), and their mirrors on that of (2): a row
+    # is negative iff 9*b^2 - 12*a*c > 0 for its entry b < 0 and the a, c under its
+    # root, so no certificate stands where thm3.1 refutes
+    rng = np.random.default_rng(3303)
+    wrong_way = certified = 0
+    for k in range(20_000):
+        a, c = rng.uniform(0.1, 3.0, size=2)
+        b = -(2.0 / 3.0) * math.sqrt(3.0 * a * c)
+        t, row = (t32(a, b, c, 0.0), 3) if k % 2 else (t32(0.0, c, b, a), 7)
+        disc = 9 * Fraction(b) ** 2 - 12 * Fraction(a) * Fraction(c)
+        cert = thm33_mixed_c3d2(t)
+        assert (cert.conditions[row].value < 0) == (disc > 0), (a, b, c, cert)
+        if cert.outcome is C:
+            certified += 1
+            assert disc <= 0 and thm31_exact_c3d2(t).outcome is C, (a, b, c)
+        wrong_way += disc > 0
+    assert certified + wrong_way == 20_000 and wrong_way > 4000  # the rest all certified
+
+
 def test_thm32_and_thm33_imply_thm31():
     rng = np.random.default_rng(3233)
     hits = 0
@@ -1220,3 +1250,68 @@ def test_qi_songqi_signed_zero_rows():
     for t in (negative, mixed, clipped, linear):
         assert certificate_key(qi_strict_generic(t)) == certificate_key(qi_reference(t))
         assert certificate_key(songqi_strict_generic(t)) == certificate_key(songqi_reference(t))
+
+
+# ---------------------------------------------------------------------------
+# the reading each tensor's criteria share
+
+def run_on_a_copy(cid, t):
+    """The criterion's certificate, as repr, on a new copy of t read from empty slots."""
+    criteria._last_read = criteria._last_slices = (None, None)
+    return repr(run_criterion(cid, build(t.order, t.dim, dict(t.entries))))
+
+
+def reading_tensors(rng, order, dim):
+    # two tensors with different entries, one that equals the first but holds -0.0
+    # where it holds 0.0 (rows show the sign), and one past 2**64 that _read divides
+    t = dict(random_tensor(rng, order, dim).entries)
+    diagonals = [(i,) * order for i in range(1, dim + 1)]
+    t.update({diagonals[0]: 0.0, diagonals[-1]: 0.0})
+    twin = t | {diagonals[0]: -0.0, diagonals[-1]: -0.0}
+    wide = {k: v * 2.0 ** 70 for k, v in random_tensor(rng, order, dim).entries.items()}
+    return [build(order, dim, e) for e in (t, random_tensor(rng, order, dim).entries, twin, wide)]
+
+
+@pytest.mark.parametrize("order, dim", SHAPES)
+def test_a_shared_reading_never_goes_stale(order, dim):
+    rng = np.random.default_rng(2800 + 10 * order + dim)
+    tensors = reading_tensors(rng, order, dim)
+    assert tensors[0] == tensors[2] and tensors[0] is not tensors[2]
+    ids = applicable_criteria(order, dim)
+    want = {(cid, i): run_on_a_copy(cid, t) for cid in ids for i, t in enumerate(tensors)}
+    sequence = [0, 1, 2, 0, 3, 1, 3, 2]
+    runs = ([(cid, i) for cid in ids for i in sequence]     # each criterion alone, interleaved
+            + [(cid, i) for i in sequence for cid in ids]   # certify_all's order, interleaved
+            + [(cid, i) for cid in reversed(ids) for i in reversed(sequence)])
+    for cid, i in runs:
+        assert repr(run_criterion(cid, tensors[i])) == want[cid, i], (cid, i)
+    other = random_tensor(rng, *next(s for s in SHAPES if s != (order, dim)))
+    for cid in ids:
+        registered = criteria._REGISTRY[cid][0]
+        if registered is None:
+            continue
+        run_criterion(cid, tensors[0])
+        with pytest.raises(ValueError, match=f"^{re.escape(cid)} applies to order-{order}"):
+            run_criterion(cid, other)
+        foreign = next(c for c, (shape, _, _) in criteria._REGISTRY.items()
+                       if shape not in (None, registered))
+        with pytest.raises(ValueError, match=f"^{re.escape(foreign)} applies to"):
+            run_criterion(foreign, tensors[0])  # the same tensor, another shape's criterion
+        assert repr(run_criterion(cid, tensors[0])) == want[cid, 0]
+
+
+@pytest.mark.parametrize("order, dim", SHAPES)
+def test_no_criterion_writes_into_its_reading(order, dim):
+    rng = np.random.default_rng(2810 + 10 * order + dim)
+    for t in reading_tensors(rng, order, dim):
+        ids = applicable_criteria(order, dim)
+        shaped = [cid for cid in ids if criteria._REGISTRY[cid][0] is not None]
+        reading = criteria._read(t, shaped[0])
+        before = repr(list(reading.items()))
+        slices = criteria._slice_values(t)  # tuples of floats: nothing to write into
+        for cid in ids:
+            run_criterion(cid, t, strict=True)
+            run_criterion(cid, t)
+            assert criteria._read(t, shaped[0]) is reading
+            assert repr(list(reading.items())) == before, cid
+            assert criteria._slice_values(t) is slices

@@ -173,6 +173,18 @@ def test_rejects_duplicate_keys():
                        '"entries": {"222": 1, "111": 1, "111": 1, "222": 1}}')
 
 
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16", "utf-32-be"])
+def test_bytes_parse_as_their_text(encoding):
+    # json.loads detects the encoding of bytes and of a bytearray; parse_document keeps that
+    text = doc(3, 2, {"112": -0.5, "222": 1, "111": 0.25})
+    want = parse_document(text)
+    for data in (text.encode(encoding), bytearray(text.encode(encoding))):
+        got = parse_document(data)
+        assert repr(sorted(got.entries.items())) == repr(sorted(want.entries.items()))
+    with pytest.raises(ValueError, match="^duplicate key '111' in document$"):
+        parse_document(b'{"order": 3, "dim": 2, "entries": {"111": 1, "111": 1}}')
+
+
 # Every rejection message, in full.  Documents and build look indices up in
 # per-shape tables and validate only on a miss, so these pin that a miss
 # still reaches the original check, in the original order.
@@ -226,6 +238,8 @@ PARSE_REJECTIONS = [
      ValueError, "duplicate key '111' in document"),
     ("duplicate top key", '{"order": 3, "order": 3, "dim": 2, "entries": {}}',
      ValueError, "duplicate key 'order' in document"),
+    ("BOM-led text", "\ufeff" + doc(3, 2, {}), ValueError,
+     "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
     ("deeply nested", "[" * 100_000 + "]" * 100_000, ValueError,
      "not valid JSON: maximum recursion depth exceeded while decoding a JSON array"
      " from a unicode string"),

@@ -6,6 +6,7 @@ the exact one refuses.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from copos import (CubicCoeffs, QuadCoeffs, cubic_disc, cubic_min_bruteforce,
                    cubic_nonneg_exact, cubic_nonneg_sufficient,
                    quad_min_bruteforce, quad_nonneg)
-from copos.halfline import power_scale, row_holds
+from copos.halfline import power_scale, quad_margin_checked, row_holds
 
 POWERS_OF_TWO = (0.03125, 0.25, 0.5, 2.0, 8.0, 128.0)
 
@@ -124,6 +125,24 @@ def test_quad_sign_preconditions():
     assert not quad_nonneg(QuadCoeffs(-1, 0, 1))
     assert not quad_nonneg(QuadCoeffs(1, 0, -1))
     assert not quad_nonneg(QuadCoeffs(0, -1, 1))  # -t + 1 < 0 past t=1
+
+
+def test_quad_is_exact_where_its_root_rounds():
+    # beta = -2*sqrt(alpha*gamma) as rounded: the float comparison alone said
+    # "nonnegative" for about half of these, where beta^2 > 4*alpha*gamma
+    rng = np.random.default_rng(111)
+    for alpha, gamma in rng.uniform(0.1, 3.0, size=(5000, 2)):
+        for a, g in ((alpha, gamma), (alpha * 2.0 ** -600, gamma * 2.0 ** -600)):
+            beta = -2.0 * math.sqrt(a * g)
+            want = Fraction(beta) ** 2 <= 4 * Fraction(a) * Fraction(g)
+            assert quad_nonneg((a, beta, g)) == want, (a, beta, g)
+            assert (quad_margin_checked(beta, a, g) < 0) != want
+
+
+def test_quad_margin_keeps_an_exact_zero():
+    # -1 >= -(2/3)*sqrt(3*0.75*1) holds with equality: the golden mixed-sign rows
+    assert quad_margin_checked(-1.0, 0.75, 1.0, 3.0, 3.0) == 0.0
+    assert quad_margin_checked(-2.0, 1.0, 1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
