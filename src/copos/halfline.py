@@ -13,8 +13,7 @@ every discriminant row its value (the exact cubic test and thm3.1 share
 window that, like the oracle's screen window, rests on this module's rounding
 model (``_U``, ``_UNDERFLOW``, ``_gamma``).  :func:`quad_margin_checked` does the same
 for a square-root row beta >= quad_bound (thm3.3's two, and :func:`quad_nonneg`'s
-test), and :func:`quad_nonneg` rechecks in Fraction where a float product leaves the
-float range.
+test), and :func:`quad_nonneg` rechecks in Fraction where a float product overflows.
 Every row is homogeneous in its inputs, and :func:`power_scale` divides them by
 one power of two, which changes no row's sign, so that a row neither overflows
 nor underflows where its inputs span less than 2**128.
@@ -33,7 +32,6 @@ from .tensors import _count, _entry_value
 
 _U = 2.0 ** -53            # unit roundoff of binary64
 _UNDERFLOW = 2.0 ** -1000  # absolute error of gradual underflow anywhere in the products
-_NORMAL = 2.0 ** -1022     # the least normal binary64: a product below it has lost digits
 _MAX = sys.float_info.max  # where a discriminant row saturates
 
 
@@ -198,12 +196,12 @@ def cubic_nonneg_sufficient(cc) -> bool:
 
 def quad_nonneg(qc) -> bool:
     """Exact test of alpha t^2 + beta t + gamma >= 0 on t >= 0: alpha >= 0,
-    gamma >= 0 and :func:`quad_margin_checked` >= 0; where alpha*gamma over- or
-    underflows, beta >= 0 or beta^2 <= 4*alpha*gamma in exact rationals."""
+    gamma >= 0 and :func:`quad_margin_checked` >= 0; where alpha*gamma overflows,
+    beta >= 0 or beta^2 <= 4*alpha*gamma in exact rationals."""
     alpha, beta, gamma = _coeffs(qc, QuadCoeffs)
     if alpha < 0 or gamma < 0:
         return False
-    if beta < 0 and not _NORMAL <= abs(alpha * gamma) < math.inf:  # inf, nan, 0 or subnormal
+    if beta < 0 and not alpha * gamma < math.inf:  # the root is inf: only Fraction can tell
         fa, fb, fg = _exact(alpha, beta, gamma)
         return fb * fb <= 4 * fa * fg
     return quad_margin_checked(beta, alpha, gamma) >= 0
