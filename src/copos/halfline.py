@@ -175,9 +175,10 @@ def quad_margin_checked(beta: float, alpha: float, gamma: float,
     exact value is, so rounding at a tight row certifies nothing.
 
     Only beta < 0 can give a wrong sign.  The root term carries at most 3 roundings where
-    its radicand is normal, and lies below 2**-500/divisor where it is not; within that
-    error of 0 the sign is rechecked in Fraction, as d**2*beta**2 > 4*factor*alpha*gamma,
-    and a wrong one replaced by 0.0 or -math.ulp(0.0)."""
+    its products are normal, and lies below 2**-500/divisor where they are not; within
+    that error of 0 the sign is rechecked in Fraction, as negative iff
+    divisor**2*beta**2 > 4*factor*alpha*gamma, and a wrong one replaced by 0.0 or
+    -math.ulp(0.0)."""
     value = beta - quad_bound(factor * alpha, gamma) / divisor
     if beta < 0 and abs(value) <= 8 * _U * -beta + 2.0 ** -500 / divisor:
         b, f, a, g, d = _exact(beta, factor, alpha, gamma, divisor)
