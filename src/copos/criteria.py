@@ -169,15 +169,17 @@ def _row_certificate(values: list[float], rows: tuple[tuple[str, bool], ...],
 # ---------------------------------------------------------------------------
 # diagonal necessity (any shape)
 
-_MAX_DIAGONAL = 2 ** 17  # dim * order: diag's dim rows each hold an order-long key and text
+# what a plan builds: diag's dim * order index components (dim rows of an order-long key
+# and text), and the slice plan's dim**order keys
+_MAX_PLAN = 2 ** 17
 
 
 @functools.lru_cache(maxsize=32)
 def _diagonals(order: int, dim: int) -> tuple[tuple[Index, str], ...]:
     # the key (i,)*order and the row text of each diagonal entry
-    if dim * order > _MAX_DIAGONAL:
+    if dim * order > _MAX_PLAN:
         raise ValueError(f"the diagonal of an order-{order} dim-{dim} tensor has {dim * order}"
-                         f" index components, above the limit of {_MAX_DIAGONAL}")
+                         f" index components, above the limit of {_MAX_PLAN}")
     return tuple(((i,) * order, f"g[{str(i) * order}] >= 0") for i in range(1, dim + 1))
 
 
@@ -528,12 +530,10 @@ def thm4remark_check(tensor: SymmetricTensor) -> Certificate:
 # ---------------------------------------------------------------------------
 # generic strict tests (any order, any dimension)
 
-_MAX_TAILS = 2 ** 16  # ordered tails per slice: order 11 at dim 3 and order 17 at dim 2 pass
-
-
-def _tails_within_limit(order: int, dim: int) -> bool:
-    # dim**(order - 1) <= _MAX_TAILS; any dim >= 2 passes the limit by exponent 17: cap there
-    return dim ** min(order - 1, _MAX_TAILS.bit_length()) <= _MAX_TAILS
+def _plan_within_limit(order: int, dim: int) -> bool:
+    # dim**order <= _MAX_PLAN (order 17 at dim 2 passes, order 11 at dim 3 does not);
+    # any dim >= 2 exceeds the limit by exponent 18: cap there
+    return dim ** min(order, _MAX_PLAN.bit_length()) <= _MAX_PLAN
 
 
 @functools.lru_cache(maxsize=32)
@@ -541,9 +541,9 @@ def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple
     # for slice i: the diagonal key, the canonical keys of (i, tail) over
     # ordered tails != (i,..,i), and the texts of the slice's qi, songqi sum
     # and songqi mean rows
-    if not _tails_within_limit(order, dim):
-        raise ValueError(f"a slice of an order-{order} dim-{dim} tensor has {dim}**{order - 1}"
-                         f" ordered tails, above the limit of {_MAX_TAILS}")
+    if not _plan_within_limit(order, dim):
+        raise ValueError(f"the slice plan of an order-{order} dim-{dim} tensor has"
+                         f" {dim}**{order} keys, above the limit of {_MAX_PLAN}")
     out = []
     for i in range(1, dim + 1):
         diag = (i,) * order
@@ -629,7 +629,7 @@ def applicable_criteria(order: int, dim: int) -> tuple[str, ...]:
     """Criterion identifiers certify_all runs for this shape, in order: those
     registered for it, less qi and songqi where they refuse its slice plan
     (:func:`run_criterion` still runs them there, and raises)."""
-    sliced = _tails_within_limit(order, dim)
+    sliced = _plan_within_limit(order, dim)
     return tuple(cid for cid in _registered(order, dim) if sliced or cid not in ("qi", "songqi"))
 
 

@@ -13,7 +13,9 @@ every discriminant row its value (the exact cubic test and thm3.1 share
 window that, like the oracle's screen window, rests on this module's rounding
 model (``_U``, ``_UNDERFLOW``, ``_gamma``).  :func:`quad_margin_checked` does the same
 for a square-root row beta >= quad_bound (thm3.3's two, and :func:`quad_nonneg`'s
-test), and :func:`quad_nonneg` rechecks in Fraction where a float product overflows.
+test).  The two checked primitives share one contract, and are the only callers of
+``_exact``: where the float value lies within its rounding window of 0 or is not
+finite, its sign is rechecked in Fraction, so a row is negative iff its exact value is.
 Every row is homogeneous in its inputs, and :func:`power_scale` divides them by
 one power of two, which changes no row's sign, so that a row neither overflows
 nor underflows where its inputs span less than 2**128.
@@ -176,11 +178,11 @@ def quad_margin_checked(beta: float, alpha: float, gamma: float,
 
     Only beta < 0 can give a wrong sign.  The root term carries at most 3 roundings where
     its products are normal, and lies below 2**-500/divisor where they are not; within
-    that error of 0 the sign is rechecked in Fraction, as negative iff
-    divisor**2*beta**2 > 4*factor*alpha*gamma, and a wrong one replaced by 0.0 or
-    -math.ulp(0.0)."""
+    that error of 0, or inf where a product overflows, the sign is rechecked in Fraction,
+    as negative iff divisor**2*beta**2 > 4*factor*alpha*gamma, and a wrong one replaced
+    by 0.0 or -math.ulp(0.0)."""
     value = beta - quad_bound(factor * alpha, gamma) / divisor
-    if beta < 0 and abs(value) <= 8 * _U * -beta + 2.0 ** -500 / divisor:
+    if beta < 0 and not 8 * _U * -beta + 2.0 ** -500 / divisor < abs(value) < math.inf:
         b, f, a, g, d = _exact(beta, factor, alpha, gamma, divisor)
         negative = d * d * b * b > 4 * f * a * g
         if negative != (value < 0):
@@ -197,15 +199,9 @@ def cubic_nonneg_sufficient(cc) -> bool:
 
 def quad_nonneg(qc) -> bool:
     """Exact test of alpha t^2 + beta t + gamma >= 0 on t >= 0: alpha >= 0,
-    gamma >= 0 and :func:`quad_margin_checked` >= 0; where alpha*gamma overflows,
-    beta >= 0 or beta^2 <= 4*alpha*gamma in exact rationals."""
+    gamma >= 0 and :func:`quad_margin_checked` >= 0."""
     alpha, beta, gamma = _coeffs(qc, QuadCoeffs)
-    if alpha < 0 or gamma < 0:
-        return False
-    if beta < 0 and not alpha * gamma < math.inf:  # the root is inf: only Fraction can tell
-        fa, fb, fg = _exact(alpha, beta, gamma)
-        return fb * fb <= 4 * fa * fg
-    return quad_margin_checked(beta, alpha, gamma) >= 0
+    return alpha >= 0 and gamma >= 0 and quad_margin_checked(beta, alpha, gamma) >= 0
 
 
 def _grid_min(coeffs: tuple[float, ...], grid_points: int) -> GridMin:

@@ -86,8 +86,8 @@ def test_check_flags_an_infinite_row_as_failed(capsys, tmp_path):
 
 
 def test_check_diag_reads_no_slice_plan(capsys, tmp_path):
-    # an order-20 dim-2 slice has 2**19 ordered tails, above qi's and
-    # songqi's limit; diag reads its two diagonal entries and refutes
+    # an order-20 dim-2 slice plan has 2**20 keys, above qi's and songqi's
+    # limit; diag reads its two diagonal entries and refutes
     doc = write_doc(tmp_path, "long.json", 20, 2, {"1" * 20: -1.0})
     code, out, err = run(capsys, ["check", doc, "--criterion", "diag"])
     assert (code, err) == (1, "")
@@ -97,7 +97,7 @@ def test_check_diag_reads_no_slice_plan(capsys, tmp_path):
 @pytest.mark.parametrize("criteria, code", [((), 1), (("diag",), 1), (("qi",), 3),
                                              (("diag", "songqi"), 3)])
 def test_check_leaves_out_a_refused_slice_plan(capsys, tmp_path, criteria, code):
-    # qi and songqi refuse the order-20 dim-2 slice plan (2**19 tails), so
+    # qi and songqi refuse the order-20 dim-2 slice plan (2**20 keys), so
     # check leaves them out and diag refutes; named, each still refuses
     doc = write_doc(tmp_path, "long.json", 20, 2, {"1" * 20: -1.0, "2" * 20: 1.0})
     argv = ["check", doc] + [arg for cid in criteria for arg in ("--criterion", cid)]
@@ -107,8 +107,8 @@ def test_check_leaves_out_a_refused_slice_plan(capsys, tmp_path, criteria, code)
         assert (out.splitlines()[0], out.splitlines()[-1], err) == (
             "diag: refuted", "aggregate: refuted", "")
     else:
-        assert (out, err) == ("", "copos: error: a slice of an order-20 dim-2 tensor has"
-                                  " 2**19 ordered tails, above the limit of 65536\n")
+        assert (out, err) == ("", "copos: error: the slice plan of an order-20 dim-2 tensor"
+                                  " has 2**20 keys, above the limit of 131072\n")
 
 
 def test_check_rejects_inapplicable_criterion(capsys, pair_doc):
@@ -462,7 +462,7 @@ def test_rho_grid_is_bounded_before_it_is_built(steps):
 
 @pytest.mark.parametrize("command", ["check", "report"])
 def test_slice_plan_is_bounded_before_it_enumerates(tmp_path, command):
-    # an order-20 dim-3 slice has 3**19 ordered tails: qi and songqi refuse
+    # an order-20 dim-3 slice plan has 3**20 keys: qi and songqi refuse
     # the shape before the plan enumerates them, within seconds.  check and
     # report leave them out there and end on diag's unknown; named, qi refuses
     doc = write_doc(tmp_path, "long.json", 20, 3, {"1" * 20: 1.0})
@@ -473,13 +473,13 @@ def test_slice_plan_is_bounded_before_it_enumerates(tmp_path, command):
     proc = subprocess.run([sys.executable, "-c", CAPPED, "check", doc, "--criterion", "qi"],
                           env=child_env(), capture_output=True, text=True, timeout=30)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        3, "", "copos: error: a slice of an order-20 dim-3 tensor has 3**19 ordered tails,"
-               " above the limit of 65536\n")
+        3, "", "copos: error: the slice plan of an order-20 dim-3 tensor has 3**20 keys,"
+               " above the limit of 131072\n")
 
 
 @pytest.mark.parametrize("command", ["check", "report"])
 def test_order_is_bounded_before_any_key_is_built(tmp_path, command):
-    # a dim-1 slice has one tail, so the tail limit never binds there; the
+    # a dim-1 slice plan has one key, so the plan limit never binds there; the
     # order-long index, key and row texts are refused at parse instead
     doc = write_doc(tmp_path, "long.json", 4_000_000, 1, {})
     proc = subprocess.run([sys.executable, "-c", CAPPED, command, doc], env=child_env(),

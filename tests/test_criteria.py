@@ -11,6 +11,7 @@ import math
 import pathlib
 import re
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -512,6 +513,20 @@ def test_remark_negative_pair_unknown():
     assert cert.branch is None
 
 
+def test_remark_row_shows_a_nan_its_min_hides():
+    # power_scale keeps e = 0 (a division would take 1e-30 below 2**-64), and
+    # component 1's thm3.4 values have min 0.0 beside a nan: the row fails, on the nan
+    t = build(4, 3, {(1, 1, 1, 1): 1.0, (2, 2, 2, 2): 1.0, (3, 3, 3, 3): 1.0,
+                     (1, 1, 1, 2): 1e308, (1, 1, 2, 3): 1e-30})
+    values = criteria._thm34_values(criteria._components(criteria._read(t, "remark"))[0])
+    assert min(values) == 0.0 and any(map(math.isnan, values))
+    cert = thm4remark_check(t)
+    row = cert.conditions[0]
+    assert (row.description, row.satisfied) == ("component 1 passes thm3.4", False)
+    assert math.isnan(row.value)
+    assert (cert.outcome, cert.branch) == (U, None)
+
+
 # ---------------------------------------------------------------------------
 # generic strict tests
 
@@ -562,22 +577,22 @@ def test_songqi_zero_tensor_unknown():
     assert songqi_strict_generic(zero(3, 2)).outcome is U
 
 
-@pytest.mark.parametrize("order, dim", [(12, 3), (18, 2)])
+@pytest.mark.parametrize("order, dim", [(12, 3), (18, 2), (11, 3), (2, 1000)])
 def test_slice_criteria_refuse_too_many_tails(order, dim):
     # refused before enumerating, and before songqi forms its float count;
     # an order above 2**16 never gets here (tests/test_number_rules.py).
-    # diag reads no slice, so the tail limit does not bind it
+    # diag reads no slice, so the plan limit does not bind it
     for cid in ("qi", "songqi"):
-        with pytest.raises(ValueError, match=rf"^a slice of an order-{order} dim-{dim} tensor"
-                                             rf" has {dim}\*\*{order - 1} ordered tails,"
-                                             r" above the limit of 65536$"):
+        with pytest.raises(ValueError, match=rf"^the slice plan of an order-{order} dim-{dim}"
+                                             rf" tensor has {dim}\*\*{order} keys,"
+                                             r" above the limit of 131072$"):
             run_criterion(cid, zero(order, dim))
     assert run_criterion("diag", zero(order, dim)).outcome is U
 
 
 def test_diag_reads_its_diagonal_directly():
     # the diagonal entries (i,)*order, whatever the slice plan would cost:
-    # order 20 at dim 2 has 2**19 tails per slice, but two diagonal rows
+    # order 20 at dim 2 has a slice plan of 2**20 keys, but two diagonal rows
     t = build(20, 2, {(1,) * 20: -1.0, (1,) * 19 + (2,): 5.0})
     cert = diag_necessity(t)
     assert (cert.outcome, cert.conditions) == (R, (
@@ -591,7 +606,7 @@ def test_diag_reads_its_diagonal_directly():
 
 
 def test_slice_criteria_refuse_an_order_above_the_limit():
-    # a dim-1 slice has one tail, so the tail limit never binds there: the
+    # a dim-1 slice plan has one key, so the plan limit never binds there: the
     # order limit does, at build, before a slice plan is asked for
     t = zero(2**16, 1)
     assert [run_criterion(cid, t).outcome for cid in ("diag", "qi", "songqi")] == [
@@ -602,8 +617,9 @@ def test_slice_criteria_refuse_an_order_above_the_limit():
 
 
 def test_slice_plan_admits_the_limit():
-    # 2**16 tails at order 17, dim 2; unwrapped, so the large plan is not cached
-    assert len(criteria._slices.__wrapped__(17, 2)[0][1]) == 2**16 - 1
+    # 2**17 keys at order 17, dim 2; unwrapped, so the large plan is not cached
+    plan = criteria._slices.__wrapped__(17, 2)
+    assert sum(1 + len(keys) for _, keys, _ in plan) == 2**17
 
 
 def test_generic_tests_certify_order_one():
@@ -631,17 +647,23 @@ def test_applicable_criteria_by_shape():
                                          "remark", "qi", "songqi")
     # shapes without closed-form theorems still get the generic tests
     assert applicable_criteria(2, 2) == ("diag", "qi", "songqi")
-    # up to the tail limit (2**16 at order 17, dim 2; 3**10 at order 11, dim 3)
-    assert applicable_criteria(17, 2) == applicable_criteria(11, 3) == ("diag", "qi", "songqi")
+    # up to the plan limit of 2**17 keys: 2**17 at order 17, dim 2, and 3**10 at
+    # order 10, dim 3; 3**11 = 177,147 at order 11, dim 3 is above it
+    assert applicable_criteria(17, 2) == applicable_criteria(10, 3) == ("diag", "qi", "songqi")
+    assert applicable_criteria(11, 3) == applicable_criteria(2, 363) == ("diag",)
+    assert applicable_criteria(2, 362) == ("diag", "qi", "songqi")  # 131,044 keys
 
 
-@pytest.mark.parametrize("order, dim", [(12, 3), (18, 2), (20, 2)])
+@pytest.mark.parametrize("order, dim", [(12, 3), (18, 2), (20, 2), (11, 3), (2, 1000)])
 def test_certify_all_leaves_out_a_refused_slice_plan(order, dim):
-    # qi and songqi refuse a slice plan above the tail limit; certify_all
-    # leaves them out there, so diag's refutation still stands
+    # qi and songqi refuse a slice plan above the key limit, before a key is
+    # built (a dim-1000 plan has 10**6 keys, though a slice has 1000 tails);
+    # certify_all leaves them out there, so diag's refutation still stands
     t = build(order, dim, {(1,) * order: -1.0, (2,) * order: 1.0})
     assert applicable_criteria(order, dim) == ("diag",)
+    start = time.perf_counter()
     certs = certify_all(t)
+    assert time.perf_counter() - start < 1.0
     assert [c.criterion_id for c in certs] == ["diag"]
     assert aggregate(certs) is R
 

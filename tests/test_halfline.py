@@ -145,6 +145,14 @@ def test_quad_margin_keeps_an_exact_zero():
     assert quad_margin_checked(-2.0, 1.0, 1.0) == 0.0
 
 
+def test_quad_margin_rechecks_an_overflowing_root():
+    # 3*1e200*1e200 overflows, so the float row is inf; exactly, 9*beta**2 = 9e402
+    # exceeds 4*3e400, and the row is negative.  Where the sign is right, inf stays
+    assert quad_margin_checked(-1e201, 1e200, 1e200, 3.0, 3.0) == -math.ulp(0.0)
+    assert quad_margin_checked(-1e199, 1e200, 1e200, 3.0, 3.0) == math.inf
+    assert not quad_nonneg((1e200, -1e201, 1e200)) and quad_nonneg((1e200, -1e199, 1e200))
+
+
 # ---------------------------------------------------------------------------
 # the row rule
 

@@ -10,13 +10,16 @@ imported: it owns the power-of-two scale every row is read at.
 ``halfline`` is the only module that calls ``cubic_disc``, however imported:
 the float formula alone has no exact sign near 0 and overflows where the row
 does not, so every discriminant row takes its value from
-``halfline.cubic_disc_checked``, which rechecks it in Fraction.
+``halfline.cubic_disc_checked``, which rechecks it in Fraction.  Only the two
+checked primitives, ``halfline.cubic_disc_checked`` and
+``halfline.quad_margin_checked``, call ``halfline._exact``, however imported:
+every exact recheck of a row's sign is one of theirs.
 
 Within ``criteria``, ``vacuum`` and ``halfline`` only three functions test
 finiteness (an ``isfinite``, ``isinf`` or ``isnan`` call, or a comparison
-with ``math.inf`` or ``np.inf``): the row rule ``halfline.row_holds``, the
-recheck window of ``halfline.cubic_disc_checked`` and the range test of
-``halfline.quad_nonneg``'s exact fallback.  Every other
+with ``math.inf`` or ``np.inf``): the row rule ``halfline.row_holds`` and the
+recheck windows of ``halfline.cubic_disc_checked`` and
+``halfline.quad_margin_checked``.  Every other
 row flag and every other non-finite check goes through them.
 """
 
@@ -30,10 +33,12 @@ SQRT_OWNER = "halfline.quad_bound"
 SCALE_OWNER = "halfline.power_scale"
 SCALE_CALLS = {"ldexp", "frexp"}
 DISC_OWNER = "halfline"
+EXACT_OWNERS = {"halfline.cubic_disc_checked", "halfline.quad_margin_checked"}
 ROUNDING_OWNER = "halfline"
 ROUNDING_EXPONENTS = {53, 1000}
 FINITENESS_MODULES = {"criteria", "vacuum", "halfline"}
-FINITENESS_OWNERS = {"halfline.row_holds", "halfline.cubic_disc_checked", "halfline.quad_nonneg"}
+FINITENESS_OWNERS = {"halfline.row_holds", "halfline.cubic_disc_checked",
+                     "halfline.quad_margin_checked"}
 FINITENESS_CALLS = {"isfinite", "isinf", "isnan"}
 NUMERIC_MODULES = {"math", "np", "numpy"}
 
@@ -56,14 +61,14 @@ def _is_scale_call(node: ast.AST, aliases: set[str]) -> bool:
     return isinstance(func, ast.Name) and func.id in aliases
 
 
-def _is_disc_call(node: ast.AST, aliases: set[str]) -> bool:
-    # cubic_disc(...), halfline.cubic_disc(...), or an alias of it
+def _is_call_of(node: ast.AST, name: str, aliases: set[str]) -> bool:
+    # name(...), halfline.name(...), or an alias of it: cubic_disc or _exact
     if not isinstance(node, ast.Call):
         return False
     func = node.func
     if isinstance(func, ast.Attribute):
-        return func.attr == "cubic_disc"
-    return isinstance(func, ast.Name) and func.id in aliases | {"cubic_disc"}
+        return func.attr == name
+    return isinstance(func, ast.Name) and func.id in aliases | {name}
 
 
 def _is_finiteness_test(node: ast.AST, aliases: set[str]) -> bool:
@@ -99,7 +104,8 @@ def _is_rounding_constant(node: ast.AST) -> bool:
 def owner_violations(sources: dict[str, str]) -> list[str]:
     """Square roots outside SQRT_OWNER, rounding constants outside ROUNDING_OWNER,
     ldexp and frexp calls outside SCALE_OWNER, cubic_disc calls outside DISC_OWNER,
-    and finiteness tests in FINITENESS_MODULES outside FINITENESS_OWNERS."""
+    _exact calls outside EXACT_OWNERS, and finiteness tests in FINITENESS_MODULES
+    outside FINITENESS_OWNERS."""
     out = []
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -113,9 +119,10 @@ def owner_violations(sources: dict[str, str]) -> list[str]:
         scale_aliases = {alias.asname or alias.name for node in ast.walk(tree)
                          if isinstance(node, ast.ImportFrom) and node.module == "math"
                          for alias in node.names if alias.name in SCALE_CALLS}
-        disc_aliases = {alias.asname or alias.name for node in ast.walk(tree)
-                        if isinstance(node, ast.ImportFrom)
-                        for alias in node.names if alias.name == "cubic_disc"}
+        disc_aliases, exact_aliases = ({alias.asname or alias.name for node in ast.walk(tree)
+                                        if isinstance(node, ast.ImportFrom)
+                                        for alias in node.names if alias.name == name}
+                                       for name in ("cubic_disc", "_exact"))
 
         def visit(node: ast.AST, scope: str) -> None:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -127,8 +134,10 @@ def owner_violations(sources: dict[str, str]) -> list[str]:
                 out.append(f"{scope}: line {node.lineno}: rounding constant")
             if _is_scale_call(node, scale_aliases) and scope != SCALE_OWNER:
                 out.append(f"{scope}: line {node.lineno}: power-of-two scale")
-            if _is_disc_call(node, disc_aliases) and module != DISC_OWNER:
+            if _is_call_of(node, "cubic_disc", disc_aliases) and module != DISC_OWNER:
                 out.append(f"{scope}: line {node.lineno}: unchecked discriminant")
+            if _is_call_of(node, "_exact", exact_aliases) and scope not in EXACT_OWNERS:
+                out.append(f"{scope}: line {node.lineno}: exact recheck")
             if (module in FINITENESS_MODULES and scope not in FINITENESS_OWNERS
                     and _is_finiteness_test(node, finite_aliases)):
                 out.append(f"{scope}: line {node.lineno}: finiteness test")
@@ -170,7 +179,7 @@ def test_finiteness_rules():
                             "import numpy as np\n"
                             "def row_holds(v):\n"
                             "    return 0.0 <= v < math.inf\n"
-                            "def quad_nonneg(x):\n"
+                            "def quad_margin_checked(x):\n"
                             "    return not abs(x) < np.inf\n"
                             "def cubic_nonneg_sufficient(b, lo):\n"
                             "    return b - lo < math.inf and not math.isnan(b)\n"),
@@ -227,4 +236,23 @@ def test_disc_rules():
         "criteria.thm41: line 4: unchecked discriminant",
         "criteria.thm41: line 4: unchecked discriminant",
         "vacuum._report: line 3: unchecked discriminant",
+    ]
+
+
+def test_exact_rules():
+    sources = {"halfline": ("from fractions import Fraction\n"
+                            "def _exact(*xs):\n"
+                            "    return [Fraction(x) for x in xs]\n"
+                            "def quad_margin_checked(b, a, g):\n"
+                            "    return _exact(b, a, g)\n"
+                            "def quad_nonneg(qc):\n"
+                            "    return _exact(*qc)\n"),
+               "criteria": ("from .halfline import _exact as rationals\n"
+                            "from . import halfline\n"
+                            "def thm33(a):\n"
+                            "    return rationals(*a), halfline._exact(*a)\n")}
+    assert owner_violations(sources) == [
+        "halfline.quad_nonneg: line 7: exact recheck",
+        "criteria.thm33: line 4: exact recheck",
+        "criteria.thm33: line 4: exact recheck",
     ]

@@ -52,6 +52,11 @@ def test_criteria_outcomes_are_the_same_at_every_power_of_two():
     tensors = [parse_document(path.read_text(encoding="utf-8"))
                for path in sorted(GOLDEN.glob("*.json"))]
     tensors += [random_tensor(rng, order, dim) for order, dim in SHAPES for _ in range(2)]
+    # not copositive, and certified below about 10**-81 before every discriminant
+    # row was read at one power-of-two scale: the form is -4 at (1, 1), (1, 1, 0)
+    tensors += [build(4, 2, {(1, 1, 1, 1): 1.0, (1, 1, 2, 2): -1.0, (2, 2, 2, 2): 1.0}),
+                build(3, 3, {(1, 1, 1): 1.0, (2, 2, 2): 1.0, (3, 3, 3): 1.0,
+                             (1, 1, 2): -1.0, (1, 2, 2): -1.0})]
     cases = witnessed = 0
     for t in tensors:
         keys = list(t.entries)
