@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 
 from .tensors import (Index, SymmetricTensor, Vector, all_indices, build,
                       canonicalize, multiplicity, zero)
-from .halfline import (CubicCoeffs, QuadCoeffs, cubic_disc, cubic_min_bruteforce,
-                       cubic_nonneg_exact, cubic_nonneg_sufficient,
-                       quad_min_bruteforce, quad_nonneg)
+from .halfline import (CubicCoeffs, QuadCoeffs, cubic_disc, cubic_nonneg_exact,
+                       cubic_nonneg_sufficient, quad_nonneg)
 from .criteria import (Certificate, Condition, Verdict, aggregate,
                        applicable_criteria, certify_all, diag_necessity,
                        qi_strict_generic, run_criterion, songqi_strict_generic,
@@ -35,8 +34,8 @@ from .documents import (entries_as_strings, load_document, parse_document,
 __all__ = [
     "Index", "SymmetricTensor", "Vector", "all_indices", "build",
     "canonicalize", "multiplicity", "zero",
-    "CubicCoeffs", "QuadCoeffs", "cubic_disc", "cubic_min_bruteforce", "cubic_nonneg_exact",
-    "cubic_nonneg_sufficient", "quad_min_bruteforce", "quad_nonneg",
+    "CubicCoeffs", "QuadCoeffs", "cubic_disc", "cubic_nonneg_exact",
+    "cubic_nonneg_sufficient", "quad_nonneg",
     "Certificate", "Condition", "Verdict", "aggregate", "applicable_criteria",
     "certify_all", "diag_necessity", "qi_strict_generic", "run_criterion",
     "songqi_strict_generic", "thm31_exact_c3d2", "thm32_sqrt_c3d2",

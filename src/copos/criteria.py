@@ -545,9 +545,10 @@ def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple
         raise ValueError(f"the slice plan of an order-{order} dim-{dim} tensor has"
                          f" {dim}**{order} keys, above the limit of {_MAX_PLAN}")
     out = []
+    canonical: dict[Index, Index] = {}  # one tuple per key: a cached plan holds each key once
     for i in range(1, dim + 1):
         diag = (i,) * order
-        keys = tuple(tuple(sorted((i, *tail)))
+        keys = tuple(canonical.setdefault(key := tuple(sorted((i, *tail))), key)
                      for tail in itertools.product(range(1, dim + 1), repeat=order - 1)
                      if tail != diag[1:])
         texts = (f"slice {i}: diagonal + sum of negative off-diagonal entries (ordered count) > 0",

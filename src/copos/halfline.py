@@ -1,7 +1,7 @@
 """Nonnegativity of low-degree polynomials on the half-line t >= 0.
 
 The scalar building blocks of every closed-form test in :mod:`copos.criteria`
-and :mod:`copos.vacuum`, plus a brute-force grid minimiser used as an oracle.
+and :mod:`copos.vacuum`.
 Only :func:`quad_bound` (the exact quadratic test) takes a square root,
 clamped to 0 where the radicand is not positive.  It feeds thm3.3, the
 pairwise rows of thm4.3/4.4, thm4.5's q rows and the printed vacuum rows;
@@ -27,9 +27,7 @@ import math
 import sys
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from .tensors import _count, _entry_value
+from .tensors import _entry_value
 
 
 _U = 2.0 ** -53            # unit roundoff of binary64
@@ -82,18 +80,6 @@ class QuadCoeffs(NamedTuple):
     alpha: float
     beta: float
     gamma: float
-
-
-class GridMin(NamedTuple):
-    """Result of a half-line grid scan.
-
-    ``negative_at_infinity`` flags a negative leading nonzero coefficient,
-    i.e. P(t) -> -inf (or P == d < 0 for a constant); the scan interval is
-    a root bound, so the grid minimum already reflects the divergence sign.
-    """
-    min_value: float
-    argmin: float
-    negative_at_infinity: bool
 
 
 def _coeffs(cc, kind: type) -> tuple[float, ...]:  # kind names them: CubicCoeffs or QuadCoeffs
@@ -202,30 +188,3 @@ def quad_nonneg(qc) -> bool:
     gamma >= 0 and :func:`quad_margin_checked` >= 0."""
     alpha, beta, gamma = _coeffs(qc, QuadCoeffs)
     return alpha >= 0 and gamma >= 0 and quad_margin_checked(beta, alpha, gamma) >= 0
-
-
-def _grid_min(coeffs: tuple[float, ...], grid_points: int) -> GridMin:
-    # Cauchy-style bound: all real roots lie in [0, B], so the sign pattern
-    # past B is the leading coefficient's.
-    _count("grid_points", grid_points, 2)
-    if all(v == 0.0 for v in coeffs):
-        return GridMin(0.0, 0.0, False)
-    lead = next(v for v in coeffs if v != 0.0)
-    if coeffs[0] > 0:
-        bound = 1.0 + max(abs(v) for v in coeffs[1:]) / coeffs[0]
-    else:
-        bound = 1.0 + max(abs(v) for v in coeffs) / abs(lead)
-    ts = np.linspace(0.0, bound, grid_points)
-    vals = np.polyval(coeffs, ts)  # Horner, highest coefficient first
-    i = int(vals.argmin())  # first index on ties: smallest t
-    return GridMin(float(vals[i]), float(ts[i]), lead < 0)
-
-
-def cubic_min_bruteforce(cc, grid_points: int = 10_000) -> GridMin:
-    """Grid minimum of the cubic on [0, B] with B a root bound."""
-    return _grid_min(_coeffs(cc, CubicCoeffs), grid_points)
-
-
-def quad_min_bruteforce(qc, grid_points: int = 10_000) -> GridMin:
-    """Grid minimum of the quadratic on [0, B] with B a root bound."""
-    return _grid_min(_coeffs(qc, QuadCoeffs), grid_points)

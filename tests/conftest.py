@@ -1,5 +1,6 @@
-"""Shared helpers: an independent naive evaluator, random generators and
-the criteria's row rule, written out apart from src.
+"""Shared helpers: an independent naive evaluator, random generators, the
+binary form of a half-line polynomial and the criteria's row rule, written
+out apart from src.
 
 The naive evaluator sums over all n**m ordered index tuples, so it shares
 no code with SymmetricTensor.evaluate beyond entry lookup; tests use it as
@@ -30,6 +31,15 @@ def naive_evaluate(tensor, x):
 def random_tensor(rng, order, dim, lo=-1.0, hi=1.0):
     return build(order, dim,
                  {idx: rng.uniform(lo, hi) for idx in all_indices(order, dim)})
+
+
+def halfline_form(coeffs):
+    # y^m p(x/y) for p(t) = coeffs[0] t^m + ... + coeffs[m], as an order-m dim-2
+    # tensor: p >= 0 on t >= 0 iff this form is copositive, so the simplex oracle
+    # is the half-line tests' brute-force reference.  The divisions round
+    m = len(coeffs) - 1
+    return build(m, 2, {(1,) * k + (2,) * (m - k): coeffs[m - k] / math.comb(m, k)
+                        for k in range(m + 1)})
 
 
 def random_point(rng, dim, lo=0.0, hi=1.0):

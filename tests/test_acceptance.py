@@ -15,13 +15,13 @@ import time
 import numpy as np
 
 from copos import (Classification, Verdict, Z3Params, all_indices, build,
-                   certify_all, coupling_tensor, cubic_min_bruteforce,
-                   cubic_nonneg_exact, cubic_nonneg_sufficient, default_config,
-                   min_on_simplex, printed_certificate, quad_min_bruteforce,
-                   quad_nonneg, theorem_certificate, thm31_exact_c3d2,
-                   thm32_sqrt_c3d2, thm33_mixed_c3d2, thm4remark_decompose)
+                   certify_all, coupling_tensor, cubic_nonneg_exact,
+                   cubic_nonneg_sufficient, default_config, min_on_simplex,
+                   printed_certificate, quad_nonneg, theorem_certificate,
+                   thm31_exact_c3d2, thm32_sqrt_c3d2, thm33_mixed_c3d2,
+                   thm4remark_decompose)
 
-from conftest import SHAPES, naive_evaluate, random_tensor
+from conftest import SHAPES, halfline_form, naive_evaluate, random_tensor
 
 C = Verdict.CERTIFIED
 R = Verdict.REFUTED
@@ -97,26 +97,21 @@ def test_2_no_criterion_certifies_a_refuted_tensor():
 
 
 def test_3_halfline_tests_match_grid():
+    # p >= 0 on t >= 0 iff its binary form y^m p(x/y) is copositive, which the oracle checks
     rng = np.random.default_rng(303)
     disagreements = definitive = 0
     for _ in range(10_000):
-        cc = tuple(rng.uniform(-1, 1, 4))
-        band = 1e-9 * (1.0 + max(abs(v) for v in cc))
-        g = cubic_min_bruteforce(cc, 10_000)
-        if abs(g.min_value) > band:
-            definitive += 1
-            if cubic_nonneg_exact(cc) != (g.min_value > 0.0):
-                disagreements += 1
-        qc = tuple(rng.uniform(-1, 1, 3))
-        band = 1e-9 * (1.0 + max(abs(v) for v in qc))
-        g = quad_min_bruteforce(qc, 10_000)
-        if abs(g.min_value) > band:
-            definitive += 1
-            if quad_nonneg(qc) != (g.min_value > 0.0):
-                disagreements += 1
-    gate(3, "half-line tests vs 10^4-point grids",
-         disagreements == 0,
-         f"{definitive} definitive instances, {disagreements} disagreements")
+        for coeffs, test in ((tuple(rng.uniform(-1, 1, 4)), cubic_nonneg_exact),
+                             (tuple(rng.uniform(-1, 1, 3)), quad_nonneg)):
+            band = 1e-9 * (1.0 + max(abs(v) for v in coeffs))
+            g = min_on_simplex(halfline_form(coeffs))
+            if abs(g.min_value) > band:
+                definitive += 1
+                if test(coeffs) != (g.min_value > 0.0):
+                    disagreements += 1
+    gate(3, "half-line tests vs the simplex oracle on their binary forms",
+         disagreements == 0 and definitive >= 19_000,
+         f"{definitive} definitive of 20000, {disagreements} disagreements")
 
 
 def test_4_implication_chains():

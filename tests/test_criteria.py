@@ -12,6 +12,7 @@ import pathlib
 import re
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -620,6 +621,21 @@ def test_slice_plan_admits_the_limit():
     # 2**17 keys at order 17, dim 2; unwrapped, so the large plan is not cached
     plan = criteria._slices.__wrapped__(17, 2)
     assert sum(1 + len(keys) for _, keys, _ in plan) == 2**17
+
+
+def test_slice_plan_holds_each_key_once():
+    # equal keys share one tuple, so the order-17 dim-2 plan at the key limit holds
+    # about 1 MB (tracemalloc); a tuple per ordered tail would hold 23 MB
+    tracemalloc.start()
+    try:
+        plan = criteria._slices.__wrapped__(17, 2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 4 * 2**20
+    assert [keys for _, keys, _ in plan] == [
+        tuple(tuple(sorted((i, *tail))) for tail in itertools.product((1, 2), repeat=16)
+              if tail != (i,) * 16) for i in (1, 2)]
 
 
 def test_generic_tests_certify_order_one():

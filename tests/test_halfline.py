@@ -1,8 +1,9 @@
 """Half-line nonnegativity tests for cubics and quadratics.
 
-The exact cubic test is cross-checked against the dense grid minimiser on
-its Cauchy-bounded interval; the sufficient test must never certify where
-the exact one refuses.
+The exact cubic and quadratic tests are cross-checked against the simplex
+oracle on the binary form y^m p(x/y) (``conftest.halfline_form``), which is
+copositive iff p >= 0 on t >= 0; the sufficient test must never certify
+where the exact one refuses.
 """
 
 import math
@@ -11,10 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from copos import (CubicCoeffs, QuadCoeffs, cubic_disc, cubic_min_bruteforce,
-                   cubic_nonneg_exact, cubic_nonneg_sufficient,
-                   quad_min_bruteforce, quad_nonneg)
+from copos import (CubicCoeffs, QuadCoeffs, cubic_disc, cubic_nonneg_exact,
+                   cubic_nonneg_sufficient, min_on_simplex, quad_nonneg)
 from copos.halfline import power_scale, quad_margin_checked, row_holds
+
+from conftest import halfline_form
 
 POWERS_OF_TWO = (0.03125, 0.25, 0.5, 2.0, 8.0, 128.0)
 
@@ -54,7 +56,7 @@ def test_cubic_exact_discriminant_branch():
     a, b, c, d = cc
     disc = 4*a*c**3 + 4*b**3*d + 27*a*a*d*d - 18*a*b*c*d - b*b*c*c
     assert disc == 0.0
-    assert cubic_min_bruteforce(cc).min_value >= 0.0
+    assert min_on_simplex(halfline_form(cc)).min_value >= 0.0
 
 
 def test_cubic_disc_is_the_negated_discriminant():
@@ -206,53 +208,17 @@ def test_wrong_arity_rejected():
 
 
 # ---------------------------------------------------------------------------
-# brute-force grid
-
-def test_grid_min_constant_at_zero():
-    got = cubic_min_bruteforce(CubicCoeffs(1, 0, 0, 0))
-    assert got.min_value == 0.0
-    assert got.argmin == 0.0
-    assert not got.negative_at_infinity
-
-
-def test_grid_min_monotone_cubic():
-    # P = (t-1)^3 is increasing, so the endpoint t=0 carries the minimum
-    got = cubic_min_bruteforce(CubicCoeffs(1, -3, 3, -1))
-    assert got.min_value == -1.0
-    assert got.argmin == 0.0
-
-
-def test_grid_min_flags_negative_leading():
-    got = cubic_min_bruteforce(CubicCoeffs(0, 0, -1, 0))
-    assert got.negative_at_infinity
-    assert got.min_value < 0.0
-
-
-def test_grid_min_all_zero():
-    got = cubic_min_bruteforce(CubicCoeffs(0, 0, 0, 0))
-    assert got == (0.0, 0.0, False)
-
-
-def test_grid_min_needs_two_points():
-    with pytest.raises(ValueError):
-        cubic_min_bruteforce(CubicCoeffs(1, 0, 0, 0), grid_points=1)
-
-
-def test_quad_grid_min_matches_vertex():
-    got = quad_min_bruteforce(QuadCoeffs(1, -2, 1))
-    assert abs(got.min_value) < 1e-6  # vertex at t=1 inside [0, 3]
-    assert abs(got.argmin - 1.0) < 1e-3
-
+# the simplex oracle on the binary form
 
 def test_cubic_exact_agrees_with_grid():
     rng = np.random.default_rng(202)
     checked = 0
     for _ in range(1500):
         cc = CubicCoeffs(*rng.uniform(-2, 2, size=4))
-        got = cubic_min_bruteforce(cc)
+        got = min_on_simplex(halfline_form(cc))
         eps = 1e-9 * (1.0 + max(abs(v) for v in cc))
         if abs(got.min_value) <= eps:
-            continue  # inside the band: the grid cannot call the sign
+            continue  # inside the band: the oracle cannot call the sign
         assert cubic_nonneg_exact(cc) == (got.min_value >= -eps)
         checked += 1
     assert checked > 1000
@@ -260,15 +226,18 @@ def test_cubic_exact_agrees_with_grid():
 
 def test_quad_agrees_with_grid():
     rng = np.random.default_rng(303)
+    checked = 0
     for _ in range(1500):
         qc = QuadCoeffs(*rng.uniform(-2, 2, size=3))
         if qc.alpha <= 0:
             continue  # the agreement contract is stated for alpha > 0
-        got = quad_min_bruteforce(qc)
+        got = min_on_simplex(halfline_form(qc))
         eps = 1e-9 * (1.0 + max(abs(v) for v in qc))
         if abs(got.min_value) <= eps:
             continue
         assert quad_nonneg(qc) == (got.min_value >= -eps)
+        checked += 1
+    assert checked > 700  # 755 of the 1500 draws have alpha > 0 and leave the band
 
 
 # ---------------------------------------------------------------------------

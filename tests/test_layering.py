@@ -3,7 +3,9 @@
 Each module of ``src/copos`` imports only the copos modules below it:
 ``tensors`` none, ``halfline`` and ``documents`` only ``tensors``,
 ``criteria`` and ``oracle`` only those two, ``vacuum`` those three, while
-``cli`` and ``__init__`` may import any.  ``tensors.build`` is the only
+``cli`` and ``__init__`` may import any.  Only ``oracle`` and ``vacuum``
+import numpy, so the scalar algebra of ``halfline`` and ``criteria`` stays
+pure Python.  ``tensors.build`` is the only
 function that calls the raw ``SymmetricTensor(...)`` constructor, so every
 tensor meets its rules, and ``tensors`` alone defines the order limit
 ``_MAX_ORDER`` that ``build`` applies.
@@ -26,6 +28,7 @@ ALLOWED_IMPORTS = {
     "cli": ANY,
     "__init__": ANY,
 }
+NUMPY_IMPORTERS = {"oracle", "vacuum"}
 DOOR = "tensors.build"
 LIMIT_OWNER = "tensors"
 
@@ -47,6 +50,14 @@ def _imported(node: ast.AST) -> list[str]:
     return [alias.name if alias.name in ALLOWED_IMPORTS else "__init__" for alias in node.names]
 
 
+def _imports_numpy(node: ast.AST) -> bool:
+    # import numpy[.x] [as y], or from numpy[.x] import y
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").split(".")[0] == "numpy")
+
+
 def _is_raw_constructor(node: ast.AST) -> bool:
     if not isinstance(node, ast.Call):
         return False
@@ -62,8 +73,8 @@ def _defines_limit(node: ast.AST) -> bool:
 
 
 def layer_violations(sources: dict[str, str]) -> list[str]:
-    """Imports across the layers, raw constructor calls outside DOOR and
-    definitions of _MAX_ORDER outside LIMIT_OWNER."""
+    """Imports across the layers, numpy imports outside NUMPY_IMPORTERS, raw
+    constructor calls outside DOOR and definitions of _MAX_ORDER outside LIMIT_OWNER."""
     out = []
     for module, source in sources.items():
         allowed = ALLOWED_IMPORTS.get(module, set())
@@ -74,6 +85,8 @@ def layer_violations(sources: dict[str, str]) -> list[str]:
             for target in _imported(node):
                 if allowed is not ANY and target != module and target not in allowed:
                     out.append(f"{scope}: line {node.lineno}: imports {target}")
+            if _imports_numpy(node) and module not in NUMPY_IMPORTERS:
+                out.append(f"{scope}: line {node.lineno}: imports numpy")
             if _is_raw_constructor(node) and scope != DOOR:
                 out.append(f"{scope}: line {node.lineno}: calls SymmetricTensor")
             if _defines_limit(node) and module != LIMIT_OWNER:
@@ -119,4 +132,21 @@ def test_layer_rules():
         "criteria: line 2: imports __init__",
         "criteria: line 3: defines _MAX_ORDER",
         "criteria.decompose: line 5: calls SymmetricTensor",
+    ]
+
+
+def test_numpy_rule():
+    sources = {"halfline": ("import numpy as np\n"
+                            "def grid(n):\n"
+                            "    from numpy.linalg import norm\n"),
+               "criteria": "import math, numpy.linalg\n",
+               "oracle": "import numpy as np\nfrom numpy import linalg\n",
+               "vacuum": "import numpy\n",
+               "cli": "from numpy import ndarray\n",
+               "documents": "import numpyro\n"}
+    assert layer_violations(sources) == [
+        "halfline: line 1: imports numpy",
+        "halfline.grid: line 3: imports numpy",
+        "criteria: line 1: imports numpy",
+        "cli: line 1: imports numpy",
     ]

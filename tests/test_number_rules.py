@@ -21,9 +21,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from copos import (OracleConfig, Z3Params, build, cubic_min_bruteforce, cubic_nonneg_exact,
-                   cubic_nonneg_sufficient, parse_document, quad_min_bruteforce, quad_nonneg,
-                   scan_rho, zero)
+from copos import (OracleConfig, Z3Params, build, cubic_nonneg_exact, cubic_nonneg_sufficient,
+                   parse_document, quad_nonneg, scan_rho, zero)
 
 
 def document(order, dim, entries):
@@ -41,10 +40,6 @@ REALS = {
     "cubic_nonneg_exact": (lambda x: cubic_nonneg_exact((1, x, -3, 1)), "coefficient b"),
     "cubic_nonneg_sufficient": (lambda x: cubic_nonneg_sufficient((1, 0, x, 1)), "coefficient c"),
     "quad_nonneg": (lambda x: quad_nonneg((1, x, 1)), "coefficient beta"),
-    "cubic_min_bruteforce": (lambda x: cubic_min_bruteforce((x, 0, -3, 1), grid_points=50),
-                             "coefficient a"),
-    "quad_min_bruteforce": (lambda x: quad_min_bruteforce((1, -3, x), grid_points=50),
-                            "coefficient gamma"),
 }
 
 BAD_REALS = {"True": True, "False": False, "'1'": "1", "None": None, "nan": math.nan,
@@ -81,10 +76,6 @@ COUNTS = {
     "OracleConfig.samples": (lambda n: OracleConfig(resolution=10, samples=n), "samples", 0),
     "OracleConfig.seed": (lambda n: OracleConfig(resolution=10, seed=n), "seed", 0),
     "scan_rho": (lambda n: scan_rho(Z3Params(lam1=1, lam2=1, lam_s=1), n), "steps", 1),
-    "cubic_min_bruteforce": (lambda n: cubic_min_bruteforce((1, 0, -3, 1), grid_points=n),
-                             "grid_points", 2),
-    "quad_min_bruteforce": (lambda n: quad_min_bruteforce((1, -3, 1), grid_points=n),
-                            "grid_points", 2),
 }
 
 
