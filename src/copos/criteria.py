@@ -653,7 +653,7 @@ def certify_all(tensor: SymmetricTensor, strict: bool = False) -> list[Certifica
 
 def aggregate(certificates: list[Certificate]) -> Verdict:
     """Combined verdict: any refutation wins, then any certification."""
-    outcomes = {c.outcome for c in certificates}
+    outcomes = [c.outcome for c in certificates]  # a list: an Enum member hashes in Python
     if Verdict.REFUTED in outcomes:
         return Verdict.REFUTED
     if Verdict.CERTIFIED in outcomes:

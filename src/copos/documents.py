@@ -13,6 +13,11 @@ An order above 2**16 (``tensors._MAX_ORDER``) is refused before any key
 is built, since an index, its key and a slice's row texts are order long.
 
 parse_document decodes with one module-level decoder; bytes and a BOM take json.loads.
+It checks each entry once: one pass looks every key up in the shape's index
+table and keeps finite float values, and only if that drops an entry does a
+per-entry loop check each one, raising its defect's message.  Either way the
+checked entries reach ``tensors.build`` as read-only ``_Entries``, which it
+takes without a second walk when every key is a canonical index of the shape.
 
 serialize_document emits the fields in a fixed order with keys sorted and
 numbers in shortest round-trip decimal form, so equal tensors produce
@@ -24,7 +29,8 @@ from __future__ import annotations
 import json
 import math
 
-from .tensors import Index, SymmetricTensor, _count, _entry_value, _index_table, build
+from .tensors import (Index, SymmetricTensor, _count, _Entries, _entry_value, _index_table,
+                      build)
 
 _TOP_KEYS = ("order", "dim", "entries")
 
@@ -68,6 +74,18 @@ def parse_document(text: str) -> SymmetricTensor:
     raw = obj["entries"]
     if not isinstance(raw, dict):
         raise ValueError(f"entries must be an object, got {type(raw).__name__}")
+    try:  # the common case: every key in the table, every value a finite float
+        entries = {keys[key]: value for key, value in raw.items()
+                   if type(value) is float and math.isfinite(value)}
+    except KeyError:
+        entries = {}
+    if len(entries) != len(raw):
+        entries = _checked_entries(raw, keys, order, dim)
+    return build(order, dim, _Entries(entries))
+
+
+def _checked_entries(raw: dict, keys: dict, order: int, dim: int) -> dict[Index, float]:
+    """Each entry checked on its own, raising the first defect's message."""
     entries: dict[Index, float] = {}
     for key, value in raw.items():
         idx = keys.get(key)
@@ -83,7 +101,7 @@ def parse_document(text: str) -> SymmetricTensor:
         if type(value) is not float or not math.isfinite(value):  # a finite float needs no checks
             value = _entry_value(key, value)
         entries[idx] = value
-    return build(order, dim, entries)
+    return entries
 
 
 def load_document(path: str) -> SymmetricTensor:

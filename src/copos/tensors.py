@@ -17,7 +17,10 @@ use, and call :func:`canonicalize`, with its checks and messages, only on a
 miss (a permutation, a list, 1.0 for 1; a string index, or a component such
 as 1.5 or "1" that is not an integer, raises).  The lookup refuses an order
 above ``_MAX_ORDER = 2**16`` before any index is made: an index, its digit
-key and a slice's row texts are each order long.
+key and a slice's row texts are each order long.  A digit key maps to the
+same tuple object as its index.  ``build`` takes an ``_Entries`` (read-only
+entries that copos checked) without a second walk when every key is in the
+table.
 
 Every public entry point checks its reals with :func:`_entry_value` (a
 finite float, or a number read as the equal float; never a bool or a
@@ -97,8 +100,8 @@ def _index_table(order: int, dim: int) -> dict[Index | str, Index]:
     if dim > 1 and (order + dim > 2**14 or math.comb(dim + order - 1, order) * order > 2**14):
         return {}
     table: dict[Index | str, Index] = {idx: idx for idx in all_indices(order, dim)}
-    if dim <= 9:
-        table.update({"".join(map(str, idx)): idx for idx in all_indices(order, dim)})
+    if dim <= 9:  # a digit key maps to the very tuple its index maps to
+        table.update({"".join(map(str, idx)): idx for idx in list(table)})
     return table
 
 
@@ -117,7 +120,8 @@ def _canonical(table: Mapping[object, Index], idx: Sequence[int], order: int, di
 
 class _Entries(dict):
     """A tensor's entries: a dict whose mutators raise, so that a built
-    tensor keeps the values :func:`build` checked."""
+    tensor keeps the values :func:`build` checked.  Only :func:`build` and
+    ``documents.parse_document`` make one, each from entries it checked."""
 
     __slots__ = ()
 
@@ -240,8 +244,14 @@ def build(order: int, dim: int,
     Indices are canonicalized; two pairs may name the same permutation
     class only if their values are exactly equal.  An order above
     ``_MAX_ORDER`` raises ValueError before any entry is read.
+
+    An :class:`_Entries` whose keys are all canonical indices of the shape
+    is taken as it is: every ``_Entries`` copos makes holds checked
+    canonical entries, those of a built tensor or of a parsed document.
     """
     table = _index_table(_count("order", order, 1), _count("dim", dim, 1))
+    if type(entries) is _Entries and entries.keys() <= table.keys():
+        return SymmetricTensor(order, dim, entries, _DOOR)
     items = entries.items() if isinstance(entries, Mapping) else entries
     out: dict[Index, float] = {}
     for idx, value in items:

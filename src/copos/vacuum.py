@@ -67,8 +67,6 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .criteria import (_THM45_ROWS, Certificate, Verdict, _named, _row_certificate, _thm45_values,
                        thm45_sos_c4d3)
 from .halfline import power_scale, quad_bound, row_holds
@@ -266,5 +264,4 @@ def scan_rho(p: Z3Params, steps: int, strict: bool = False) -> StabilityReport:
     if _count("steps", steps, 1) > _MAX_RHO_STEPS:
         raise ValueError(f"a rho scan of {steps} steps is above the limit of {_MAX_RHO_STEPS};"
                          " lower the step count (--rho-scan)")
-    # one correctly rounded division per point, as k / steps
-    return _report(p, tuple((np.arange(steps + 1) / steps).tolist()), strict)
+    return _report(p, tuple([k / steps for k in range(steps + 1)]), strict)

@@ -8,6 +8,8 @@ import pytest
 
 from copos import (build, entries_as_strings, load_document, parse_document,
                    serialize_document, zero)
+from copos.documents import _checked_entries
+from copos.tensors import _index_table
 
 from conftest import SHAPES, random_tensor
 
@@ -60,6 +62,54 @@ def test_parse_and_round_trip_without_key_table():
     text = serialize_document(t)
     assert parse_document(text) == t
     assert serialize_document(parse_document(text)) == text
+
+
+def _checked_parse(text):
+    # the per-entry loop alone, then build's own walk: parse_document before
+    # it took the single pass
+    obj = json.loads(text)
+    order, dim = obj["order"], obj["dim"]
+    return build(order, dim, _checked_entries(obj["entries"], _index_table(order, dim),
+                                              order, dim))
+
+
+def _generated_documents(rng):
+    # every shape with float values, then with ints and -0.0 mixed in, then an
+    # order-7 dim-9 document, whose index table is empty
+    for order, dim in SHAPES:
+        for _ in range(20):
+            entries = entries_as_strings(random_tensor(rng, order, dim))
+            yield doc(order, dim, entries)
+            for key in rng.choice(sorted(entries), size=3, replace=False):
+                entries[key] = int(rng.integers(-3, 4)) if rng.random() < 0.5 else -0.0
+            yield doc(order, dim, entries)
+    yield doc(7, 9, {"1125579": 1.5, "3333333": -2, "3456789": -0.0, "1111111": 0.25})
+
+
+def test_single_pass_matches_the_checked_loop(rng):
+    texts = list(_generated_documents(rng))
+    assert any(": -0.0" in text for text in texts) and any(": 2," in text for text in texts)
+    for text in texts:
+        got, want = parse_document(text), _checked_parse(text)
+        assert (got.order, got.dim) == (want.order, want.dim)
+        # repr tells -0.0 from 0.0 and 2 from 2.0; the key order is the document's
+        assert repr(list(got.entries.items())) == repr(list(want.entries.items()))
+        assert all(type(v) is float for v in got.entries.values())
+        if _index_table(got.order, got.dim):  # the very key objects of the index table
+            assert [id(k) for k in got.entries] == [id(k) for k in want.entries]
+        else:
+            assert all(type(c) is int for k in got.entries for c in k)
+
+
+def test_build_takes_checked_entries_as_they_are():
+    # parse hands its checked entries to build, which keeps them without a
+    # second walk; entries of another order are walked and refused
+    # (BUILD_REJECTIONS, "entries of another order")
+    t = parse_document(doc(3, 2, {"112": -0.5, "222": 1.0}))
+    assert build(3, 2, t.entries).entries is t.entries
+    assert build(3, 3, t.entries).entries is t.entries  # dim 2 indices are dim 3 indices
+    wide = parse_document(doc(7, 9, {"1125579": 1.5}))
+    assert build(7, 9, wide.entries) == wide
 
 
 def test_serialize_sorts_keys():
@@ -221,6 +271,12 @@ PARSE_REJECTIONS = [
      "entry '111' must be a number, got None"),
     ("bad value after good", doc(3, 2, {"111": 1.0, "112": "x"}), ValueError,
      "entry '112' must be a number, got 'x'"),
+    ("bad key with a bad value", doc(3, 2, {"121": "x"}), ValueError,
+     "non-canonical entry key '121': digits must be sorted non-decreasing"),
+    ("bad value before bad key", doc(3, 2, {"111": None, "121": 1.0}), ValueError,
+     "entry '111' must be a number, got None"),
+    ("int value before bad key", doc(3, 2, {"111": 1, "211": 1.0}), ValueError,
+     "non-canonical entry key '211': digits must be sorted non-decreasing"),
     ("nan value", '{"order": 3, "dim": 2, "entries": {"111": NaN}}', ValueError,
      "entry '111' is not finite: nan"),
     ("infinite value", '{"order": 3, "dim": 2, "entries": {"112": -Infinity}}', ValueError,
@@ -286,6 +342,8 @@ BUILD_REJECTIONS = [
      "entry (1, 2, 2) is too large for a float"),
     ("list component", (3, 2, [((1, [1], 1), 1.0)]), ValueError,
      "index (1, [1], 1) has a component that is not an integer"),
+    ("entries of another order", (4, 3, build(3, 2, {(1, 1, 2): 1.0}).entries), ValueError,
+     "index (1, 1, 2) has 3 components, expected 4"),
     ("order 0", (0, 2, {}), ValueError, "order must be >= 1, got 0"),
     ("dim 0", (3, 0, {}), ValueError, "dim must be >= 1, got 0"),
 ]

@@ -229,15 +229,13 @@ def test_quad_agrees_with_grid():
     checked = 0
     for _ in range(1500):
         qc = QuadCoeffs(*rng.uniform(-2, 2, size=3))
-        if qc.alpha <= 0:
-            continue  # the agreement contract is stated for alpha > 0
         got = min_on_simplex(halfline_form(qc))
         eps = 1e-9 * (1.0 + max(abs(v) for v in qc))
         if abs(got.min_value) <= eps:
             continue
         assert quad_nonneg(qc) == (got.min_value >= -eps)
         checked += 1
-    assert checked > 700  # 755 of the 1500 draws have alpha > 0 and leave the band
+    assert checked == 1500  # every draw, alpha <= 0 included, leaves the band
 
 
 # ---------------------------------------------------------------------------

@@ -284,10 +284,12 @@ def test_scan_refuses_too_many_steps_before_the_grid():
 
 @pytest.mark.parametrize("steps", [1, 3, 7, 100, 999_983, 2**20])
 def test_scan_grid_is_k_over_steps(steps):
-    # the scan divides a float64 column k = 0..steps by steps: one correctly
-    # rounded division per point, so the grid is Python's k / steps bit for bit
+    # the scan divides k = 0..steps by steps in Python floats: one correctly
+    # rounded division per point, so the grid is numpy's float64 column
+    # np.arange(steps + 1) / steps bit for bit, the grid of earlier reports
     rhos = scan_rho(unit(abs_lam_s12=0.4), steps).rho_values
-    assert repr(rhos) == repr(tuple(k / steps for k in range(steps + 1)))
+    assert all(type(rho) is float for rho in rhos)
+    assert repr(rhos) == repr(tuple((np.arange(steps + 1) / steps).tolist()))
 
 
 @pytest.mark.parametrize("steps", [1, 4])
