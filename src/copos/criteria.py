@@ -14,21 +14,21 @@ characterisation and diagonal necessity); for every other criterion a
 failed condition list means ``UNKNOWN`` -- the test is sufficient, not
 necessary.  A branch fires iff all its conditions are satisfied, that is
 finite and meeting their bound (:func:`copos.halfline.row_holds`).  ``_read``
-returns the entries through :func:`copos.halfline.power_scale`, so a square-root
-row is inf or nan only where the entries span 2**128 or more; qi's and songqi's
-sums over the raw entries may overflow too.  Such a row fails.  A discriminant
+and ``_slice_values`` return the entries through :func:`copos.halfline.power_scale`,
+so a square-root row, or a sum of qi or songqi, is inf or nan only where the
+entries span 2**128 or more.  Such a row fails.  A discriminant
 row on finite inputs carries its exact sign and saturates at
 +-sys.float_info.max, so the rows of the two refuters are always finite.
 
-Shared algebra.  Every row is built from the half-line primitives of
-:mod:`copos.halfline`.  Each discriminant row (thm3.1, thm3.4, thm4.1,
-thm4.3, thm4.5, and the remark through thm3.4) is
-:func:`copos.halfline.cubic_disc_checked` at its coefficient factors and
-divisor, and each square-root row is ``lhs - rhs`` against
-:func:`copos.halfline.cubic_bounds` or :func:`copos.halfline.quad_bound`, at
-scaled coefficients; ``quad_bound`` is the only code that takes a root.  thm3.3's two
-rows, exact where the third coefficient is 0, take their value from
-:func:`copos.halfline.quad_margin_checked`, which rechecks their sign in Fraction.  Roots
+Shared algebra.  Every row is an entry sign, a max, or the value of a checked
+primitive of :mod:`copos.halfline`, which rechecks its sign in Fraction near 0.
+Each discriminant row (thm3.1, thm3.4, thm4.1, thm4.3, thm4.5, and the remark
+through thm3.4) is :func:`copos.halfline.cubic_disc_checked` at its coefficient
+factors and divisor.  Each square-root row (thm3.2, thm3.3, thm3.5 and so the
+remark, thm4.2, the pair rows of thm4.3 and thm4.4, thm4.5's q and 27*a rows) is
+:func:`copos.halfline.root_margin_checked` at its factors and divisor; thm4.4's
+max rows hold iff both arms do, so each is the smaller of two checked margins,
+and thm4.5's 27*a rows pass the q rows' arguments as ``nested``.  Roots
 appear only over products whose signs are pinned by companion conditions in
 the same system; radicands that come out negative (failed sign conditions,
 or -0.0 style rounding) give a zero root, so every row is computable.
@@ -60,8 +60,8 @@ import math
 import operator
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .halfline import (cubic_bounds, cubic_disc_checked, cubic_exact_rows, power_scale,
-                       quad_bound, quad_margin_checked, row_holds)
+from .halfline import (cubic_disc_checked, cubic_exact_rows, power_scale, root_margin_checked,
+                       row_holds)
 from .tensors import Index, SymmetricTensor, all_indices, build, multiplicity
 
 
@@ -222,12 +222,13 @@ def thm31_exact_c3d2(tensor: SymmetricTensor) -> Certificate:
 def thm32_sqrt_c3d2(tensor: SymmetricTensor) -> Certificate:
     """Sufficient for order-3 dim-2: cubic_nonneg_sufficient at (g111, 3*g112, 3*g122, g222)."""
     g111, g112, g122, g222 = _read(tensor, "thm3.2").values()
-    lo112, lo122 = cubic_bounds(g111, g222)
     conds = [
         _ge("g111 >= 0", g111),
         _ge("g222 >= 0", g222),
-        _ge("g112 >= (g111 - 2*sqrt(g111*g222))/3", g112 - lo112 / 3.0),
-        _ge("g122 >= (g222 - 2*sqrt(g111*g222))/3", g122 - lo122 / 3.0),
+        _ge("g112 >= (g111 - 2*sqrt(g111*g222))/3",
+            root_margin_checked(g112, g111, g222, g111, 3.0)),
+        _ge("g122 >= (g222 - 2*sqrt(g111*g222))/3",
+            root_margin_checked(g122, g111, g222, g222, 3.0)),
     ]
     return _verdict("thm3.2", conds)
 
@@ -241,14 +242,14 @@ def thm33_mixed_c3d2(tensor: SymmetricTensor) -> Certificate:
         _ge("(1) g222 >= 0", g222),
         _ge("(1) g122 >= 0", g122),
         _ge("(1) g112 >= -(2/3)*sqrt(3*g122*g111)",
-            quad_margin_checked(g112, g122, g111, 3.0, 3.0)),
+            root_margin_checked(g112, g122, g111, divisor=3.0, fa=3.0)),
     ]
     sys2 = [
         _ge("(2) g111 >= 0", g111),
         _ge("(2) g222 >= 0", g222),
         _ge("(2) g112 >= 0", g112),
         _ge("(2) g122 >= -(2/3)*sqrt(3*g112*g222)",
-            quad_margin_checked(g122, g112, g222, 3.0, 3.0)),
+            root_margin_checked(g122, g112, g222, divisor=3.0, fa=3.0)),
     ]
     return _verdict("thm3.3", sys1 + sys2, [("(1)", sys1), ("(2)", sys2)])
 
@@ -277,8 +278,9 @@ def _thm34_values(g: dict[str, float]) -> list[float]:
 def _thm35_values(g: dict[str, float]) -> list[float]:
     values = [g["g111"], g["g222"], g["g333"], g["g123"]]
     for p, q, r, s in _PAIRS:
-        lo_q, lo_r = cubic_bounds(g[p], g[s])
-        values += (g[q] - lo_q / 6.0, g[r] - lo_r / 6.0)
+        gp, gs = g[p], g[s]
+        values += (root_margin_checked(g[q], gp, gs, gp, 6.0),
+                   root_margin_checked(g[r], gp, gs, gs, 6.0))
     return values
 
 
@@ -327,19 +329,21 @@ def thm42_sqrt_c4d2(tensor: SymmetricTensor) -> Certificate:
     ]
     # Each branch is the order-3 square-root test on one cubic cofactor of
     # Ax^4 = x1*f(x) + a2222*x2^4 = a1111*x1^4 + x2*g(x), halved so that its
-    # radicand is a1111*a1222 (a1112*a2222) as rounded.  The a1122 rows carry
-    # one radical; gamma122 = 2*a1122 with a doubled one over-certifies.
-    lo1112, lo1122 = cubic_bounds(a1111 / 2.0, 2.0 * a1222)
+    # radicand is a1111*a1222 (a1112*a2222).  The a1122 rows carry one
+    # radical; gamma122 = 2*a1122 with a doubled one over-certifies.
     sys1 = [
         _ge("(1) a1222 >= 0", a1222),
-        _ge("(1) a1112 >= a1111/4 - sqrt(a1111*a1222)", a1112 - lo1112 / 2.0),
-        _ge("(1) a1122 >= (2/3)*(a1222 - sqrt(a1111*a1222))", a1122 - lo1122 / 3.0),
+        _ge("(1) a1112 >= a1111/4 - sqrt(a1111*a1222)",
+            root_margin_checked(a1112, a1111, a1222, a1111, 2.0, fb=0.5)),
+        _ge("(1) a1122 >= (2/3)*(a1222 - sqrt(a1111*a1222))",
+            root_margin_checked(a1122, a1111, a1222, a1222, 3.0, fb=2.0)),
     ]
-    lo1122, lo1222 = cubic_bounds(2.0 * a1112, a2222 / 2.0)
     sys2 = [
         _ge("(2) a1112 >= 0", a1112),
-        _ge("(2) a1222 >= a2222/4 - sqrt(a1112*a2222)", a1222 - lo1222 / 2.0),
-        _ge("(2) a1122 >= (2/3)*(a1112 - sqrt(a1112*a2222))", a1122 - lo1122 / 3.0),
+        _ge("(2) a1222 >= a2222/4 - sqrt(a1112*a2222)",
+            root_margin_checked(a1222, a1112, a2222, a2222, 2.0, fb=0.5)),
+        _ge("(2) a1122 >= (2/3)*(a1112 - sqrt(a1112*a2222))",
+            root_margin_checked(a1122, a1112, a2222, a1112, 3.0, fb=2.0)),
     ]
     return _verdict("thm4.2", pre + sys1 + sys2, [("(1)", pre + sys1), ("(2)", pre + sys2)])
 
@@ -371,9 +375,12 @@ def thm43_disc_c4d3(tensor: SymmetricTensor) -> Certificate:
         _ge("max(a1222, a1333) > 0", max(a["a1222"], a["a1333"]), strict=True),
         _ge("max(a1112, a2333) > 0", max(a["a1112"], a["a2333"]), strict=True),
         _ge("max(a1113, a2223) > 0", max(a["a1113"], a["a2223"]), strict=True),
-        _ge("6*a1122 + sqrt(a1111*a2222) >= 0", 6.0 * a["a1122"] - quad_bound(a1111, a2222) / 2.0),
-        _ge("6*a1133 + sqrt(a1111*a3333) >= 0", 6.0 * a["a1133"] - quad_bound(a1111, a3333) / 2.0),
-        _ge("6*a2233 + sqrt(a3333*a2222) >= 0", 6.0 * a["a2233"] - quad_bound(a3333, a2222) / 2.0),
+        _ge("6*a1122 + sqrt(a1111*a2222) >= 0",
+            root_margin_checked(a["a1122"], a1111, a2222, -0.0, 2.0, 6.0)),
+        _ge("6*a1133 + sqrt(a1111*a3333) >= 0",
+            root_margin_checked(a["a1133"], a1111, a3333, -0.0, 2.0, 6.0)),
+        _ge("6*a2233 + sqrt(a3333*a2222) >= 0",
+            root_margin_checked(a["a2233"], a3333, a2222, -0.0, 2.0, 6.0)),
     ]
     for p, q, r, s, text in _THM43_CUBICS:
         conds.append(_ge(text, cubic_disc_checked(a[p], a[q], a[r], a[s],
@@ -384,23 +391,25 @@ def thm43_disc_c4d3(tensor: SymmetricTensor) -> Certificate:
 def thm44_sqrt_c4d3(tensor: SymmetricTensor) -> Certificate:
     """Sufficient square-root test for order-4 dim-3."""
     a = _read(tensor, "thm4.4")
+    (a1111, a1112, a1113, a1122, a1123, a1133, a1222, a1223, a1233, a1333,
+     a2222, a2223, a2233, a2333, a3333) = a.values()
     # each max pairs the bounds of the two cubic cofactors sharing the entry;
     # a1223 sits in the (x2,x3) cofactor of x1 and the (x1,x2) cofactor of
-    # x3, so its second arm carries a1113, not a1112
-    lo1222, lo1333 = cubic_bounds(a["a1222"], a["a1333"])
-    lo1113, lo2223 = cubic_bounds(a["a1113"], a["a2223"])
-    lo1112, lo2333 = cubic_bounds(a["a1112"], a["a2333"])
-    a1111, a2222, a3333 = a["a1111"], a["a2222"], a["a3333"]
+    # x3, so its second arm carries a1113, not a1112.  The row holds iff both
+    # arms do: its value is the smaller margin, x - 2*(arm)/3 at divisor 1.5
     conds = [_ge(text, a[name]) for name, text in _EDGES] + [
-        _ge("a1122 >= -sqrt(a1111*a2222)/6", a["a1122"] - quad_bound(a1111, a2222) / 12.0),
-        _ge("a1133 >= -sqrt(a1111*a3333)/6", a["a1133"] - quad_bound(a1111, a3333) / 12.0),
-        _ge("a2233 >= -sqrt(a3333*a2222)/6", a["a2233"] - quad_bound(a3333, a2222) / 12.0),
+        _ge("a1122 >= -sqrt(a1111*a2222)/6", root_margin_checked(a1122, a1111, a2222, -0.0, 12.0)),
+        _ge("a1133 >= -sqrt(a1111*a3333)/6", root_margin_checked(a1133, a1111, a3333, -0.0, 12.0)),
+        _ge("a2233 >= -sqrt(a3333*a2222)/6", root_margin_checked(a2233, a3333, a2222, -0.0, 12.0)),
         _ge("a1223 >= (2/3)*max(a1222 - 2*sqrt(a1222*a1333), a2223 - 2*sqrt(a1113*a2223))",
-            a["a1223"] - 2.0 * max(lo1222, lo2223) / 3.0),
+            min(root_margin_checked(a1223, a1222, a1333, a1222, 1.5),
+                root_margin_checked(a1223, a1113, a2223, a2223, 1.5))),
         _ge("a1233 >= (2/3)*max(a2333 - 2*sqrt(a1112*a2333), a1333 - 2*sqrt(a1222*a1333))",
-            a["a1233"] - 2.0 * max(lo2333, lo1333) / 3.0),
+            min(root_margin_checked(a1233, a1112, a2333, a2333, 1.5),
+                root_margin_checked(a1233, a1222, a1333, a1333, 1.5))),
         _ge("a1123 >= (2/3)*max(a1113 - 2*sqrt(a1113*a2223), a1112 - 2*sqrt(a1112*a2333))",
-            a["a1123"] - 2.0 * max(lo1113, lo1112) / 3.0),
+            min(root_margin_checked(a1123, a1113, a2223, a1113, 1.5),
+                root_margin_checked(a1123, a1112, a2333, a1112, 1.5))),
     ]
     return _verdict("thm4.4", conds)
 
@@ -433,20 +442,28 @@ def _thm45_rows(strict: bool) -> tuple[tuple[str, bool], ...]:
 _THM45_ROWS = {strict: _thm45_rows(strict) for strict in (False, True)}
 
 
+_COFACTOR_DISC = (1.0, 36.0, 6.0, 324.0)  # the factors of each cofactor's discriminant, over 432
+
+
 def _thm45_values(a: dict[str, float]) -> list[float]:
     """The value of every thm4.5 row, in row order, from the named entries
-    ``_read`` returns; the rho scan of :mod:`copos.vacuum` calls it too."""
-    q = {"q12": 9.0 * a["a1122"] - quad_bound(a["a1111"], a["a2222"]) / 2.0,
-         "q13": 9.0 * a["a1133"] - quad_bound(a["a1111"], a["a3333"]) / 2.0,
-         "q23": 9.0 * a["a2233"] - quad_bound(a["a3333"], a["a2222"]) / 2.0}
-    values = [a["a1111"], a["a2222"], a["a3333"], a["a1113"], a["a1222"], a["a2333"],
-              q["q12"], q["q13"], q["q23"],
-              27.0 * a["a1123"] - quad_bound(q["q12"], q["q13"]) / 2.0,
-              27.0 * a["a1223"] - quad_bound(q["q12"], q["q23"]) / 2.0,
-              27.0 * a["a1233"] - quad_bound(q["q13"], q["q23"]) / 2.0]
-    values += [cubic_disc_checked(a[diag], a[near], q[qn], a[far], (1.0, 36.0, 6.0, 324.0), 432.0)
-               for diag, near, far, qn in _COFACTORS]
-    return values
+    ``_read`` returns; the rho scan of :mod:`copos.vacuum` calls it too.  The
+    27*a rows take the q rows' values under their root, with the q rows' arguments
+    as ``nested``."""
+    (a1111, a1112, a1113, a1122, a1123, a1133, a1222, a1223, a1233, a1333,
+     a2222, a2223, a2233, a2333, a3333) = a.values()
+    # the q rows' arguments (x, alpha, gamma, base, divisor, fx): the 27*a rows' nested
+    r12 = (a1122, a1111, a2222, -0.0, 2.0, 9.0)
+    r13 = (a1133, a1111, a3333, -0.0, 2.0, 9.0)
+    r23 = (a2233, a3333, a2222, -0.0, 2.0, 9.0)
+    q12, q13, q23 = root_margin_checked(*r12), root_margin_checked(*r13), root_margin_checked(*r23)
+    return [a1111, a2222, a3333, a1113, a1222, a2333, q12, q13, q23,
+            root_margin_checked(a1123, q12, q13, -0.0, 2.0, 27.0, (r12, r13)),
+            root_margin_checked(a1223, q12, q23, -0.0, 2.0, 27.0, (r12, r23)),
+            root_margin_checked(a1233, q13, q23, -0.0, 2.0, 27.0, (r13, r23)),
+            cubic_disc_checked(a1111, a1112, q12, a1222, _COFACTOR_DISC, 432.0),
+            cubic_disc_checked(a2222, a2223, q23, a2333, _COFACTOR_DISC, 432.0),
+            cubic_disc_checked(a3333, a1333, q13, a1113, _COFACTOR_DISC, 432.0)]
 
 
 def thm45_sos_c4d3(tensor: SymmetricTensor, strict: bool = False) -> Certificate:
@@ -559,11 +576,14 @@ def _slices(order: int, dim: int) -> tuple[tuple[Index, tuple[Index, ...], tuple
 
 
 def _slice_values(tensor: SymmetricTensor) -> tuple[tuple, ...]:
-    """Each slice's diagonal entry, off-diagonal entries and texts, read once as in _read."""
+    """Each slice's diagonal entry, off-diagonal entries and texts, divided by
+    :func:`copos.halfline.power_scale`'s power of two and read once, as in _read."""
     global _last_slices
     last, out = _last_slices
     if last is not tensor:
-        get = tensor.entries.get
+        entries = tensor.entries
+        e, values = power_scale(entries.values()) if entries else (0, ())
+        get = (dict(zip(entries, values)) if e else entries).get
         out = tuple((get(diag, 0.0), tuple(map(get, keys, itertools.repeat(0.0))), texts)
                     for diag, keys, texts in _slices(tensor.order, tensor.dim))
         _last_slices = (tensor, out)

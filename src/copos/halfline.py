@@ -1,21 +1,21 @@
 """Nonnegativity of low-degree polynomials on the half-line t >= 0.
 
 The scalar building blocks of every closed-form test in :mod:`copos.criteria`
-and :mod:`copos.vacuum`.
-Only :func:`quad_bound` (the exact quadratic test) takes a square root,
-clamped to 0 where the radicand is not positive.  It feeds thm3.3, the
-pairwise rows of thm4.3/4.4, thm4.5's q rows and the printed vacuum rows;
-:func:`cubic_bounds` (the sufficient cubic test: thm3.2, thm3.5, thm4.2 and
-thm4.4's max-arms) takes its shift from it.  :func:`row_holds` sets every row flag
-of copos.  :func:`cubic_disc_checked`, the one caller of :func:`cubic_disc`, gives
-every discriminant row its value (the exact cubic test and thm3.1 share
-:func:`cubic_exact_rows`): it rechecks the sign in Fraction within a rounding
-window that, like the oracle's screen window, rests on this module's rounding
-model (``_U``, ``_UNDERFLOW``, ``_gamma``).  :func:`quad_margin_checked` does the same
-for a square-root row beta >= quad_bound (thm3.3's two, and :func:`quad_nonneg`'s
-test).  The two checked primitives share one contract, and are the only callers of
+and :mod:`copos.vacuum`, whose every row is an entry sign, a max, or the value
+of one of two checked primitives.  :func:`cubic_disc_checked`, the one caller of
+:func:`cubic_disc`, gives every discriminant row its value (the exact cubic test
+and thm3.1 share :func:`cubic_exact_rows`).  :func:`root_margin_checked`, the one
+caller of :func:`quad_bound` (the only function that takes a square root, clamped
+to 0 where the radicand is not positive), gives every square-root row its value:
+thm3.2/3.3/3.5, thm4.2, the pair and max rows of thm4.3/4.4, thm4.5's q and 27*a
+rows, the printed vacuum rows, and the sufficient cubic and exact quadratic tests.
+The two checked primitives share one contract, and are the only callers of
 ``_exact``: where the float value lies within its rounding window of 0 or is not
-finite, its sign is rechecked in Fraction, so a row is negative iff its exact value is.
+finite, its sign is rechecked in Fraction, so a row is negative iff its exact value
+is (a square-root row over rounded roots fails closed instead where those roots
+are not exact).  The windows, like the oracle's screen window, rest on this
+module's rounding model (``_U``, ``_UNDERFLOW``, ``_gamma``).  :func:`row_holds`
+sets every row flag of copos.
 Every row is homogeneous in its inputs, and :func:`power_scale` divides them by
 one power of two, which changes no row's sign, so that a row neither overflows
 nor underflows where its inputs span less than 2**128.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .tensors import _entry_value
 
@@ -145,46 +145,93 @@ def cubic_nonneg_exact(cc) -> bool:
     return min(a, b, c, d) >= 0 or all(row_holds(v, s) for v, s in cubic_exact_rows(a, b, c, d))
 
 
-def cubic_bounds(a: float, d: float) -> tuple[float, float]:
-    """(a - 2*sqrt(ad), d - 2*sqrt(ad)), the least b and c the sufficient test accepts."""
-    s = -quad_bound(a, d)  # negation is exact and turns the clamp's -0.0 into 0.0
-    return a - s, d - s
-
-
 def quad_bound(alpha: float, gamma: float) -> float:
-    """-2*sqrt(alpha*gamma), the least beta the quadratic test accepts."""
+    """-2*sqrt(alpha*gamma), the least beta the quadratic test accepts (-0.0 where
+    alpha*gamma <= 0); only :func:`root_margin_checked` reads it."""
     return -2.0 * math.sqrt(ag) if (ag := alpha * gamma) > 0 else -0.0
 
 
-def quad_margin_checked(beta: float, alpha: float, gamma: float,
-                        factor: float = 1.0, divisor: float = 1.0) -> float:
-    """beta - quad_bound(factor*alpha, gamma) / divisor, factor and divisor > 0: the value
-    of a square-root row beta >= -2*sqrt(factor*alpha*gamma)/divisor, negative iff its
-    exact value is, so rounding at a tight row certifies nothing.
+_TINY = math.ulp(0.0)
+_WINDOW = 8 * _U  # a square-root row's relative rounding window
 
-    Only beta < 0 can give a wrong sign.  The root term carries at most 3 roundings where
-    its products are normal, and lies below 2**-500/divisor where they are not; within
-    that error of 0, or inf where a product overflows, the sign is rechecked in Fraction,
-    as negative iff divisor**2*beta**2 > 4*factor*alpha*gamma, and a wrong one replaced
-    by 0.0 or -math.ulp(0.0)."""
-    value = beta - quad_bound(factor * alpha, gamma) / divisor
-    if beta < 0 and not 8 * _U * -beta + 2.0 ** -500 / divisor < abs(value) < math.inf:
-        b, f, a, g, d = _exact(beta, factor, alpha, gamma, divisor)
-        negative = d * d * b * b > 4 * f * a * g
-        if negative != (value < 0):
-            value = -math.ulp(0.0) if negative else 0.0
+
+def root_margin_checked(x: float, alpha: float, gamma: float, base: float = -0.0,
+                        divisor: float = 1.0, fx: float = 1.0,
+                        nested: Optional[tuple[tuple, tuple]] = None,
+                        term: tuple[float, ...] = (), fa: float = 1.0, fb: float = 1.0) -> float:
+    """L - (fb*base - 2*sqrt(fa*alpha*gamma)) / divisor, where the linear part L is fx*x
+    plus the product of ``term`` (left to right), for factors fx, fb > 0, fa whole and
+    divisor >= 1: the value of every square-root row
+    L >= (fb*base - 2*sqrt(fa*alpha*gamma)) / divisor, negative iff its exact value is,
+    so rounding at a tight row neither certifies nor refutes.  The float value is
+    fx*x [+ prod(term)] - (fb*base + quad_bound(fa*alpha, gamma)) / divisor, operation
+    for operation.
+
+    Where x >= 0 >= base and the term is absent, > 0 as rounded or has a factor 0, the
+    exact row is >= 0 and so is the float.  Elsewhere the error is below
+    8u*(|fx*x| + |term| + (|fb*base| + root)/divisor) + 2**-500; within that error of
+    0, or where the value is not finite on finite inputs, the sign is rechecked in
+    Fraction: with M = divisor*L - fb*base, the row is negative iff M < 0 and
+    M**2 > 4*fa*alpha*gamma, and a wrong sign is replaced by 0.0 or -2**-1074.
+
+    ``nested`` holds the arguments (x, alpha, gamma, base, divisor, fx) of the rows
+    whose values alpha and gamma are: their rounding widens the window, and where the
+    sign turns on the root (M < 0 and alpha*gamma > 0) the recheck runs only where both
+    are exactly their rows' values; elsewhere the row fails closed, a value >= 0
+    becoming -2**-1074.  (No parameter is keyword-only: CPython 3.11 specialises calls
+    only to functions without keyword-only parameters, and this is called per row.)"""
+    q = quad_bound(fa * alpha, gamma)
+    if not term:
+        if x >= 0.0 >= base:
+            return fx * x - (fb * base + q) / divisor
+        lin = fx * x
+        size = abs(lin)
+    else:
+        product = math.prod(term)
+        if x >= 0.0 >= base and (product > 0.0 or 0.0 in term):
+            return fx * x + product - (fb * base + q) / divisor
+        lin = fx * x
+        lin, size = lin + product, abs(lin) + abs(product)
+    b = fb * base
+    value = lin - (b + q) / divisor
+    # the roundings of L, of base, of the root (3) and of the last three operations,
+    # and 2*sqrt(2**-1075) from an underflowing radicand
+    window = _WINDOW * (size + (abs(b) - q) / divisor) + 2.0 ** -500
+    if nested:  # each of alpha, gamma lies within 4*_WINDOW*(|L'| + |itself|) + 2**-497 of
+        # its row's exact value, L' that row's linear part, which moves the root by less
+        # than (2**-23*(fa*Ma + Mg) + 2**-380*(fa + 1))/divisor, M = |L'| + |itself|
+        ra, rg = nested
+        window += (2.0 ** -23 * (fa * (abs(ra[5] * ra[0]) + abs(alpha))
+                                 + abs(rg[5] * rg[0]) + abs(gamma))
+                   + 2.0 ** -380 * (fa + 1.0)) / divisor
+    if window < abs(value) < math.inf:
+        return value
+    if not all(map(math.isfinite, (x, alpha, gamma, base, *term))):
+        return value  # an inf or nan input: the row's own inputs fail it elsewhere
+    fx, fa, fb, k, x, alpha, gamma, base = _exact(fx, fa, fb, divisor, x, alpha, gamma, base)
+    m = k * (fx * x + (math.prod(_exact(*term)) if term else 0)) - fb * base
+    if nested and m < 0 and alpha * gamma > 0:  # the root decides: it must be exact
+        for v, row in zip((alpha, gamma), nested):
+            v, xr, ar, gr, br, kr, fxr = _exact(v, *row)
+            d = kr * (v - fxr * xr) + br  # 2*sqrt(ar*gr) where v is exact
+            if d < 0 or d * d != 4 * max(ar * gr, 0):
+                return value if value < 0 else -_TINY
+    negative = m < 0 and m * m > 4 * fa * alpha * gamma
+    if negative != (value < 0):
+        value = -_TINY if negative else 0.0
     return value
 
 
 def cubic_nonneg_sufficient(cc) -> bool:
-    """Sufficient test, thm3.2's rows: a, d, b - lo_b, c - lo_c by :func:`cubic_bounds`."""
+    """Sufficient test, thm3.2's rows: a >= 0, d >= 0, b >= a - 2*sqrt(ad) and
+    c >= d - 2*sqrt(ad), the last two by :func:`root_margin_checked`."""
     a, b, c, d = _coeffs(cc, CubicCoeffs)
-    lo_b, lo_c = cubic_bounds(a, d)
-    return all(map(row_holds, (a, d, b - lo_b, c - lo_c)))
+    return all(map(row_holds, (a, d, root_margin_checked(b, a, d, a),
+                               root_margin_checked(c, a, d, d))))
 
 
 def quad_nonneg(qc) -> bool:
     """Exact test of alpha t^2 + beta t + gamma >= 0 on t >= 0: alpha >= 0,
-    gamma >= 0 and :func:`quad_margin_checked` >= 0."""
+    gamma >= 0 and beta >= -2*sqrt(alpha*gamma) by :func:`root_margin_checked`."""
     alpha, beta, gamma = _coeffs(qc, QuadCoeffs)
-    return alpha >= 0 and gamma >= 0 and quad_margin_checked(beta, alpha, gamma) >= 0
+    return alpha >= 0 and gamma >= 0 and root_margin_checked(beta, alpha, gamma) >= 0

@@ -54,7 +54,14 @@ are monotone too, and each row's minimum over the grid lies at its first or
 its last point.  The cofactor row is a product here, so its exact recheck
 (halfline.cubic_disc_checked) replaces only a -0.0 that underflowed, by
 -2**-1074, or an inf or nan, by the exact value saturated at +-max: that
-keeps it monotone.  A row finite at both ends lies between two finite values, so
+keeps it monotone.  A square-root row's recheck (halfline.root_margin_checked)
+replaces a float whose sign is wrong by 0.0 or -2**-1074, the exact sign of a row
+that is monotone too, so it stays monotone.  The rows that take rounded roots
+under their root either have x = 0 here (27*a1123, 27*a1223), and are never
+rechecked, or a radicand that does not move with rho (27*a1233 and the printed
+mixed row): those fall as rho grows while their window grows, so where one fails
+closed (a value >= 0 becomes -2**-1074) it does so on a suffix of the grid, below
+every value before it.  A row finite at both ends lies between two finite values, so
 it is finite at every point; a row inf or nan at an end fails there, so its
 route is Unknown, as at every point.  test_rows_are_monotone_in_rho checks
 both claims at scales 10^k, |k| <= 300, with lam4 or abs_lam_s12 near 0, on
@@ -69,7 +76,7 @@ from dataclasses import dataclass
 
 from .criteria import (_THM45_ROWS, Certificate, Verdict, _named, _row_certificate, _thm45_values,
                        thm45_sos_c4d3)
-from .halfline import power_scale, quad_bound, row_holds
+from .halfline import power_scale, root_margin_checked, row_holds
 from .tensors import Index, SymmetricTensor, _count, _entry_value, build
 
 
@@ -158,12 +165,17 @@ _STRICTS = {strict: tuple(s for _, s in _THM45_ROWS[strict] + _PRINTED_ROWS[stri
 
 
 def _printed_values(p: Z3Params, rho: float) -> list:
-    """The value of every printed row at rho, in row order."""
-    c12 = 3.0 * p.lam3 + 3.0 * p.lam4 * (rho * rho) - quad_bound(p.lam1, p.lam2)
-    c13 = 3.0 * p.lam_s1 - quad_bound(p.lam1, p.lam_s)
-    c23 = 3.0 * p.lam_s2 - quad_bound(p.lam_s, p.lam2)
-    mixed = -9.0 * p.abs_lam_s12 * rho / 4.0 - quad_bound(c13, c23) / 2.0
-    return [p.lam1, p.lam2, p.lam_s, c12, c13, c23, mixed]
+    """The value of every printed row at rho, in row order.  The mixed row takes c13 and
+    c23 under its root, with their rows' arguments as ``nested``; its linear part is one
+    ``term``, -9*|lam_s12|*rho/4, so its x is -0.0, which adds nothing."""
+    r13 = (p.lam_s1, p.lam1, p.lam_s, -0.0, 1.0, 3.0)  # x, alpha, gamma, base, divisor, fx
+    r23 = (p.lam_s2, p.lam_s, p.lam2, -0.0, 1.0, 3.0)
+    c13, c23 = root_margin_checked(*r13), root_margin_checked(*r23)
+    return [p.lam1, p.lam2, p.lam_s,
+            root_margin_checked(p.lam3, p.lam1, p.lam2, -0.0, 1.0, 3.0, term=(3.0, p.lam4, rho * rho)),
+            c13, c23,
+            root_margin_checked(-0.0, c13, c23, -0.0, 2.0, 1.0, (r13, r23),
+                                (-9.0, p.abs_lam_s12, rho, 0.25))]
 
 
 def printed_certificate(p: Z3Params, strict: bool = False) -> Certificate:

@@ -323,15 +323,16 @@ def test_vacuum_scan_gives_a_verdict_where_a1122_would_overflow(capsys):
 
 
 def test_json_output_has_no_bare_nan_or_infinity(capsys, tmp_path):
-    # huge entries overflow qi's and songqi's raw slice sums to -inf; RFC 8259
-    # has no token for it, so it is written as the string of its repr.  The
-    # other criteria and the vacuum scan read their inputs at one power-of-two
-    # scale, so their rows are finite
+    # entries that span 2**128 or more are read as given, and huge ones overflow
+    # thm3.3's root to inf and qi's and songqi's slice sums to -inf; RFC 8259 has
+    # no token for them, so each is written as the string of its repr.  The vacuum
+    # scan reads its couplings at one power-of-two scale, so its rows are finite
     doc = write_doc(tmp_path, "huge.json", 3, 2,
-                    {"111": -1e308, "112": -5e307, "122": -5e307})
+                    {"111": -1e308, "112": -5e307, "122": -5e307, "222": 1e-300})
     huge = ["--l1", "1e154", "--l2", "1e154", "--ls", "1e154", "--ls12", "4e153"]
-    for argv, code, strings in [(["report", doc], 1, ["-inf"] * 3),
-                                (["check", "--json", doc], 1, ["-inf"] * 3),
+    overflowed = ["inf"] + ["-inf"] * 3
+    for argv, code, strings in [(["report", doc], 1, overflowed),
+                                (["check", "--json", doc], 1, overflowed),
                                 (["vacuum", *huge, "--rho-scan", "4", "--json"], 0, [])]:
         got, out, err = run(capsys, argv)
         assert (got, err) == (code, "")

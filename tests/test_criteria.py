@@ -26,6 +26,7 @@ from copos import (Certificate, Condition, Verdict, aggregate,
                    thm33_mixed_c3d2, thm34_disc_c3d3, thm35_sqrt_c3d3, thm41_disc_c4d2,
                    thm42_sqrt_c4d2, thm43_disc_c4d3, thm44_sqrt_c4d3,
                    thm45_sos_c4d3, thm4remark_check, thm4remark_decompose, zero)
+from copos import Z3Params, printed_certificate
 from copos.halfline import cubic_disc, cubic_nonneg_exact, cubic_nonneg_sufficient, quad_nonneg
 from copos.oracle import OracleConfig
 from conftest import (SHAPES, ge_reference, random_point, random_tensor, rel_err,
@@ -802,29 +803,57 @@ def test_verdicts_invariant_under_positive_scaling(rng):
                 assert scaled == base
 
 
-def test_discriminant_rows_match_their_text(rng):
-    # every discriminant row (the rows whose text has a power) is the scaled
-    # cubic discriminant; its value must be the polynomial the text prints
+def text_margin(text, env):
+    """lhs - rhs of a row text ``[(1) ]lhs >= rhs`` (or ``>``), evaluated in float."""
+    lhs, rhs = re.split(r" >=? ", text.removeprefix("(1) ").removeprefix("(2) "))
+    return (eval(lhs.replace("^", "**").replace("|lam_s12|", "abs_lam_s12"), env)
+            - eval(rhs, env))
+
+
+def formula_env(names):
+    """The names a row text reads: the given values, sqrt (0 where the radicand is
+    not positive, as the rows clamp it) and max."""
+    return {**names, "sqrt": lambda v: math.sqrt(max(v, 0.0)), "max": max}
+
+
+def test_formula_rows_match_their_text(rng):
+    # every row whose text is a formula in the entry names (all but diag, the remark,
+    # qi and songqi, whose texts are prose) and every printed vacuum row: its value
+    # must be lhs - rhs of the inequality it prints
+    formulas = {cid for cid in criteria._REGISTRY if cid not in ("diag", "remark", "qi", "songqi")}
+    seen = set()
     for order, dim in SHAPES:
         for _ in range(200):
             t = build(order, dim, {idx: rng.uniform(0.5, 1.5) if len(set(idx)) == 1
                                    else rng.uniform(-1.0, 1.0)
                                    for idx in all_indices(order, dim)})
             prefix = "g" if order == 3 else "a"
-            env = {prefix + "".join(map(str, idx)): t.get(idx)
-                   for idx in all_indices(order, dim)}
-            env["sqrt"] = math.sqrt
+            env = formula_env({prefix + "".join(map(str, idx)): t.get(idx)
+                               for idx in all_indices(order, dim)})
             if (order, dim) == (4, 3):
                 for i, j in ((1, 2), (1, 3), (2, 3)):
                     env[f"q{i}{j}"] = eval(f"9*a{i}{i}{j}{j} + sqrt(a{i}{i}{i}{i}*a{j}{j}{j}{j})",
                                            env)
-            rows = [row for cert in certify_all(t, strict=True)
-                    for row in cert.conditions if "^" in row.description]
+            rows = [row for cert in certify_all(t, strict=True) if cert.criterion_id in formulas
+                    for row in cert.conditions]
             assert rows
             for row in rows:
-                lhs = row.description.rsplit(" >", 1)[0].removeprefix("(1) ").removeprefix("(2) ")
-                want = eval(lhs.replace("^", "**"), env)
+                want = text_margin(row.description, env)
                 assert abs(row.value - want) <= 1e-8 * max(1.0, abs(want)), row.description
+                seen.add(row.description)
+    for _ in range(300):
+        names = {name: rng.uniform(-1.0, 2.0) for name in ("lam1", "lam2", "lam3", "lam4",
+                                                           "lam_s", "lam_s1", "lam_s2")}
+        p = Z3Params(**names, abs_lam_s12=rng.uniform(0.0, 1.5), rho=rng.uniform(0.0, 1.0))
+        env = formula_env({**names, "abs_lam_s12": p.abs_lam_s12, "rho": p.rho})
+        for strict in (False, True):
+            for row in printed_certificate(p, strict).conditions:
+                want = text_margin(row.description, env)
+                assert abs(row.value - want) <= 1e-8 * max(1.0, abs(want)), row.description
+                seen.add(row.description)
+    for kind in ("sqrt(", "max(", "^", "lam_s12"):  # root, max, discriminant and printed rows
+        assert any(kind in text for text in seen), kind
+    assert any(re.fullmatch(r"(\(\d\) )?[ga]\d+ >=? 0", text) for text in seen)  # sign rows
 
 
 def biased_draws(rng, count, shape):
@@ -1103,7 +1132,7 @@ def test_soundness_spot_check(rng):
 # criteria as they stood before their texts, slice plans and the remark
 # split were cached; any change to an id, outcome, branch, text, value
 # (repr, so -0.0 and 0.0 differ) or satisfied flag changes it
-CERTIFICATES_DIGEST = "4d6b5474f0de8d9258a0fb8b1b9b656dd25578b27c958bde1e37fcea4277aa37"
+CERTIFICATES_DIGEST = "1789157cdb783d178a03e5feb81bca22d061917b56d062c8089b4fcac5c833dc"
 
 TIES = (-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0)
 

@@ -14,7 +14,7 @@ import pytest
 
 from copos import (CubicCoeffs, QuadCoeffs, cubic_disc, cubic_nonneg_exact,
                    cubic_nonneg_sufficient, min_on_simplex, quad_nonneg)
-from copos.halfline import power_scale, quad_margin_checked, row_holds
+from copos.halfline import power_scale, root_margin_checked, row_holds
 
 from conftest import halfline_form
 
@@ -138,20 +138,20 @@ def test_quad_is_exact_where_its_root_rounds():
             beta = -2.0 * math.sqrt(a * g)
             want = Fraction(beta) ** 2 <= 4 * Fraction(a) * Fraction(g)
             assert quad_nonneg((a, beta, g)) == want, (a, beta, g)
-            assert (quad_margin_checked(beta, a, g) < 0) != want
+            assert (root_margin_checked(beta, a, g) < 0) != want
 
 
 def test_quad_margin_keeps_an_exact_zero():
     # -1 >= -(2/3)*sqrt(3*0.75*1) holds with equality: the golden mixed-sign rows
-    assert quad_margin_checked(-1.0, 0.75, 1.0, 3.0, 3.0) == 0.0
-    assert quad_margin_checked(-2.0, 1.0, 1.0) == 0.0
+    assert root_margin_checked(-1.0, 0.75, 1.0, divisor=3.0, fa=3.0) == 0.0
+    assert root_margin_checked(-2.0, 1.0, 1.0) == 0.0
 
 
 def test_quad_margin_rechecks_an_overflowing_root():
     # 3*1e200*1e200 overflows, so the float row is inf; exactly, 9*beta**2 = 9e402
     # exceeds 4*3e400, and the row is negative.  Where the sign is right, inf stays
-    assert quad_margin_checked(-1e201, 1e200, 1e200, 3.0, 3.0) == -math.ulp(0.0)
-    assert quad_margin_checked(-1e199, 1e200, 1e200, 3.0, 3.0) == math.inf
+    assert root_margin_checked(-1e201, 1e200, 1e200, divisor=3.0, fa=3.0) == -math.ulp(0.0)
+    assert root_margin_checked(-1e199, 1e200, 1e200, divisor=3.0, fa=3.0) == math.inf
     assert not quad_nonneg((1e200, -1e201, 1e200)) and quad_nonneg((1e200, -1e199, 1e200))
 
 

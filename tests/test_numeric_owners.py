@@ -1,9 +1,12 @@
 """Each numeric primitive of the package has one owner.
 
 ``halfline.quad_bound`` is the only function of ``src/copos`` that takes a
-square root (``math.sqrt`` or ``np.sqrt``, however imported), and
-``halfline`` is the only module that writes the unit roundoff ``2.0 ** -53``
-or the underflow slack ``2.0 ** -1000``; every other module imports
+square root (``math.sqrt`` or ``np.sqrt``, however imported), and only
+``halfline.root_margin_checked`` calls ``quad_bound``, however imported: a
+square-root row compared by hand, ``x - quad_bound(a, b) / k``, has no exact
+sign at a tight boundary, so every one takes its value from the checked
+primitive.  ``halfline`` is the only module that writes the unit roundoff
+``2.0 ** -53`` or the underflow slack ``2.0 ** -1000``; every other module imports
 ``_U``, ``_UNDERFLOW`` and ``_gamma`` from it.  ``halfline.power_scale`` is
 the only function that calls ``math.ldexp`` or ``math.frexp``, however
 imported: it owns the power-of-two scale every row is read at.
@@ -12,14 +15,14 @@ the float formula alone has no exact sign near 0 and overflows where the row
 does not, so every discriminant row takes its value from
 ``halfline.cubic_disc_checked``, which rechecks it in Fraction.  Only the two
 checked primitives, ``halfline.cubic_disc_checked`` and
-``halfline.quad_margin_checked``, call ``halfline._exact``, however imported:
+``halfline.root_margin_checked``, call ``halfline._exact``, however imported:
 every exact recheck of a row's sign is one of theirs.
 
 Within ``criteria``, ``vacuum`` and ``halfline`` only three functions test
 finiteness (an ``isfinite``, ``isinf`` or ``isnan`` call, or a comparison
 with ``math.inf`` or ``np.inf``): the row rule ``halfline.row_holds`` and the
 recheck windows of ``halfline.cubic_disc_checked`` and
-``halfline.quad_margin_checked``.  Every other
+``halfline.root_margin_checked``.  Every other
 row flag and every other non-finite check goes through them.
 """
 
@@ -30,15 +33,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "copos").glob("*.py"))
 
 SQRT_OWNER = "halfline.quad_bound"
+ROOT_OWNER = "halfline.root_margin_checked"
 SCALE_OWNER = "halfline.power_scale"
 SCALE_CALLS = {"ldexp", "frexp"}
 DISC_OWNER = "halfline"
-EXACT_OWNERS = {"halfline.cubic_disc_checked", "halfline.quad_margin_checked"}
+EXACT_OWNERS = {"halfline.cubic_disc_checked", "halfline.root_margin_checked"}
 ROUNDING_OWNER = "halfline"
 ROUNDING_EXPONENTS = {53, 1000}
 FINITENESS_MODULES = {"criteria", "vacuum", "halfline"}
 FINITENESS_OWNERS = {"halfline.row_holds", "halfline.cubic_disc_checked",
-                     "halfline.quad_margin_checked"}
+                     "halfline.root_margin_checked"}
 FINITENESS_CALLS = {"isfinite", "isinf", "isnan"}
 NUMERIC_MODULES = {"math", "np", "numpy"}
 
@@ -62,7 +66,7 @@ def _is_scale_call(node: ast.AST, aliases: set[str]) -> bool:
 
 
 def _is_call_of(node: ast.AST, name: str, aliases: set[str]) -> bool:
-    # name(...), halfline.name(...), or an alias of it: cubic_disc or _exact
+    # name(...), halfline.name(...), or an alias of it: cubic_disc, _exact or quad_bound
     if not isinstance(node, ast.Call):
         return False
     func = node.func
@@ -102,8 +106,9 @@ def _is_rounding_constant(node: ast.AST) -> bool:
 
 
 def owner_violations(sources: dict[str, str]) -> list[str]:
-    """Square roots outside SQRT_OWNER, rounding constants outside ROUNDING_OWNER,
-    ldexp and frexp calls outside SCALE_OWNER, cubic_disc calls outside DISC_OWNER,
+    """Square roots outside SQRT_OWNER, quad_bound calls outside ROOT_OWNER, rounding
+    constants outside ROUNDING_OWNER, ldexp and frexp calls outside SCALE_OWNER,
+    cubic_disc calls outside DISC_OWNER,
     _exact calls outside EXACT_OWNERS, and finiteness tests in FINITENESS_MODULES
     outside FINITENESS_OWNERS."""
     out = []
@@ -119,10 +124,10 @@ def owner_violations(sources: dict[str, str]) -> list[str]:
         scale_aliases = {alias.asname or alias.name for node in ast.walk(tree)
                          if isinstance(node, ast.ImportFrom) and node.module == "math"
                          for alias in node.names if alias.name in SCALE_CALLS}
-        disc_aliases, exact_aliases = ({alias.asname or alias.name for node in ast.walk(tree)
-                                        if isinstance(node, ast.ImportFrom)
-                                        for alias in node.names if alias.name == name}
-                                       for name in ("cubic_disc", "_exact"))
+        disc_aliases, exact_aliases, root_aliases = (
+            {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names if alias.name == name}
+            for name in ("cubic_disc", "_exact", "quad_bound"))
 
         def visit(node: ast.AST, scope: str) -> None:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -130,6 +135,8 @@ def owner_violations(sources: dict[str, str]) -> list[str]:
             if (isinstance(node, ast.Call) and _is_sqrt(node.func, aliases)
                     and scope != SQRT_OWNER):
                 out.append(f"{scope}: line {node.lineno}: square root")
+            if _is_call_of(node, "quad_bound", root_aliases) and scope != ROOT_OWNER:
+                out.append(f"{scope}: line {node.lineno}: unchecked root")
             if _is_rounding_constant(node) and module != ROUNDING_OWNER:
                 out.append(f"{scope}: line {node.lineno}: rounding constant")
             if _is_scale_call(node, scale_aliases) and scope != SCALE_OWNER:
@@ -159,7 +166,14 @@ def test_owner_rules():
                             "def quad_bound(ag):\n"
                             "    return -2.0 * math.sqrt(ag), np.sqrt(ag)\n"
                             "def cubic_bounds(ad):\n"
-                            "    return 2.0 * math.sqrt(ad)\n"),
+                            "    return 2.0 * math.sqrt(ad)\n"
+                            "def root_margin_checked(x, a, g, k):\n"
+                            "    return x - quad_bound(a, g) / k\n"),
+               "criteria": ("from .halfline import quad_bound as bound, root_margin_checked\n"
+                            "from . import halfline\n"
+                            "def thm43(x, a, g, k):\n"
+                            "    return (x - bound(a, g) / k, 6.0 * x - halfline.quad_bound(a, g) / 2.0,\n"
+                            "            root_margin_checked(x, a, g, k))\n"),
                "oracle": ("from math import sqrt as root\n"
                           "import numpy as np\n"
                           "_UNDERFLOW = 2 ** -1000\n"
@@ -168,6 +182,8 @@ def test_owner_rules():
                           "    return np.sqrt(x) + root(x)\n")}
     assert owner_violations(sources) == [
         "halfline.cubic_bounds: line 7: square root",
+        "criteria.thm43: line 4: unchecked root",
+        "criteria.thm43: line 4: unchecked root",
         "oracle: line 3: rounding constant",
         "oracle.screen: line 6: square root",
         "oracle.screen: line 6: square root",
@@ -179,7 +195,7 @@ def test_finiteness_rules():
                             "import numpy as np\n"
                             "def row_holds(v):\n"
                             "    return 0.0 <= v < math.inf\n"
-                            "def quad_margin_checked(x):\n"
+                            "def root_margin_checked(x):\n"
                             "    return not abs(x) < np.inf\n"
                             "def cubic_nonneg_sufficient(b, lo):\n"
                             "    return b - lo < math.inf and not math.isnan(b)\n"),
@@ -243,7 +259,7 @@ def test_exact_rules():
     sources = {"halfline": ("from fractions import Fraction\n"
                             "def _exact(*xs):\n"
                             "    return [Fraction(x) for x in xs]\n"
-                            "def quad_margin_checked(b, a, g):\n"
+                            "def root_margin_checked(b, a, g):\n"
                             "    return _exact(b, a, g)\n"
                             "def quad_nonneg(qc):\n"
                             "    return _exact(*qc)\n"),
